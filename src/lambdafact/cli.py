@@ -3,8 +3,9 @@ transforms, and the colored-forest bijection demo.
 
 Output is deterministic for fixed inputs.  JSON is the machine format, CSV
 the tabular convenience, DOT the graph format.  The default truncation
-order comes from the LAMBDAFACT_ORDER environment variable (8 if unset);
-requests beyond the safety cutoffs need --unsafe.
+order comes from the LAMBDAFACT_ORDER environment variable (8 if unset; a
+value that is not a nonnegative integer is an error); requests beyond the
+safety cutoffs need --unsafe.
 """
 
 from __future__ import annotations
@@ -39,10 +40,17 @@ ABEL_FAMILIES = ("ones", "factorial", "derangement", "bell", "hermite", "charlie
 
 def _default_order() -> int:
     raw = os.environ.get("LAMBDAFACT_ORDER", "")
-    try:
-        return int(raw) if raw else 8
-    except ValueError:
+    if not raw:
         return 8
+    try:
+        order = int(raw)
+        if order < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"LAMBDAFACT_ORDER must be a nonnegative integer, got {raw!r}"
+        ) from None
+    return order
 
 
 def _parse_range(spec: str) -> range:
@@ -118,6 +126,17 @@ def _cmd_verify(args) -> int:
     unknown = [i for i in wanted if i not in known]
     if unknown:
         print(f"error: unknown identity ids: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    empty = [
+        i for i in wanted
+        if not identities.CATALOGUE[i].points(args.n_max, args.m_max, args.order)
+    ]
+    if empty:
+        # Checking nothing must not read as a pass.
+        print(
+            f"error: no parameter points to check for: {', '.join(empty)}",
+            file=sys.stderr,
+        )
         return 2
     failures = 0
     try:

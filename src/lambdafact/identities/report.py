@@ -11,10 +11,6 @@ from ..series import TruncatedSeries
 Residual = Union[Polynomial, TruncatedSeries]
 
 
-def residual_is_zero(residual: Residual) -> bool:
-    return residual.is_zero
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Result of checking one catalogued identity at one parameter point.
@@ -32,7 +28,7 @@ class IdentityReport:
     verdict: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "verdict", residual_is_zero(self.residual))
+        object.__setattr__(self, "verdict", self.residual.is_zero)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -1,10 +1,16 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a map from monomials to nonzero Fraction coefficients.  A
+A polynomial is a map from monomials to nonzero rational coefficients.  A
 monomial is a tuple of (symbol, exponent) pairs, sorted by symbol name, with
-every exponent >= 1; the empty tuple is the constant monomial.  This keeps
-the representation canonical, so equality is a dict comparison and printing
-is deterministic.
+every exponent >= 1; the empty tuple is the constant monomial.
+
+A coefficient is stored as a plain int whenever it is integral and as a
+Fraction only when its denominator exceeds 1.  Most family polynomials have
+integer coefficients, and int arithmetic skips the gcd that every Fraction
+operation runs.  Every operation that can turn a Fraction integral
+normalises its result, so the representation stays canonical: equality is a
+dict comparison and printing is deterministic.  Values leave the ring as
+Fraction: evaluate, as_fraction and constant_term always return one.
 
 Symbols are open-ended strings, which lets any number of parameters coexist
 in one ring.  Values are immutable after construction and safe to share.
@@ -20,10 +26,31 @@ from typing import Iterator, Mapping, Union
 
 Monomial = tuple[tuple[str, int], ...]
 
-# Coefficients live in Q.  Fraction already keeps lowest terms and a
-# positive denominator, which is exactly the contract needed here.
+# Coefficients live in Q: an int when integral, else a Fraction in lowest
+# terms with a positive denominator.
 Rational = Fraction
 Scalar = Union[int, Fraction]
+Coefficient = Union[int, Fraction]
+
+
+def _scalar(c) -> Coefficient:
+    """c as a canonical coefficient: int if integral, else Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        if isinstance(c, int):
+            return int(c)
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(sums: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
+    """Drop zero sums and store integral Fractions as int."""
+    return {
+        m: (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+        for m, c in sums.items()
+        if c
+    }
 
 
 def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -31,6 +58,12 @@ def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if len(a) == 1 and len(b) == 1:
+        # One symbol on each side: the common case in the family recurrences.
+        (sa, ea), (sb, eb) = a[0], b[0]
+        if sa == sb:
+            return ((sa, ea + eb),)
+        return (a[0], b[0]) if sa < sb else (b[0], a[0])
     exps = dict(a)
     for sym, e in b:
         exps[sym] = exps.get(sym, 0) + e
@@ -43,10 +76,10 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        data: dict[Monomial, Fraction] = {}
+        data: dict[Monomial, Coefficient] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = _scalar(coeff)
                 if not c:
                     continue
                 exps: dict[str, int] = {}
@@ -54,17 +87,13 @@ class Polynomial:
                     if e:
                         exps[s] = exps.get(s, 0) + int(e)
                 key = tuple(sorted(exps.items()))
-                prev = data.get(key)
-                c = c if prev is None else prev + c
-                if c:
-                    data[key] = c
-                elif prev is not None:
-                    del data[key]
-        self._terms = data
+                data[key] = data.get(key, 0) + c
+        self._terms = _canonical(data)
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> Polynomial:
-        # Internal fast path: terms must already be canonical, zero-free.
+    def _raw(cls, terms: dict[Monomial, Coefficient]) -> Polynomial:
+        # Internal fast path: terms must already be canonical (zero-free,
+        # integral coefficients stored as int).
         p = object.__new__(cls)
         p._terms = terms
         return p
@@ -81,7 +110,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: Scalar) -> Polynomial:
-        c = Fraction(c)
+        c = _scalar(c)
         if not c:
             return _ZERO
         return cls._raw({(): c})
@@ -90,7 +119,7 @@ class Polynomial:
     def variable(cls, name: str) -> Polynomial:
         if not name:
             raise ValueError("symbol name must be a nonempty string")
-        return cls._raw({((name, 1),): Fraction(1)})
+        return cls._raw({((name, 1),): 1})
 
     # ---- inspection ----
 
@@ -98,7 +127,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, Coefficient]]:
         return iter(self._terms.items())
 
     def symbols(self) -> frozenset[str]:
@@ -117,29 +146,29 @@ class Polynomial:
         return max((sum(e for _, e in mono) for mono in self._terms), default=0)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0))
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; raises if symbols remain."""
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+            return Fraction(self._terms[()])
         raise ValueError(f"polynomial is not constant: {self}")
 
     def coefficient(self, sym: str, power: int) -> Polynomial:
         """Coefficient of sym**power, a polynomial in the other symbols."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for mono, c in self._terms.items():
             rest = tuple((s, e) for s, e in mono if s != sym)
             got = sum(e for s, e in mono if s == sym)
             if got == power:
-                out[rest] = out.get(rest, Fraction(0)) + c
-        return Polynomial._raw({k: v for k, v in out.items() if v})
+                out[rest] = out.get(rest, 0) + c
+        return Polynomial._raw(_canonical(out))
 
     def coefficients_in(self, sym: str) -> list[Polynomial]:
         """Split as sum of coefficients_in(sym)[j] * sym**j."""
-        byp: dict[int, dict[Monomial, Fraction]] = {}
+        byp: dict[int, dict[Monomial, Coefficient]] = {}
         for mono, c in self._terms.items():
             power = 0
             rest = []
@@ -170,7 +199,9 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for mono, c in other._terms.items():
-            s = out.get(mono, _F0) + c
+            s = out.get(mono, 0) + c
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             if s:
                 out[mono] = s
             elif mono in out:
@@ -193,22 +224,21 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _scalar(other)
             if not c:
                 return _ZERO
-            return Polynomial._raw({m: v * c for m, v in self._terms.items()})
+            return Polynomial._raw(
+                _canonical({m: v * c for m, v in self._terms.items()})
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
+        get = out.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _monomial_mul(m1, m2)
-                s = out.get(m, _F0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Polynomial._raw(out)
+                out[m] = get(m, 0) + c1 * c2
+        return Polynomial._raw(_canonical(out))
 
     __rmul__ = __mul__
 
@@ -216,7 +246,7 @@ class Polynomial:
         # Scalar division only; the coefficient field is Q.
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * (Fraction(1) / Fraction(other))
+        return self * (1 / Fraction(other))
 
     def __pow__(self, k: int) -> Polynomial:
         if not isinstance(k, int):
@@ -253,7 +283,7 @@ class Polynomial:
 
     def derivative(self, sym: str) -> Polynomial:
         """Formal partial derivative with respect to sym."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for mono, c in self._terms.items():
             for i, (s, e) in enumerate(mono):
                 if s != sym:
@@ -262,13 +292,9 @@ class Polynomial:
                     rest = mono[:i] + mono[i + 1:]
                 else:
                     rest = mono[:i] + ((s, e - 1),) + mono[i + 1:]
-                prev = out.get(rest, _F0) + c * e
-                if prev:
-                    out[rest] = prev
-                elif rest in out:
-                    del out[rest]
+                out[rest] = out.get(rest, 0) + c * e
                 break
-        return Polynomial._raw(out)
+        return Polynomial._raw(_canonical(out))
 
     def substitute(self, sym: str, value: Polynomial | Scalar) -> Polynomial:
         """Replace every occurrence of sym with value, fully expanded."""
@@ -347,7 +373,7 @@ class Polynomial:
 
 _F0 = Fraction(0)
 _ZERO = Polynomial._raw({})
-_ONE = Polynomial._raw({(): Fraction(1)})
+_ONE = Polynomial._raw({(): 1})
 
 
 def variables(*names: str) -> tuple[Polynomial, ...]:

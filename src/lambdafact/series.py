@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
-from .polynomial import Polynomial
+from .polynomial import Coefficient, Monomial, Polynomial, _canonical, _monomial_mul
 
 PolyLike = Union[Polynomial, int, Fraction]
 
@@ -84,12 +85,6 @@ class TruncatedSeries:
     def identity(cls, var: str, order: int) -> TruncatedSeries:
         """The series var itself."""
         return cls(var, [0, 1], order)
-
-    @classmethod
-    def from_function(
-        cls, fn: Callable[[int], PolyLike], var: str, order: int
-    ) -> TruncatedSeries:
-        return cls(var, [fn(n) for n in range(order + 1)], order)
 
     @classmethod
     def egf(
@@ -474,30 +469,53 @@ def substitute_series(
 # ---- total-degree-truncated polynomial arithmetic (bivariate layer) ----
 
 
+def _syms_degree(mono: Monomial, symset: frozenset[str]) -> int:
+    return sum(e for s, e in mono if s in symset)
+
+
 def truncate_total_degree(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """Drop monomials whose combined degree in syms exceeds total_degree."""
-    keep = {}
-    symset = set(syms)
-    for mono, c in p.terms():
-        d = sum(e for s, e in mono if s in symset)
-        if d <= total_degree:
-            keep[mono] = c
-    return Polynomial(keep)
+    symset = frozenset(syms)
+    return Polynomial._raw(
+        {m: c for m, c in p.terms() if _syms_degree(m, symset) <= total_degree}
+    )
+
+
+def _graded_terms(p: Polynomial, symset: frozenset[str], total_degree: int):
+    """(syms-degree, monomial, coefficient) of each term within the cap,
+    lowest degree first."""
+    return sorted(
+        (
+            (d, m, c) for m, c in p.terms()
+            if (d := _syms_degree(m, symset)) <= total_degree
+        ),
+        key=itemgetter(0),
+    )
 
 
 def mul_truncated(
     p: Polynomial, q: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
-    return truncate_total_degree(p * q, syms, total_degree)
+    """p*q with every monomial of combined syms-degree > total_degree dropped.
 
-
-def bivariate_truncated_product(
-    p: Polynomial, q: Polynomial, syms: tuple[str, str], total_degree: int
-) -> Polynomial:
-    """Product with all monomials of combined syms-degree > total_degree dropped."""
-    return mul_truncated(p, q, syms, total_degree)
+    Terms of either factor already over the cap are skipped, and a pair is
+    formed only when the two degrees fit under it together, so no dropped
+    term is ever computed.
+    """
+    symset = frozenset(syms)
+    right = _graded_terms(q, symset, total_degree)
+    out: dict[Monomial, Coefficient] = {}
+    get = out.get
+    for d1, m1, c1 in _graded_terms(p, symset, total_degree):
+        room = total_degree - d1
+        for d2, m2, c2 in right:
+            if d2 > room:
+                break
+            m = _monomial_mul(m1, m2)
+            out[m] = get(m, 0) + c1 * c2
+    return Polynomial._raw(_canonical(out))
 
 
 def exp_truncated(

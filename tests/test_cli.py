@@ -165,3 +165,26 @@ def test_bijection_cutoff_requires_unsafe(capsys):
     code, _, err = run(capsys, "bijection", "5", "2")
     assert code == 2
     assert "--unsafe" in err
+
+
+def test_verify_empty_point_set_is_an_error(capsys):
+    code, out, err = run(capsys, "verify", "2.1", "--n-max", "-3")
+    assert code == 2
+    assert out == ""
+    assert "no parameter points" in err and "2.1" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
+def test_series_bad_env_order_is_an_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("LAMBDAFACT_ORDER", raw)
+    code, out, err = run(capsys, "series", "tree")
+    assert code == 2
+    assert out == ""
+    assert "LAMBDAFACT_ORDER" in err and repr(raw) in err
+
+
+def test_series_explicit_order_ignores_env(capsys, monkeypatch):
+    monkeypatch.setenv("LAMBDAFACT_ORDER", "abc")
+    code, out, _ = run(capsys, "series", "tree", "--order", "2")
+    assert code == 0
+    assert out.strip() == "x + x^2 + O(x^3)"

@@ -1,17 +1,23 @@
 """Tests for umbral evaluation, the identity registry, and inverse relations."""
 
+import dataclasses
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdafact import identities as ids
+from lambdafact.cli import main
 from lambdafact.enumeration import permutations_with_fix
+from lambdafact.identities import catalogue
 from lambdafact.polynomial import Polynomial, variables
 from lambdafact.sequences import derangement, factorial, lambda_factorial
-from lambdafact.symbols import LAM, UMBRA
+from lambdafact.series import TruncatedSeries, truncate_total_degree
+from lambdafact.symbols import LAM, UMBRA, X
 
 lam, D = variables(LAM, UMBRA)
 
@@ -191,3 +197,88 @@ def test_inverse_roundtrip_random_sequences():
 def test_inverse_roundtrip_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         ids.inverse_relation_roundtrip("nope", [1, 2])
+
+
+# ---- behaviour contract: the full verify-all stream ----
+
+GOLDEN = Path(__file__).with_name("golden_verify_all.json")
+
+
+def test_verify_all_stream_matches_golden():
+    """Every (id, params, order, residual, verdict) record, in order."""
+    stream = []
+    for report in ids.verify_many(ids.catalogue_ids()):
+        record = report.to_json()
+        del record["elapsed_ms"]
+        stream.append(record)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(stream) == len(golden) == 510
+    assert stream == golden
+
+
+# ---- mutation tests: a perturbed identity must be reported as a failure ----
+
+UNIT_TERMS = {
+    # polynomial residual: a unit constant
+    "1.0a": lambda params: Polynomial.one(),
+    # series residual: a unit term at the highest retained order
+    "3.4": lambda params: TruncatedSeries(
+        X, [0] * params["order"] + [1], params["order"]
+    ),
+    # total-degree residual: a unit monomial at the degree cap
+    "5.2": lambda params: Polynomial.variable(X) ** params["total_degree"],
+}
+
+
+def _perturb(monkeypatch, identity_id, unit):
+    entry = catalogue.CATALOGUE[identity_id]
+
+    def check(**params):
+        return entry.check(**params) + unit(params)
+
+    monkeypatch.setitem(
+        catalogue.CATALOGUE, identity_id, dataclasses.replace(entry, check=check)
+    )
+
+
+def _assert_every_report_fails(identity_id, capsys):
+    reports = list(ids.verify_default(identity_id))
+    assert reports
+    for report in reports:
+        assert not report.verdict
+        assert not report.residual.is_zero
+        payload = report.to_json()
+        assert payload["verdict"] == "fail"
+        assert payload["residual"] != "0"
+    assert main(["verify", identity_id]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == len(reports)
+    assert all(json.loads(line)["verdict"] == "fail" for line in lines)
+
+
+@pytest.mark.parametrize("identity_id", sorted(UNIT_TERMS))
+def test_perturbed_identity_fails(identity_id, monkeypatch, capsys):
+    _perturb(monkeypatch, identity_id, UNIT_TERMS[identity_id])
+    _assert_every_report_fails(identity_id, capsys)
+
+
+def test_unit_term_inside_truncating_multiply_is_not_hidden(monkeypatch, capsys):
+    real = catalogue.mul_truncated
+
+    def perturbed(p, q, syms, total_degree):
+        return real(p, q, syms, total_degree) + Polynomial.variable(X) ** total_degree
+
+    monkeypatch.setattr(catalogue, "mul_truncated", perturbed)
+    _assert_every_report_fails("5.2", capsys)
+
+
+def test_truncating_one_degree_too_low_is_caught(monkeypatch, capsys):
+    real = catalogue.mul_truncated
+
+    def off_by_one(p, q, syms, total_degree):
+        return truncate_total_degree(
+            real(p, q, syms, total_degree), syms, total_degree - 1
+        )
+
+    monkeypatch.setattr(catalogue, "mul_truncated", off_by_one)
+    _assert_every_report_fails("5.2", capsys)

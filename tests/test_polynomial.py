@@ -132,3 +132,134 @@ def test_pow_matches_repeated_multiplication(p, k):
     for _ in range(k):
         expected = expected * p
     assert p ** k == expected
+
+
+# ---- int-first coefficients: differential tests against a Fraction-only
+# reference kept here, independent of the kernel ----
+
+mixed_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+mixed_polys = st.lists(st.tuples(monomials, mixed_coeffs), max_size=5).map(
+    lambda items: Polynomial({tuple(sorted(m.items())): c for m, c in items})
+)
+scalars = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def ref(p):
+    """p's terms as a plain dict with every coefficient a Fraction."""
+    return {m: Fraction(c) for m, c in p.terms()}
+
+
+def ref_clean(d):
+    return {m: c for m, c in d.items() if c}
+
+
+def ref_mono_mul(a, b):
+    exps = dict(a)
+    for s, e in b:
+        exps[s] = exps.get(s, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = ref_mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_derivative(a, sym):
+    out = {}
+    for m, c in a.items():
+        exps = dict(m)
+        e = exps.pop(sym, 0)
+        if e:
+            if e > 1:
+                exps[sym] = e - 1
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return ref_clean(out)
+
+
+def assert_canonical(p):
+    for _, c in p.terms():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_polys, mixed_polys, scalars)
+def test_results_are_canonical(a, b, k):
+    results = [a, b, a + b, a - b, -a, a * b, a * k, k * a, a + k, k - a,
+               a.derivative(LAM), a.coefficient(LAM, 1), a.substitute(MU, b),
+               Polynomial.constant(k), a ** 2]
+    if k:
+        results.append(a / k)
+    results.extend(a.coefficients_in(MU))
+    for p in results:
+        assert_canonical(p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_polys, mixed_polys, scalars)
+def test_ring_results_match_fraction_reference(a, b, k):
+    ra, rb, rk = ref(a), ref(b), Fraction(k)
+    assert ref(a + b) == ref_add(ra, rb)
+    assert ref(a - b) == ref_add(ra, {m: -c for m, c in rb.items()})
+    assert ref(a * b) == ref_mul(ra, rb)
+    assert ref(a * k) == ref_clean({m: c * rk for m, c in ra.items()})
+    if k:
+        assert ref(a / k) == ref_clean({m: c / rk for m, c in ra.items()})
+    assert ref(a.derivative(LAM)) == ref_derivative(ra, LAM)
+    assert ref(a.coefficient(LAM, 0)) == ref_clean(
+        {m: c for m, c in ra.items() if LAM not in dict(m)}
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(monomials, st.integers(-6, 6)), max_size=5))
+def test_int_and_fraction_inputs_build_the_same_polynomial(items):
+    from_int = Polynomial({tuple(sorted(m.items())): c for m, c in items})
+    from_frac = Polynomial(
+        {tuple(sorted(m.items())): Fraction(c) for m, c in items}
+    )
+    assert from_int == from_frac
+    assert hash(from_int) == hash(from_frac)
+    assert str(from_int) == str(from_frac)
+    assert_canonical(from_frac)
+
+
+def test_fraction_sums_that_turn_integral_are_stored_as_int():
+    half = lam * Fraction(1, 2)
+    assert list((half + half).terms()) == [(((LAM, 1),), 1)]
+    assert type(dict((half * 2).terms())[((LAM, 1),)]) is int
+    assert type(dict(((lam ** 2) / 2).derivative(LAM).terms())[((LAM, 1),)]) is int
+    assert (half - half).is_zero
+    assert Polynomial.constant(Fraction(6, 3)) == Polynomial.constant(2)
+    assert type(Polynomial.constant(Fraction(6, 3)).as_fraction()) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_polys, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+def test_boundary_values_are_fractions(p, a, b, c):
+    value = p.evaluate({LAM: a, MU: b, "u": c})
+    assert type(value) is Fraction
+    const = p.substitute(LAM, a).substitute(MU, b).substitute("u", c)
+    assert type(const.as_fraction()) is Fraction
+    assert const.as_fraction() == value
+    assert type(p.constant_term()) is Fraction
+    assert type(Polynomial.zero().as_fraction()) is Fraction

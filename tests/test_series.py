@@ -14,11 +14,11 @@ from lambdafact.series import (
     TruncatedSeries,
     abel_rhs,
     binomial_power,
-    bivariate_truncated_product,
     egf_shift,
     exp_series,
     geometric,
     geometric_truncated,
+    mul_truncated,
     substitute_series,
     tree_function,
     truncate_total_degree,
@@ -234,7 +234,7 @@ def test_bivariate_truncated_product():
     assert expansion == 1 + t + x + t ** 2 + 2 * t * x + x ** 2
     p = t * x + t ** 3 + 5
     assert truncate_total_degree(p, (T, X), 0) == Polynomial.constant(5)
-    prod = bivariate_truncated_product(t + 1, x + 1, (T, X), 1)
+    prod = mul_truncated(t + 1, x + 1, (T, X), 1)
     assert prod == t + x + 1
 
 
@@ -265,3 +265,44 @@ def test_binomial_power_symbolic_exponent_additivity():
     lhs = binomial_power(1, alpha + lam, 5)
     rhs = binomial_power(1, alpha, 5) * binomial_power(1, lam, 5)
     assert lhs == rhs
+
+
+# ---- the truncating total-degree multiply against truncate-after-multiply ----
+
+td_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+# λ is outside the truncation symbols, so its degree never counts.
+td_monomials = st.dictionaries(st.sampled_from((T, X, LAM)), st.integers(1, 4), max_size=3)
+td_polys = st.lists(st.tuples(td_monomials, td_coeffs), max_size=6).map(
+    lambda items: Polynomial({tuple(sorted(m.items())): c for m, c in items})
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(td_polys, td_polys, st.integers(0, 6))
+def test_mul_truncated_matches_truncated_full_product(p, q, d):
+    got = mul_truncated(p, q, (T, X), d)
+    assert got == truncate_total_degree(p * q, (T, X), d)
+    for _, c in got.terms():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(td_polys, st.integers(0, 6))
+def test_truncate_total_degree_keeps_exactly_the_low_terms(p, d):
+    kept = dict(truncate_total_degree(p, (T, X), d).terms())
+    for mono, c in p.terms():
+        deg = sum(e for s, e in mono if s in (T, X))
+        assert (mono in kept) == (deg <= d)
+        if deg <= d:
+            assert kept[mono] == c
+
+
+def test_mul_truncated_single_symbol_cap():
+    t, x = variables(T, X)
+    p = (1 + t + x * lam) ** 3
+    assert mul_truncated(p, p, (T,), 2) == truncate_total_degree(p * p, (T,), 2)
+    assert mul_truncated(p, p, (T, X), 0) == Polynomial.one()
