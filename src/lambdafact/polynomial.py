@@ -22,18 +22,16 @@ provided; there is deliberately no factorization or division of polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[tuple[str, int], ...]
 
 # Coefficients live in Q: an int when integral, else a Fraction in lowest
 # terms with a positive denominator.
-Rational = Fraction
 Scalar = Union[int, Fraction]
-Coefficient = Union[int, Fraction]
 
 
-def _scalar(c) -> Coefficient:
+def _scalar(c) -> Scalar:
     """c as a canonical coefficient: int if integral, else Fraction."""
     if type(c) is int:
         return c
@@ -44,7 +42,7 @@ def _scalar(c) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
-def _canonical(sums: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
+def _canonical(sums: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     """Drop zero sums and store integral Fractions as int."""
     return {
         m: (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
@@ -58,16 +56,27 @@ def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    if len(a) == 1 and len(b) == 1:
-        # One symbol on each side: the common case in the family recurrences.
-        (sa, ea), (sb, eb) = a[0], b[0]
-        if sa == sb:
-            return ((sa, ea + eb),)
-        return (a[0], b[0]) if sa < sb else (b[0], a[0])
     exps = dict(a)
     for sym, e in b:
         exps[sym] = exps.get(sym, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def _degree_in(mono: Monomial, symset: frozenset[str]) -> int:
+    return sum(e for s, e in mono if s in symset)
+
+
+def _product(
+    rows: Iterable[tuple[Monomial, Scalar, list[tuple[Monomial, Scalar]]]],
+) -> Polynomial:
+    """Sum of c1*c2 * m1*m2 over every row (m1, c1, right) and (m2, c2) in right."""
+    out: dict[Monomial, Scalar] = {}
+    get = out.get
+    for m1, c1, right in rows:
+        for m2, c2 in right:
+            m = _monomial_mul(m1, m2)
+            out[m] = get(m, 0) + c1 * c2
+    return Polynomial._raw(_canonical(out))
 
 
 class Polynomial:
@@ -76,7 +85,7 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        data: dict[Monomial, Coefficient] = {}
+        data: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = _scalar(coeff)
@@ -91,7 +100,7 @@ class Polynomial:
         self._terms = _canonical(data)
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Coefficient]) -> Polynomial:
+    def _raw(cls, terms: dict[Monomial, Scalar]) -> Polynomial:
         # Internal fast path: terms must already be canonical (zero-free,
         # integral coefficients stored as int).
         p = object.__new__(cls)
@@ -127,7 +136,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Coefficient]]:
+    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
     def symbols(self) -> frozenset[str]:
@@ -158,7 +167,7 @@ class Polynomial:
 
     def coefficient(self, sym: str, power: int) -> Polynomial:
         """Coefficient of sym**power, a polynomial in the other symbols."""
-        out: dict[Monomial, Coefficient] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, c in self._terms.items():
             rest = tuple((s, e) for s, e in mono if s != sym)
             got = sum(e for s, e in mono if s == sym)
@@ -168,7 +177,7 @@ class Polynomial:
 
     def coefficients_in(self, sym: str) -> list[Polynomial]:
         """Split as sum of coefficients_in(sym)[j] * sym**j."""
-        byp: dict[int, dict[Monomial, Coefficient]] = {}
+        byp: dict[int, dict[Monomial, Scalar]] = {}
         for mono, c in self._terms.items():
             power = 0
             rest = []
@@ -232,15 +241,31 @@ class Polynomial:
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, Coefficient] = {}
-        get = out.get
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _monomial_mul(m1, m2)
-                out[m] = get(m, 0) + c1 * c2
-        return Polynomial._raw(_canonical(out))
+        right = list(other._terms.items())
+        return _product((m1, c1, right) for m1, c1 in self._terms.items())
 
     __rmul__ = __mul__
+
+    def _mul_capped(
+        self, other: Polynomial, symset: frozenset[str], cap: int
+    ) -> Polynomial:
+        """self*other less every monomial whose degree in symset exceeds cap.
+
+        No such monomial is formed: each term of self pairs only with the
+        terms of other whose degree fits beside its own.
+        """
+        right = [(m, c, _degree_in(m, symset)) for m, c in other._terms.items()]
+        return _product(
+            (m1, c1, [(m2, c2) for m2, c2, d2 in right if d1 + d2 <= cap])
+            for m1, c1 in self._terms.items()
+            if (d1 := _degree_in(m1, symset)) <= cap
+        )
+
+    def _truncated(self, symset: frozenset[str], cap: int) -> Polynomial:
+        """self less every monomial whose degree in symset exceeds cap."""
+        return Polynomial._raw(
+            {m: c for m, c in self._terms.items() if _degree_in(m, symset) <= cap}
+        )
 
     def __truediv__(self, other: Scalar) -> Polynomial:
         # Scalar division only; the coefficient field is Q.
@@ -283,7 +308,7 @@ class Polynomial:
 
     def derivative(self, sym: str) -> Polynomial:
         """Formal partial derivative with respect to sym."""
-        out: dict[Monomial, Coefficient] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, c in self._terms.items():
             for i, (s, e) in enumerate(mono):
                 if s != sym:

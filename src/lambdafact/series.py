@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Sequence, Union
 
-from .polynomial import Coefficient, Monomial, Polynomial, _canonical, _monomial_mul
+from .polynomial import Polynomial
 
 PolyLike = Union[Polynomial, int, Fraction]
 
@@ -469,30 +468,11 @@ def substitute_series(
 # ---- total-degree-truncated polynomial arithmetic (bivariate layer) ----
 
 
-def _syms_degree(mono: Monomial, symset: frozenset[str]) -> int:
-    return sum(e for s, e in mono if s in symset)
-
-
 def truncate_total_degree(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """Drop monomials whose combined degree in syms exceeds total_degree."""
-    symset = frozenset(syms)
-    return Polynomial._raw(
-        {m: c for m, c in p.terms() if _syms_degree(m, symset) <= total_degree}
-    )
-
-
-def _graded_terms(p: Polynomial, symset: frozenset[str], total_degree: int):
-    """(syms-degree, monomial, coefficient) of each term within the cap,
-    lowest degree first."""
-    return sorted(
-        (
-            (d, m, c) for m, c in p.terms()
-            if (d := _syms_degree(m, symset)) <= total_degree
-        ),
-        key=itemgetter(0),
-    )
+    return p._truncated(frozenset(syms), total_degree)
 
 
 def mul_truncated(
@@ -500,22 +480,10 @@ def mul_truncated(
 ) -> Polynomial:
     """p*q with every monomial of combined syms-degree > total_degree dropped.
 
-    Terms of either factor already over the cap are skipped, and a pair is
-    formed only when the two degrees fit under it together, so no dropped
-    term is ever computed.
+    A dropped monomial is never computed, so this costs only the pairs of
+    terms whose degrees fit under the cap together.
     """
-    symset = frozenset(syms)
-    right = _graded_terms(q, symset, total_degree)
-    out: dict[Monomial, Coefficient] = {}
-    get = out.get
-    for d1, m1, c1 in _graded_terms(p, symset, total_degree):
-        room = total_degree - d1
-        for d2, m2, c2 in right:
-            if d2 > room:
-                break
-            m = _monomial_mul(m1, m2)
-            out[m] = get(m, 0) + c1 * c2
-    return Polynomial._raw(_canonical(out))
+    return p._mul_capped(q, frozenset(syms), total_degree)
 
 
 def exp_truncated(
