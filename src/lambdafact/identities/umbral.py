@@ -46,15 +46,9 @@ def umbral_eval(
     c * symbol**k * rest becomes c * moment(k) * rest, and symbol-free
     terms pass through unchanged.
     """
-    out = Polynomial.zero()
-    for mono, coeff in p.terms():
-        k = 0
-        rest = []
-        for sym, e in mono:
-            if sym == symbol:
-                k = e
-            else:
-                rest.append((sym, e))
-        term = Polynomial({tuple(rest): coeff})
-        out = out + (term * moments.moment(k) if k else term)
+    coeffs = p.coefficients_in(symbol)
+    out = coeffs[0]
+    for k in range(1, len(coeffs)):
+        if coeffs[k]:
+            out = out + coeffs[k] * moments.moment(k)
     return out

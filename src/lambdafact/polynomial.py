@@ -1,16 +1,30 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a map from monomials to nonzero rational coefficients.  A
-monomial is a tuple of (symbol, exponent) pairs, sorted by symbol name, with
-every exponent >= 1; the empty tuple is the constant monomial.
+A polynomial is a map from monomials to nonzero rational coefficients.  At
+the public boundary a monomial is a tuple of (symbol, exponent) pairs,
+sorted by symbol name, with every exponent >= 1; the empty tuple is the
+constant monomial.  The constructor takes such tuples and terms() yields
+them.
+
+Inside, a monomial is one packed int.  Each symbol owns a field of _W bits,
+handed out in the order the process first sees symbols, and the exponent of
+the symbol sits in its field; the constant monomial is 0.  Multiplying two
+monomials is adding their keys.  Every exponent stays at or below
+MAX_EXPONENT = 2**(_W-1) - 1, so the top bit of each field is a guard bit:
+the sum of two keys never carries into the next field, and a product whose
+exponent overflows sets a guard bit.  The guard is checked once per product
+result and an overflow raises ValueError.  Keys depend on the order of first
+sight, so they never leave the process: terms(), str() and pickling decode
+them to tuples.
 
 A coefficient is stored as a plain int whenever it is integral and as a
 Fraction only when its denominator exceeds 1.  Most family polynomials have
 integer coefficients, and int arithmetic skips the gcd that every Fraction
 operation runs.  Every operation that can turn a Fraction integral
 normalises its result, so the representation stays canonical: equality is a
-dict comparison and printing is deterministic.  Values leave the ring as
-Fraction: evaluate, as_fraction and constant_term always return one.
+dict comparison and printing is deterministic.  Any other scalar type is a
+TypeError.  Values leave the ring as Fraction: evaluate, as_fraction and
+constant_term always return one.
 
 Symbols are open-ended strings, which lets any number of parameters coexist
 in one ring.  Values are immutable after construction and safe to share.
@@ -21,7 +35,10 @@ provided; there is deliberately no factorization or division of polynomials.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from functools import reduce
+from operator import index, or_
 from typing import Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[tuple[str, int], ...]
@@ -30,19 +47,84 @@ Monomial = tuple[tuple[str, int], ...]
 # terms with a positive denominator.
 Scalar = Union[int, Fraction]
 
+# ---- packed monomial keys ----
+
+_W = 16
+_MASK = (1 << _W) - 1
+MAX_EXPONENT = (1 << (_W - 1)) - 1
+
+# The slot table only grows, so a key made earlier keeps its meaning.
+_SHIFT: dict[str, int] = {}  # symbol -> bit offset of its field
+_NAMES: list[str] = []  # slot -> symbol
+_guard = 0  # the top bit of every field handed out so far
+_slot_lock = threading.Lock()
+
+
+def _shift(sym: str) -> int:
+    """Bit offset of sym's field, handing out the next slot on first sight."""
+    shift = _SHIFT.get(sym)
+    if shift is None:
+        global _guard
+        with _slot_lock:
+            shift = _SHIFT.get(sym)
+            if shift is None:
+                shift = len(_NAMES) * _W
+                _NAMES.append(sym)
+                _guard |= 1 << (shift + _W - 1)
+                _SHIFT[sym] = shift
+    return shift
+
+
+def _encode(mono: Monomial) -> int:
+    exps: dict[str, int] = {}
+    for s, e in mono:
+        e = index(e)
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {s!r} in a monomial")
+        exps[s] = exps.get(s, 0) + e
+    key = 0
+    for s, e in exps.items():
+        if e > MAX_EXPONENT:
+            raise ValueError(f"exponent {e} of {s!r} exceeds {MAX_EXPONENT}")
+        if e:
+            key |= e << _shift(s)
+    return key
+
+
+def _decode(key: int) -> Monomial:
+    mono = []
+    slot = 0
+    while key:
+        e = key & _MASK
+        if e:
+            mono.append((_NAMES[slot], e))
+        key >>= _W
+        slot += 1
+    mono.sort()
+    return tuple(mono)
+
+
+def _degree_in(key: int, shifts: list[int]) -> int:
+    d = 0
+    for s in shifts:
+        d += (key >> s) & _MASK
+    return d
+
 
 def _scalar(c) -> Scalar:
     """c as a canonical coefficient: int if integral, else Fraction."""
     if type(c) is int:
         return c
-    if not isinstance(c, Fraction):
-        if isinstance(c, int):
-            return int(c)
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(
+        f"coefficient must be an int or a Fraction, not {type(c).__name__}"
+    )
 
 
-def _canonical(sums: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+def _canonical(sums: dict[int, Scalar]) -> dict[int, Scalar]:
     """Drop zero sums and store integral Fractions as int."""
     return {
         m: (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
@@ -51,31 +133,18 @@ def _canonical(sums: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     }
 
 
-def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for sym, e in b:
-        exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def _degree_in(mono: Monomial, symset: frozenset[str]) -> int:
-    return sum(e for s, e in mono if s in symset)
-
-
 def _product(
-    rows: Iterable[tuple[Monomial, Scalar, list[tuple[Monomial, Scalar]]]],
+    rows: Iterable[tuple[int, Scalar, list[tuple[int, Scalar]]]],
 ) -> Polynomial:
     """Sum of c1*c2 * m1*m2 over every row (m1, c1, right) and (m2, c2) in right."""
-    out: dict[Monomial, Scalar] = {}
+    out: dict[int, Scalar] = {}
     get = out.get
     for m1, c1, right in rows:
         for m2, c2 in right:
-            m = _monomial_mul(m1, m2)
+            m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
+    if reduce(or_, out, 0) & _guard:
+        raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
     return Polynomial._raw(_canonical(out))
 
 
@@ -85,24 +154,20 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        data: dict[Monomial, Scalar] = {}
+        data: dict[int, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = _scalar(coeff)
                 if not c:
                     continue
-                exps: dict[str, int] = {}
-                for s, e in mono:
-                    if e:
-                        exps[s] = exps.get(s, 0) + int(e)
-                key = tuple(sorted(exps.items()))
+                key = _encode(mono)
                 data[key] = data.get(key, 0) + c
         self._terms = _canonical(data)
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Scalar]) -> Polynomial:
-        # Internal fast path: terms must already be canonical (zero-free,
-        # integral coefficients stored as int).
+    def _raw(cls, terms: dict[int, Scalar]) -> Polynomial:
+        # Internal fast path: terms must already be canonical (packed keys,
+        # zero-free, integral coefficients stored as int).
         p = object.__new__(cls)
         p._terms = terms
         return p
@@ -122,13 +187,18 @@ class Polynomial:
         c = _scalar(c)
         if not c:
             return _ZERO
-        return cls._raw({(): c})
+        return cls._raw({0: c})
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
         if not name:
             raise ValueError("symbol name must be a nonempty string")
-        return cls._raw({((name, 1),): 1})
+        # Family routes build their variables on every call, cache hits
+        # included, so the common case skips the call into _shift.
+        shift = _SHIFT.get(name)
+        if shift is None:
+            shift = _shift(name)
+        return cls._raw({1 << shift: 1})
 
     # ---- inspection ----
 
@@ -137,60 +207,52 @@ class Polynomial:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
-        return iter(self._terms.items())
+        """(monomial, coefficient) pairs, each monomial decoded to a tuple."""
+        return ((_decode(m), c) for m, c in self._terms.items())
 
     def symbols(self) -> frozenset[str]:
-        return frozenset(s for mono in self._terms for s, _ in mono)
+        return frozenset(s for s, _ in _decode(reduce(or_, self._terms, 0)))
+
+    def _split(self, sym: str) -> Iterator[tuple[int, int, Scalar]]:
+        """(exponent of sym, key without sym, coefficient) for every term."""
+        shift = _shift(sym)
+        for m, c in self._terms.items():
+            e = (m >> shift) & _MASK
+            yield e, m - (e << shift), c
 
     def degree(self, sym: str) -> int:
         """Highest power of sym; 0 if sym does not occur (also for 0)."""
-        deg = 0
-        for mono in self._terms:
-            for s, e in mono:
-                if s == sym and e > deg:
-                    deg = e
-        return deg
+        return max((e for e, _, _ in self._split(sym)), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self._terms), default=0)
+        return max(
+            (sum(e for _, e in mono) for mono, _ in self.terms()), default=0
+        )
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get((), 0))
+        return Fraction(self._terms.get(0, 0))
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; raises if symbols remain."""
         if not self._terms:
             return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return Fraction(self._terms[()])
+        if len(self._terms) == 1 and 0 in self._terms:
+            return Fraction(self._terms[0])
         raise ValueError(f"polynomial is not constant: {self}")
 
     def coefficient(self, sym: str, power: int) -> Polynomial:
         """Coefficient of sym**power, a polynomial in the other symbols."""
-        out: dict[Monomial, Scalar] = {}
-        for mono, c in self._terms.items():
-            rest = tuple((s, e) for s, e in mono if s != sym)
-            got = sum(e for s, e in mono if s == sym)
-            if got == power:
-                out[rest] = out.get(rest, 0) + c
-        return Polynomial._raw(_canonical(out))
+        return Polynomial._raw(
+            {rest: c for e, rest, c in self._split(sym) if e == power}
+        )
 
     def coefficients_in(self, sym: str) -> list[Polynomial]:
         """Split as sum of coefficients_in(sym)[j] * sym**j."""
-        byp: dict[int, dict[Monomial, Scalar]] = {}
-        for mono, c in self._terms.items():
-            power = 0
-            rest = []
-            for s, e in mono:
-                if s == sym:
-                    power = e
-                else:
-                    rest.append((s, e))
-            byp.setdefault(power, {})[tuple(rest)] = c
+        byp: dict[int, dict[int, Scalar]] = {}
+        for e, rest, c in self._split(sym):
+            byp.setdefault(e, {})[rest] = c
         top = max(byp, default=0)
-        return [
-            Polynomial._raw(byp.get(j, {}).copy()) for j in range(top + 1)
-        ]
+        return [Polynomial._raw(byp.get(j, {})) for j in range(top + 1)]
 
     # ---- ring arithmetic ----
 
@@ -254,17 +316,19 @@ class Polynomial:
         No such monomial is formed: each term of self pairs only with the
         terms of other whose degree fits beside its own.
         """
-        right = [(m, c, _degree_in(m, symset)) for m, c in other._terms.items()]
+        shifts = [_shift(s) for s in symset]
+        right = [(m, c, _degree_in(m, shifts)) for m, c in other._terms.items()]
         return _product(
             (m1, c1, [(m2, c2) for m2, c2, d2 in right if d1 + d2 <= cap])
             for m1, c1 in self._terms.items()
-            if (d1 := _degree_in(m1, symset)) <= cap
+            if (d1 := _degree_in(m1, shifts)) <= cap
         )
 
     def _truncated(self, symset: frozenset[str], cap: int) -> Polynomial:
         """self less every monomial whose degree in symset exceeds cap."""
+        shifts = [_shift(s) for s in symset]
         return Polynomial._raw(
-            {m: c for m, c in self._terms.items() if _degree_in(m, symset) <= cap}
+            {m: c for m, c in self._terms.items() if _degree_in(m, shifts) <= cap}
         )
 
     def __truediv__(self, other: Scalar) -> Polynomial:
@@ -304,52 +368,39 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __reduce__(self):
+        # Packed keys mean nothing in another process; rebuild from tuples.
+        return Polynomial, (dict(self.terms()),)
+
     # ---- calculus and substitution ----
 
     def derivative(self, sym: str) -> Polynomial:
         """Formal partial derivative with respect to sym."""
-        out: dict[Monomial, Scalar] = {}
-        for mono, c in self._terms.items():
-            for i, (s, e) in enumerate(mono):
-                if s != sym:
-                    continue
-                if e == 1:
-                    rest = mono[:i] + mono[i + 1:]
-                else:
-                    rest = mono[:i] + ((s, e - 1),) + mono[i + 1:]
-                out[rest] = out.get(rest, 0) + c * e
-                break
-        return Polynomial._raw(_canonical(out))
+        unit = 1 << _shift(sym)
+        return Polynomial._raw(
+            _canonical(
+                {rest + (e - 1) * unit: c * e for e, rest, c in self._split(sym) if e}
+            )
+        )
 
     def substitute(self, sym: str, value: Polynomial | Scalar) -> Polynomial:
         """Replace every occurrence of sym with value, fully expanded."""
-        value = Polynomial._coerce(value)
-        result = _ZERO
-        powers: dict[int, Polynomial] = {0: _ONE, 1: value}
-
-        def vpow(e: int) -> Polynomial:
-            got = powers.get(e)
-            if got is None:
-                got = vpow(e - 1) * value
-                powers[e] = got
-            return got
-
-        for mono, c in self._terms.items():
-            e = 0
-            rest = []
-            for s, exp in mono:
-                if s == sym:
-                    e = exp
-                else:
-                    rest.append((s, exp))
-            part = Polynomial._raw({tuple(rest): c})
-            result = result + (part * vpow(e) if e else part)
+        if not isinstance(value, Polynomial):
+            value = Polynomial.constant(value)
+        coeffs = self.coefficients_in(sym)
+        result = coeffs[0]
+        power = value
+        for j in range(1, len(coeffs)):
+            if j > 1:
+                power = power * value
+            if coeffs[j]:
+                result = result + coeffs[j] * power
         return result
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a point; every symbol must be bound."""
         total = _F0
-        for mono, c in self._terms.items():
+        for mono, c in self.terms():
             term = c
             for s, e in mono:
                 if s not in bindings:
@@ -370,10 +421,11 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        terms = dict(self.terms())
         syms = tuple(sorted(self.symbols()))
         parts: list[str] = []
-        for mono in sorted(self._terms, key=self._sort_key(syms)):
-            c = self._terms[mono]
+        for mono in sorted(terms, key=self._sort_key(syms)):
+            c = terms[mono]
             body = "".join(
                 s if e == 1 else f"{s}^{e}" for s, e in mono
             )
@@ -398,7 +450,7 @@ class Polynomial:
 
 _F0 = Fraction(0)
 _ZERO = Polynomial._raw({})
-_ONE = Polynomial._raw({(): 1})
+_ONE = Polynomial._raw({0: 1})
 
 
 def variables(*names: str) -> tuple[Polynomial, ...]:

@@ -468,10 +468,18 @@ def substitute_series(
 # ---- total-degree-truncated polynomial arithmetic (bivariate layer) ----
 
 
+def _check_total_degree(total_degree: int) -> None:
+    # Below degree 0 every term is dropped, so a check would compare two
+    # empty polynomials and pass without testing anything.
+    if total_degree < 0:
+        raise ValueError("truncation order must be >= 0")
+
+
 def truncate_total_degree(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """Drop monomials whose combined degree in syms exceeds total_degree."""
+    _check_total_degree(total_degree)
     return p._truncated(frozenset(syms), total_degree)
 
 
@@ -483,6 +491,7 @@ def mul_truncated(
     A dropped monomial is never computed, so this costs only the pairs of
     terms whose degrees fit under the cap together.
     """
+    _check_total_degree(total_degree)
     return p._mul_capped(q, frozenset(syms), total_degree)
 
 

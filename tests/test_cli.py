@@ -188,3 +188,11 @@ def test_series_explicit_order_ignores_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "series", "tree", "--order", "2")
     assert code == 0
     assert out.strip() == "x + x^2 + O(x^3)"
+
+
+@pytest.mark.parametrize("ident,order", [("5.2", "-2"), ("5.2", "-1"), ("3.2", "-1")])
+def test_verify_negative_total_degree_is_an_error(capsys, ident, order):
+    code, out, err = run(capsys, "verify", ident, "--order", order)
+    assert code == 2
+    assert out == ""
+    assert "truncation order must be >= 0" in err

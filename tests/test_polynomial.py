@@ -1,14 +1,22 @@
 """Unit and property tests for the exact polynomial ring."""
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lambdafact
+from lambdafact import polynomial
 from lambdafact.enumeration import permutations_with_fix
-from lambdafact.polynomial import Polynomial, variables
-from lambdafact.symbols import LAM, MU
+from lambdafact.polynomial import MAX_EXPONENT, Polynomial, variables
+from lambdafact.symbols import LAM, MU, X
 
 lam, mu = variables(LAM, MU)
 
@@ -263,3 +271,178 @@ def test_boundary_values_are_fractions(p, a, b, c):
     assert const.as_fraction() == value
     assert type(p.constant_term()) is Fraction
     assert type(Polynomial.zero().as_fraction()) is Fraction
+
+
+# ---- packed monomial keys ----
+
+
+def test_negative_exponent_is_rejected():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial({((LAM, -1),): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial({((LAM, 2), (LAM, -1)): 1})
+
+
+def test_exponent_at_the_guard_bit_is_rejected():
+    top = Polynomial({((LAM, MAX_EXPONENT),): 1})
+    assert top.degree(LAM) == MAX_EXPONENT
+    for mono in (((LAM, 2 ** (polynomial._W - 1)),),
+                 ((LAM, 2 ** polynomial._W),),
+                 ((LAM, MAX_EXPONENT), (LAM, 1))):
+        with pytest.raises(ValueError, match="exceeds"):
+            Polynomial({mono: 1})
+
+
+def test_product_exponent_overflow_raises():
+    quarter = lam ** (2 ** (polynomial._W - 2))
+    with pytest.raises(ValueError, match="exponent above"):
+        quarter ** 4
+    with pytest.raises(ValueError, match="exponent above"):
+        lam ** MAX_EXPONENT * (lam + 1)
+    x = Polynomial.variable(X)
+    with pytest.raises(ValueError, match="exponent above"):
+        (x ** MAX_EXPONENT)._mul_capped(x, frozenset({X}), 2 * MAX_EXPONENT)
+    # Full fields side by side do not disturb each other.
+    full = lam ** MAX_EXPONENT * mu ** MAX_EXPONENT
+    assert (full.degree(LAM), full.degree(MU)) == (MAX_EXPONENT, MAX_EXPONENT)
+    assert full.derivative(MU).degree(LAM) == MAX_EXPONENT
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 2j, "1/2", None])
+def test_non_rational_scalars_are_rejected(bad):
+    with pytest.raises(TypeError):
+        Polynomial.constant(bad)
+    with pytest.raises(TypeError):
+        Polynomial({((LAM, 1),): bad})
+    with pytest.raises(TypeError):
+        lam * bad
+    with pytest.raises(TypeError):
+        lam + bad
+    with pytest.raises(TypeError):
+        lam.substitute(LAM, bad)
+
+
+def test_pickle_rebuilds_from_monomials_in_another_process():
+    # Fresh symbols, first seen here in the order a, b, c and in the child
+    # process in the order c, b, a, so their packed keys differ.
+    a, b, c = variables("pk_a", "pk_b", "pk_c")
+    p = (a + 2 * b) ** 3 * c - Fraction(1, 3) * lam * b + mu ** 2
+    assert polynomial._SHIFT["pk_a"] < polynomial._SHIFT["pk_c"]
+    child = textwrap.dedent("""
+        import pickle, sys
+        from fractions import Fraction
+        from lambdafact import polynomial
+        from lambdafact.polynomial import variables
+        from lambdafact.symbols import LAM, MU
+        c, b, a = variables("pk_c", "pk_b", "pk_a")
+        lam, mu = variables(LAM, MU)
+        assert polynomial._SHIFT["pk_a"] > polynomial._SHIFT["pk_c"]
+        q = pickle.loads(sys.stdin.buffer.read())
+        assert q == (a + 2 * b) ** 3 * c - Fraction(1, 3) * lam * b + mu ** 2
+        sys.stdout.buffer.write(str(q).encode() + b"\\n" + pickle.dumps(q * c))
+    """)
+    src = str(Path(lambdafact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", child], input=pickle.dumps(p),
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    text, _, back = done.stdout.partition(b"\n")
+    assert text.decode() == str(p)
+    assert pickle.loads(back) == p * c
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+# Differential tests of the packed kernel against a reference kept here: a
+# dict from sorted (symbol, exponent) tuples to Fraction.  Symbol names are
+# drawn, so new symbols get their slots in a different order from one
+# example to the next, and slot order differs from name order.
+
+names = st.text(alphabet="abcdλ", min_size=1, max_size=3)
+
+
+@st.composite
+def ref_polys(draw, pool):
+    items = draw(st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(pool), st.integers(1, 4), max_size=3),
+            mixed_coeffs,
+        ),
+        max_size=5,
+    ))
+    out = {}
+    for m, c in items:
+        key = tuple(sorted(m.items()))
+        out[key] = out.get(key, Fraction(0)) + Fraction(c)
+    return ref_clean(out)
+
+
+@st.composite
+def named_cases(draw):
+    pool = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    return pool, draw(ref_polys(pool)), draw(ref_polys(pool))
+
+
+def ref_exp(m, sym):
+    return dict(m).get(sym, 0)
+
+
+def ref_without(m, sym):
+    return tuple((s, e) for s, e in m if s != sym)
+
+
+def ref_coefficient(a, sym, k):
+    return {ref_without(m, sym): c for m, c in a.items() if ref_exp(m, sym) == k}
+
+
+def ref_substitute(a, sym, value):
+    out = {}
+    for m, c in a.items():
+        part = {ref_without(m, sym): c}
+        for _ in range(ref_exp(m, sym)):
+            part = ref_mul(part, value)
+        out = ref_add(out, part)
+    return out
+
+
+def ref_degree_in(m, symset):
+    return sum(e for s, e in m if s in symset)
+
+
+def ref_truncated(a, symset, cap):
+    return {m: c for m, c in a.items() if ref_degree_in(m, symset) <= cap}
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_cases(), st.integers(0, 6))
+def test_packed_kernel_matches_tuple_reference(case, cap):
+    pool, ra, rb = case
+    a, b = Polynomial(ra), Polynomial(rb)
+    for p, r in ((a, ra), (b, rb)):
+        assert ref(p) == r
+        for mono, _ in p.terms():
+            assert list(mono) == sorted(mono)
+            assert len({s for s, _ in mono}) == len(mono)
+            assert all(e >= 1 for _, e in mono)
+    assert ref(a * b) == ref_mul(ra, rb)
+    assert ref(a + b) == ref_add(ra, rb)
+    assert a.total_degree() == max(
+        (ref_degree_in(m, pool) for m in ra), default=0
+    )
+    for sym in pool:
+        assert a.degree(sym) == max((ref_exp(m, sym) for m in ra), default=0)
+        for k in range(4):
+            assert ref(a.coefficient(sym, k)) == ref_coefficient(ra, sym, k)
+        split = a.coefficients_in(sym)
+        assert len(split) == a.degree(sym) + 1
+        for k, part in enumerate(split):
+            assert ref(part) == ref_coefficient(ra, sym, k)
+        assert ref(a.derivative(sym)) == ref_derivative(ra, sym)
+        assert ref(a.substitute(sym, b)) == ref_substitute(ra, sym, rb)
+    symset = frozenset(pool[:2])
+    assert ref(a._mul_capped(b, symset, cap)) == ref_truncated(
+        ref_mul(ra, rb), symset, cap
+    )
+    assert ref(a._truncated(symset, cap)) == ref_truncated(ra, symset, cap)
+    assert str(a) == str(Polynomial(dict(a.terms())))
