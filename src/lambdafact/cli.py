@@ -5,7 +5,8 @@ Output is deterministic for fixed inputs.  JSON is the machine format, CSV
 the tabular convenience, DOT the graph format.  The default truncation
 order comes from the LAMBDAFACT_ORDER environment variable (8 if unset; a
 value that is not a nonnegative integer is an error); requests beyond the
-safety cutoffs need --unsafe.
+safety cutoffs need --unsafe.  If the reader closes standard output early,
+the command stops quietly with exit status 141.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import enumeration, identities, sequences, series
 from .polynomial import Polynomial
@@ -23,6 +25,7 @@ SERIES_ORDER_CAP = 12
 TABLE_INDEX_CAP = 50
 BIJECTION_DEFAULT_CAP = 10 ** 5
 BIJECTION_UNSAFE_CAP = enumeration.MSTAR_CUTOFF
+BROKEN_PIPE_EXIT = 128 + 13  # what a shell reports for a process ended by SIGPIPE
 
 TABLE_FAMILIES = (
     "factorial",
@@ -245,9 +248,16 @@ def _cmd_bijection(args) -> int:
             print(enumeration.pair_to_dot(pair, name="pair"))
         return 0 if status == "OK" else 1
 
-    strata = enumeration.exhaustive_roundtrip(n, lam)
+    start = time.perf_counter()
+    try:
+        strata = enumeration.exhaustive_roundtrip(n, lam)
+    except RuntimeError as exc:
+        print(f"round trip: MISMATCH ({exc})", file=sys.stderr)
+        return 1
+    elapsed = time.perf_counter() - start
     total = sum(strata.values())
-    print(f"{total} objects, round-trip OK")
+    rate = total / elapsed if elapsed else float("inf")
+    print(f"{total} objects, round-trip OK in {elapsed:.3f} s ({rate:,.0f} objects/s)")
     ok = total == count
     for k in range(n + 1):
         observed = strata.get(k, 0)
@@ -315,7 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Whatever is still buffered goes nowhere,
+        # and the exit status says the stream did not complete.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ Vertex labels are 1-based throughout.  An endofunction on [n] is stored as
 a tuple `image` with image[i-1] = sigma(i).  A rooted forest on [m] is a
 parent tuple of the same shape where parent 0 marks a root, with all edges
 oriented toward the roots.
+
+The bijection has one tuple kernel per direction.  The public entry points
+validate fully and wrap the kernels in dataclasses; the census runs the
+same kernels and checks on tuples.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ ENDOFUNCTION_CUTOFF = 7
 FOREST_CUTOFF = 7
 MSTAR_CUTOFF = 10 ** 6
 PERMANENT_CUTOFF = 10
+
+Pairs = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -71,18 +77,12 @@ class ColoredForestPermutation:
     """
 
     parent: tuple[int, ...]
-    pi: tuple[tuple[int, int], ...]
-    colors: tuple[tuple[int, int], ...]
+    pi: Pairs
+    colors: Pairs
 
     @property
     def n(self) -> int:
         return len(self.parent) - 1
-
-    def roots(self) -> frozenset[int]:
-        return frozenset(v for v, p in enumerate(self.parent, start=1) if p == 0)
-
-    def component_count(self) -> int:
-        return sum(1 for p in self.parent if p == 0)
 
 
 # ---- permutations and the families they count ----
@@ -174,23 +174,34 @@ def endofunctions(n: int) -> Iterator[Endofunction]:
         yield Endofunction(image)
 
 
-def digraph_decompose(sigma: Endofunction) -> DigraphDecomposition:
-    """Split a functional digraph into its cycle vertices and hanging forest.
+def _cycle_vertices(f: Sequence[int]) -> set[int]:
+    """The vertices on the cycles of the map v -> f[v-1] on [len(f)], where
+    a value 0 (a root marker) ends the path.
 
-    The cycle set is found by iterating the image of the whole vertex set
-    until it stabilizes.
+    Each walk runs from an unvisited vertex until it meets a visited one;
+    if that vertex was visited by the same walk, it closes a new cycle.
+    Every vertex is visited once.
     """
+    walk = [-1] + [0] * len(f)
+    cycles: set[int] = set()
+    for start in range(1, len(f) + 1):
+        v = start
+        while not walk[v]:
+            walk[v] = start
+            v = f[v - 1]
+        if walk[v] == start:
+            while v not in cycles:
+                cycles.add(v)
+                v = f[v - 1]
+    return cycles
+
+
+def digraph_decompose(sigma: Endofunction) -> DigraphDecomposition:
+    """Split a functional digraph into its cycle vertices and hanging forest."""
     image = sigma.image
-    current = frozenset(range(1, len(image) + 1))
-    while True:
-        nxt = frozenset(image[v - 1] for v in current)
-        if nxt == current:
-            break
-        current = nxt
-    parent = tuple(
-        0 if v in current else image[v - 1] for v in range(1, len(image) + 1)
-    )
-    return DigraphDecomposition(cycle_vertices=current, parent=parent)
+    cycles = _cycle_vertices(image)
+    parent = tuple(0 if v in cycles else w for v, w in enumerate(image, start=1))
+    return DigraphDecomposition(cycle_vertices=frozenset(cycles), parent=parent)
 
 
 # ---- rooted forests ----
@@ -198,21 +209,7 @@ def digraph_decompose(sigma: Endofunction) -> DigraphDecomposition:
 
 def is_forest(parent: Sequence[int]) -> bool:
     """True iff following parents from every vertex reaches a root (0)."""
-    m = len(parent)
-    state = [0] * (m + 1)  # 0 unknown, 1 on current path, 2 proven good
-    for start in range(1, m + 1):
-        v = start
-        path = []
-        while v != 0 and state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = parent[v - 1]
-        ok = v == 0 or state[v] == 2
-        for w in path:
-            state[w] = 2 if ok else 1
-        if not ok:
-            return False
-    return True
+    return not _cycle_vertices(parent)
 
 
 def forests(m: int) -> Iterator[tuple[int, ...]]:
@@ -252,14 +249,47 @@ def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
 
 
 def _validate_m_star(sigma: Endofunction, n: int, lam: int) -> None:
-    if sigma.n != n + lam + 1:
-        raise ValueError(f"expected a map on [{n + lam + 1}], got [{sigma.n}]")
-    for i in range(1, sigma.n + 1):
-        if sigma(i) == n + 1:
-            raise ValueError(f"vertex {i} maps to the forbidden vertex {n + 1}")
-    for k in range(n + 2, sigma.n + 1):
-        if sigma(k) != k:
-            raise ValueError(f"vertex {k} must be fixed, maps to {sigma(k)}")
+    image = sigma.image
+    if len(image) != n + lam + 1:
+        raise ValueError(f"expected a map on [{n + lam + 1}], got [{len(image)}]")
+    if n + 1 in image:
+        raise ValueError(
+            f"vertex {image.index(n + 1) + 1} maps to the forbidden vertex {n + 1}"
+        )
+    for k in range(n + 2, len(image) + 1):
+        if image[k - 1] != k:
+            raise ValueError(f"vertex {k} must be fixed, maps to {image[k - 1]}")
+
+
+def _head_to_tau(head: Sequence[int], n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    tau = []
+    colors = {}
+    for i, s in enumerate(head, start=1):
+        if s > n + 1:  # an edge into color vertex s: a fixed point colored s-n-1
+            colors[i] = s - n - 1
+            s = i
+        elif s == i:  # a fixed point in [n]: an edge to n+1
+            s = n + 1
+        tau.append(s)
+    return tuple(tau), colors
+
+
+def _tau_to_head(
+    tau: Sequence[int], colors: Mapping[int, int], n: int, lam: int
+) -> tuple[int, ...]:
+    head = []
+    for i, t in enumerate(tau, start=1):
+        if t == i:
+            j = colors.get(i)
+            if j is None:
+                raise ValueError(f"fixed point {i} has no color")
+            if not 1 <= j <= lam:
+                raise ValueError(f"color {j} of vertex {i} outside [1..{lam}]")
+            t = n + 1 + j
+        elif t == n + 1:
+            t = i
+        head.append(t)
+    return tuple(head)
 
 
 def sigma_to_tau(
@@ -272,117 +302,92 @@ def sigma_to_tau(
     are dropped.  Other edges are copied.
     """
     _validate_m_star(sigma, n, lam)
-    tau = [0] * (n + 1)
-    colors: dict[int, int] = {}
-    for i in range(1, n + 2):
-        s = sigma(i)
-        if s == i:  # only possible for i in [n]
-            tau[i - 1] = n + 1
-        elif s <= n:
-            tau[i - 1] = s
-        else:  # s >= n+2: colored fixed point
-            tau[i - 1] = i
-            colors[i] = s - n - 1
-    return tuple(tau), colors
+    return _head_to_tau(sigma.image[: n + 1], n)
 
 
 def tau_to_sigma(
     tau: Sequence[int], colors: Mapping[int, int], n: int, lam: int
 ) -> Endofunction:
     """Invert the three rewriting rules and restore the fixed tail."""
-    image = [0] * (n + lam + 1)
-    for i in range(1, n + 2):
-        t = tau[i - 1]
-        if t == i:
-            j = colors.get(i)
-            if j is None:
-                raise ValueError(f"fixed point {i} has no color")
-            if not 1 <= j <= lam:
-                raise ValueError(f"color {j} of vertex {i} outside [1..{lam}]")
-            image[i - 1] = n + 1 + j
-        elif t == n + 1:
-            image[i - 1] = i
+    head = _tau_to_head(tau[: n + 1], colors, n, lam)
+    return Endofunction(head + tuple(range(n + 2, n + lam + 2)))
+
+
+def _head_to_pair(head: Sequence[int], n: int) -> tuple[tuple[int, ...], Pairs, Pairs]:
+    """(parent, pi, colors) of a checked member, from its first n+1 values."""
+    tau, colors = _head_to_tau(head, n)
+    cycles = _cycle_vertices(tau)
+    parent = []
+    pi = []
+    for v, t in enumerate(tau, start=1):
+        if v in cycles:
+            parent.append(0)
+            pi.append((v, t))
         else:
-            image[i - 1] = t
-    for k in range(n + 2, n + lam + 2):
-        image[k - 1] = k
-    return Endofunction(tuple(image))
+            parent.append(t)
+    if {v for v, t in pi if v == t} != colors.keys():
+        raise ValueError("colored vertices do not match the fixed points")
+    return tuple(parent), tuple(pi), tuple(colors.items())
+
+
+def _pair_to_head(
+    parent: Sequence[int], pi: Pairs, colors: Pairs, n: int, lam: int
+) -> tuple[int, ...]:
+    """The first n+1 image values of a pair's member, after checking the pair:
+    a forest on [n+1], pi permuting its roots, colors in [1..lam] on pi's fixed points."""
+    if len(parent) != n + 1:
+        raise ValueError(f"forest must cover [{n + 1}]")
+    if not is_forest(parent):
+        raise ValueError("parent map contains a cycle")
+    perm = dict(pi)
+    roots = {v for v, p in enumerate(parent, start=1) if p == 0}
+    if perm.keys() != roots or len(perm) != len(pi) or set(perm.values()) != roots:
+        raise ValueError("pi must permute exactly the roots of the forest")
+    color = dict(colors)
+    if color.keys() != {v for v, w in pi if v == w}:
+        raise ValueError("colors must be assigned to exactly the fixed points")
+    tau = [perm[v] if p == 0 else p for v, p in enumerate(parent, start=1)]
+    return _tau_to_head(tau, color, n, lam)
 
 
 def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermutation:
     """Map a member of the restricted family to (forest, root permutation,
     colored fixed points)."""
-    tau, colors = sigma_to_tau(sigma, n, lam)
-    decomp_current = frozenset(range(1, n + 2))
-    while True:
-        nxt = frozenset(tau[v - 1] for v in decomp_current)
-        if nxt == decomp_current:
-            break
-        decomp_current = nxt
-    parent = tuple(
-        0 if v in decomp_current else tau[v - 1] for v in range(1, n + 2)
-    )
-    pi = tuple(sorted((v, tau[v - 1]) for v in decomp_current))
-    fixed = {v for v, w in pi if v == w}
-    if fixed != set(colors):
-        raise ValueError("colored vertices do not match the fixed points")
-    return ColoredForestPermutation(
-        parent=parent,
-        pi=pi,
-        colors=tuple(sorted(colors.items())),
-    )
-
-
-def pair_to_tau(
-    pair: ColoredForestPermutation, n: int, lam: int
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Rebuild the intermediate map from a validated pair."""
-    if len(pair.parent) != n + 1:
-        raise ValueError(f"forest must cover [{n + 1}]")
-    if not is_forest(pair.parent):
-        raise ValueError("parent map contains a cycle")
-    roots = pair.roots()
-    domain = {v for v, _ in pair.pi}
-    image = [w for _, w in pair.pi]
-    if domain != roots or set(image) != roots or len(set(image)) != len(image):
-        raise ValueError("pi must permute exactly the roots of the forest")
-    pi = dict(pair.pi)
-    fixed = {v for v, w in pair.pi if v == w}
-    colors = dict(pair.colors)
-    if set(colors) != fixed:
-        raise ValueError("colors must be assigned to exactly the fixed points")
-    for v, c in colors.items():
-        if not 1 <= c <= lam:
-            raise ValueError(f"color {c} of vertex {v} outside [1..{lam}]")
-    tau = tuple(
-        pi[v] if pair.parent[v - 1] == 0 else pair.parent[v - 1]
-        for v in range(1, n + 2)
-    )
-    return tau, colors
+    _validate_m_star(sigma, n, lam)
+    parent, pi, colors = _head_to_pair(sigma.image[: n + 1], n)
+    return ColoredForestPermutation(parent=parent, pi=pi, colors=colors)
 
 
 def pair_to_sigma(pair: ColoredForestPermutation, n: int, lam: int) -> Endofunction:
     """Inverse of sigma_to_pair."""
-    tau, colors = pair_to_tau(pair, n, lam)
-    return tau_to_sigma(tau, colors, n, lam)
+    head = _pair_to_head(pair.parent, pair.pi, pair.colors, n, lam)
+    return Endofunction(head + tuple(range(n + 2, n + lam + 2)))
 
 
 def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
     """Round-trip every member of the restricted family through the bijection.
 
     Returns the census {k: count} keyed by forest component count minus one.
-    Raises if any round trip fails; success proves the map injective, and
-    the caller can compare the census against the closed-form counts.
+    Raises RuntimeError if any round trip fails; success proves the map
+    injective, and the caller can compare the census against the
+    closed-form counts.
     """
+    m = n + 1
+    tail = tuple(range(n + 2, n + lam + 2))
     strata: dict[int, int] = {}
     for sigma in enumerate_m_star(n, lam):
-        pair = sigma_to_pair(sigma, n, lam)
-        back = pair_to_sigma(pair, n, lam)
-        if back.image != sigma.image:
-            raise RuntimeError(
-                f"round trip failed at sigma={sigma.image}: got {back.image}"
-            )
-        k = pair.component_count() - 1
+        image = sigma.image
+        head = image[:m]
+        if image[m:] != tail or m in head:
+            _validate_m_star(sigma, n, lam)  # raises, naming the first violation
+        try:
+            parent, pi, colors = _head_to_pair(head, n)
+            back = _pair_to_head(parent, pi, colors, n, lam) + tail
+        except ValueError as exc:
+            raise RuntimeError(f"round trip failed at sigma={image}: {exc}") from exc
+        if back != image:
+            raise RuntimeError(f"round trip failed at sigma={image}: got {back}")
+        k = parent.count(0) - 1
         strata[k] = strata.get(k, 0) + 1
     return strata
 

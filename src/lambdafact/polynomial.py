@@ -193,8 +193,8 @@ class Polynomial:
     def variable(cls, name: str) -> Polynomial:
         if not name:
             raise ValueError("symbol name must be a nonempty string")
-        # Family routes build their variables on every call, cache hits
-        # included, so the common case skips the call into _shift.
+        # Family routes build their variables on every uncached call, so
+        # the common case skips the call into _shift.
         shift = _SHIFT.get(name)
         if shift is None:
             shift = _shift(name)

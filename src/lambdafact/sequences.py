@@ -37,9 +37,10 @@ def derangement(n: int) -> int:
     """Number of permutations of [n] without fixed points."""
     if n < 0:
         raise ValueError("derangement needs n >= 0")
-    if n == 0:
-        return 1
-    return n * derangement(n - 1) + (-1) ** n
+    d = 1
+    for k in range(1, n + 1):
+        d = k * d + (-1) ** k
+    return d
 
 
 LAMBDA_FACTORIAL_ROUTES = (
@@ -69,9 +70,9 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
     """
     if n < 0:
         raise ValueError("lambda_factorial needs n >= 0")
-    lam = Polynomial.variable(LAM)
     if route == "recurrence-1.0c":
         return _lambda_factorial_recurrence(n)
+    lam = Polynomial.variable(LAM)
     if route == "binomial-1.0b":
         return sum(
             ((lam - 1) ** (n - k) * (binomial(n, k) * factorial(k)) for k in range(n + 1)),
@@ -200,15 +201,15 @@ def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:
     """
     if n < 0 or m < 0:
         raise ValueError("q_poly needs n, m >= 0")
-    lam = Polynomial.variable(LAM)
+    if route == "recurrence-5.1":
+        return _q_recurrence(n, m)
     mu = Polynomial.variable(MU)
     if route == "definition-sum":
         acc = Polynomial.zero()
         for k in range(n + 1):
             acc = acc + lambda_factorial(k + m) * mu ** (n - k) * binomial(n, k)
         return acc
-    if route == "recurrence-5.1":
-        return _q_recurrence(n, m)
+    lam = Polynomial.variable(LAM)
     if route == "explicit-double-sum":
         acc = Polynomial.zero()
         lm1 = lam + mu - 1

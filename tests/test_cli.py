@@ -1,10 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lambdafact.cli import main
+import lambdafact
+from lambdafact import sequences
+from lambdafact.cli import BROKEN_PIPE_EXIT, main
 
 
 def run(capsys, *argv):
@@ -139,6 +147,39 @@ def test_bijection_census(capsys):
     assert "64 objects, round-trip OK" in out
     assert "total 64 = (2+2)^3" in out
     assert "MISMATCH" not in out
+
+
+def test_bijection_census_reports_throughput(capsys):
+    code, out, _ = run(capsys, "bijection", "2", "2")
+    assert code == 0
+    first = out.splitlines()[0]
+    assert re.fullmatch(r"64 objects, round-trip OK in \d+\.\d{3} s \([\d,]+ objects/s\)", first)
+
+
+def test_table_derangement_beyond_the_recursion_limit(capsys):
+    sequences.derangement.cache_clear()  # a cold cache is the case that recursed
+    code, out, _ = run(capsys, "table", "derangement", "1500", "--unsafe")
+    assert code == 0
+    n = 1500
+    expected = sum((-1) ** k * (math.factorial(n) // math.factorial(k)) for k in range(n + 1))
+    assert out.strip() == f"derangement,1500,{expected}"
+
+
+def test_closed_stdout_ends_quietly_and_not_as_a_pass():
+    # About 1 MB of rows: far more than a pipe holds, so the writer must
+    # meet the closed pipe whatever the timing.
+    src = str(Path(lambdafact.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lambdafact.cli", "table", "factorial", "0..1000", "--unsafe"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"factorial,0,1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == BROKEN_PIPE_EXIT != 0
+    assert err == b""
 
 
 def test_bijection_single_object(capsys):

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdafact import enumeration as en
 from lambdafact import sequences as seq
+from lambdafact.cli import main
 
 
 def test_permutations_with_fix_small():
@@ -182,6 +185,144 @@ def test_pair_validation_errors():
     )
     with pytest.raises(ValueError, match="color"):
         en.pair_to_sigma(overflow, 0, 1)
+
+
+# ---- the tuple kernels against the slow paths they replace ----
+
+
+def fixpoint_cycles(f):
+    """Cycle vertices by iterating the image of the whole vertex set until it
+    stabilizes: the set-iteration fixpoint the path walk replaced."""
+    current = frozenset(range(1, len(f) + 1))
+    while True:
+        nxt = frozenset(f[v - 1] for v in current)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def reaches_root(parent):
+    """Every vertex reaches the root marker 0 within len(parent) steps."""
+    for v in range(1, len(parent) + 1):
+        for _ in range(len(parent)):
+            if v == 0:
+                break
+            v = parent[v - 1]
+        if v != 0:
+            return False
+    return True
+
+
+def reference_pair(sigma, n, lam):
+    """sigma -> (parent, pi, colors) through the public tau map and the
+    fixpoint cycle finder."""
+    tau, colors = en.sigma_to_tau(sigma, n, lam)
+    cycles = fixpoint_cycles(tau)
+    parent = tuple(0 if v in cycles else tau[v - 1] for v in range(1, n + 2))
+    pi = tuple(sorted((v, tau[v - 1]) for v in cycles))
+    return parent, pi, tuple(sorted(colors.items()))
+
+
+def test_cycle_vertices_matches_fixpoint_on_every_small_map():
+    for m in range(0, 6):
+        for sigma in en.endofunctions(m):
+            assert en._cycle_vertices(sigma.image) == fixpoint_cycles(sigma.image), sigma
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 7).flatmap(
+    lambda m: st.lists(st.integers(1, m), min_size=m, max_size=m)))
+def test_cycle_vertices_matches_fixpoint_on_drawn_maps(image):
+    assert en._cycle_vertices(image) == fixpoint_cycles(image)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 7).flatmap(
+    lambda m: st.lists(st.integers(0, m), min_size=m, max_size=m)))
+def test_is_forest_matches_reaching_a_root(parent):
+    assert en.is_forest(parent) == reaches_root(parent)
+
+
+@pytest.mark.parametrize("n,lam", [(0, 1), (1, 2), (2, 3), (3, 2), (4, 1)])
+def test_kernels_match_public_entry_points_and_reference(n, lam):
+    tail = tuple(range(n + 2, n + lam + 2))
+    for sigma in en.enumerate_m_star(n, lam):
+        pair = en.sigma_to_pair(sigma, n, lam)
+        fields = (pair.parent, pair.pi, pair.colors)
+        assert en._head_to_pair(sigma.image[: n + 1], n) == fields
+        assert reference_pair(sigma, n, lam) == fields
+        assert en._pair_to_head(*fields, n, lam) + tail == sigma.image
+        assert en.pair_to_sigma(pair, n, lam) == sigma
+
+
+MALFORMED_PAIRS = {
+    "bad color": (((0, 0), ((1, 2), (2, 1)), ((1, 1),), 1, 1), "fixed points"),
+    "bad pi": (((0, 0), ((1, 1), (2, 1)), ((1, 1),), 1, 1), "permute"),
+    "cyclic parent": (((2, 1), (), (), 1, 1), "cycle"),
+    "color overflow": (((0,), ((1, 1),), ((1, 5),), 0, 1), "color"),
+    "short forest": (((0,), ((1, 1),), ((1, 1),), 1, 1), "cover"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
+def test_pair_to_head_rejects_what_pair_to_sigma_rejects(case):
+    (parent, pi, colors, n, lam), match = MALFORMED_PAIRS[case]
+    pair = en.ColoredForestPermutation(parent=parent, pi=pi, colors=colors)
+    with pytest.raises(ValueError, match=match) as public:
+        en.pair_to_sigma(pair, n, lam)
+    with pytest.raises(ValueError, match=match) as kernel:
+        en._pair_to_head(parent, pi, colors, n, lam)
+    assert str(kernel.value) == str(public.value)
+
+
+# ---- mutants the census must catch ----
+
+
+def census_formula(n, lam):
+    return {
+        k: seq.binomial(n, k) * (n + 1) ** (n - k) * int(seq.lambda_factorial_at(k + 1, lam))
+        for k in range(n + 1)
+    }
+
+
+def test_census_catches_an_inverse_kernel_that_shifts_a_color(monkeypatch, capsys):
+    real = en._pair_to_head
+
+    def shifted(parent, pi, colors, n, lam):
+        if colors:
+            (v, c), *rest = colors
+            colors = ((v, c % lam + 1), *rest)
+        return real(parent, pi, colors, n, lam)
+
+    monkeypatch.setattr(en, "_pair_to_head", shifted)
+    with pytest.raises(RuntimeError, match="round trip failed"):
+        en.exhaustive_roundtrip(2, 2)
+    assert main(["bijection", "2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "round trip: MISMATCH" in captured.err
+    assert "round-trip OK" not in captured.out
+
+
+def test_census_catches_a_forward_kernel_that_drops_a_root(monkeypatch):
+    real = en._head_to_pair
+
+    def dropping(head, n):
+        parent, pi, colors = real(head, n)
+        roots = [v for v, p in enumerate(parent, start=1) if p == 0]
+        if len(roots) > 1:  # hang the last root under the first
+            parent = parent[: roots[-1] - 1] + (roots[0],) + parent[roots[-1]:]
+        return parent, pi, colors
+
+    n, lam = 2, 2
+    strata = {}
+    for sigma in en.enumerate_m_star(n, lam):
+        k = dropping(sigma.image[: n + 1], n)[0].count(0) - 1
+        strata[k] = strata.get(k, 0) + 1
+    assert strata != census_formula(n, lam)
+
+    monkeypatch.setattr(en, "_head_to_pair", dropping)
+    with pytest.raises(RuntimeError, match="round trip failed"):
+        en.exhaustive_roundtrip(n, lam)
 
 
 def brute_permanent(rows):

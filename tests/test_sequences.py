@@ -23,6 +23,19 @@ def test_derangement_values():
     assert [seq.derangement(n) for n in range(6)] == [1, 0, 1, 2, 9, 44]
 
 
+def test_cached_routes_build_no_variable(monkeypatch):
+    seq.lambda_factorial(6)
+    seq.q_poly(3, 2, route="recurrence-5.1")
+    built = []
+    real = Polynomial.variable
+    monkeypatch.setattr(
+        Polynomial, "variable", classmethod(lambda cls, name: built.append(name) or real(name))
+    )
+    seq.lambda_factorial(6)
+    seq.q_poly(3, 2, route="recurrence-5.1")
+    assert built == []
+
+
 def test_derangement_matches_enumeration():
     for n in range(7):
         assert seq.derangement(n) == enumeration.oracle_polynomials(n).derangements
