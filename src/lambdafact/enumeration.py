@@ -13,13 +13,15 @@ parent tuple of the same shape where parent 0 marks a root, with all edges
 oriented toward the roots.
 
 The bijection has one tuple kernel per direction.  The public entry points
-validate fully and wrap the kernels in dataclasses; the census runs the
-same kernels and checks on tuples.
+validate fully and wrap the kernels in dataclasses; the census maps each
+member forward with `sigma_to_pair` and back with the inverse kernel, which
+checks the pair on tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _permutations, product as _product
 from typing import Iterator, Mapping, Sequence
 
@@ -241,15 +243,24 @@ def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
     count = (n + lam) ** (n + 1)
     if count > MSTAR_CUTOFF:
         raise ValueError(f"{count} maps exceeds the enumeration cutoff {MSTAR_CUTOFF}")
-    size = n + lam + 1
-    allowed = tuple(v for v in range(1, size + 1) if v != n + 1)
-    tail = tuple(range(n + 2, size + 1))
+    allowed = tuple(v for v in range(1, n + lam + 2) if v != n + 1)
+    tail = _fixed_tail(n, lam)
     for head in _product(allowed, repeat=n + 1):
         yield Endofunction(head + tail)
 
 
+@lru_cache(maxsize=64)
+def _fixed_tail(n: int, lam: int) -> tuple[int, ...]:
+    """The image values of the color vertices n+2..n+lam+1, all fixed."""
+    return tuple(range(n + 2, n + lam + 2))
+
+
 def _validate_m_star(sigma: Endofunction, n: int, lam: int) -> None:
+    """Raise ValueError, naming the first violation, unless sigma is a member."""
     image = sigma.image
+    if (len(image) == n + lam + 1 and image[n + 1:] == _fixed_tail(n, lam)
+            and n + 1 not in image[: n + 1]):
+        return
     if len(image) != n + lam + 1:
         raise ValueError(f"expected a map on [{n + lam + 1}], got [{len(image)}]")
     if n + 1 in image:
@@ -310,7 +321,7 @@ def tau_to_sigma(
 ) -> Endofunction:
     """Invert the three rewriting rules and restore the fixed tail."""
     head = _tau_to_head(tau[: n + 1], colors, n, lam)
-    return Endofunction(head + tuple(range(n + 2, n + lam + 2)))
+    return Endofunction(head + _fixed_tail(n, lam))
 
 
 def _head_to_pair(head: Sequence[int], n: int) -> tuple[tuple[int, ...], Pairs, Pairs]:
@@ -361,7 +372,7 @@ def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermuta
 def pair_to_sigma(pair: ColoredForestPermutation, n: int, lam: int) -> Endofunction:
     """Inverse of sigma_to_pair."""
     head = _pair_to_head(pair.parent, pair.pi, pair.colors, n, lam)
-    return Endofunction(head + tuple(range(n + 2, n + lam + 2)))
+    return Endofunction(head + _fixed_tail(n, lam))
 
 
 def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
@@ -372,22 +383,18 @@ def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
     injective, and the caller can compare the census against the
     closed-form counts.
     """
-    m = n + 1
-    tail = tuple(range(n + 2, n + lam + 2))
+    tail = _fixed_tail(n, lam)
     strata: dict[int, int] = {}
     for sigma in enumerate_m_star(n, lam):
         image = sigma.image
-        head = image[:m]
-        if image[m:] != tail or m in head:
-            _validate_m_star(sigma, n, lam)  # raises, naming the first violation
         try:
-            parent, pi, colors = _head_to_pair(head, n)
-            back = _pair_to_head(parent, pi, colors, n, lam) + tail
+            pair = sigma_to_pair(sigma, n, lam)
+            back = _pair_to_head(pair.parent, pair.pi, pair.colors, n, lam) + tail
         except ValueError as exc:
             raise RuntimeError(f"round trip failed at sigma={image}: {exc}") from exc
         if back != image:
             raise RuntimeError(f"round trip failed at sigma={image}: got {back}")
-        k = parent.count(0) - 1
+        k = pair.parent.count(0) - 1
         strata[k] = strata.get(k, 0) + 1
     return strata
 

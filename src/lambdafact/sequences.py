@@ -32,15 +32,21 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# D_0, D_1, ...: grown, never recomputed, so a cold call at any n and an
+# ascending range of calls both cost O(n) steps in total.
+_DERANGEMENTS = [1]
+
+
 @lru_cache(maxsize=None)
 def derangement(n: int) -> int:
     """Number of permutations of [n] without fixed points."""
     if n < 0:
         raise ValueError("derangement needs n >= 0")
-    d = 1
-    for k in range(1, n + 1):
-        d = k * d + (-1) ** k
-    return d
+    d = _DERANGEMENTS
+    while len(d) <= n:
+        k = len(d)
+        d.append(k * d[-1] + (-1) ** k)
+    return d[n]
 
 
 LAMBDA_FACTORIAL_ROUTES = (

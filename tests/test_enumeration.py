@@ -133,6 +133,28 @@ def test_spec_single_object_examples():
     assert pair.colors == ((1, 1),)
 
 
+def is_member(image, n, lam):
+    return (len(image) == n + lam + 1 and n + 1 not in image
+            and all(image[k - 1] == k for k in range(n + 2, n + lam + 2)))
+
+
+@pytest.mark.parametrize("n, lam", [(0, 2), (1, 1), (1, 2), (2, 1), (3, 0)])
+def test_validate_m_star_accepts_exactly_the_members(n, lam):
+    for size in (n + lam, n + lam + 1, n + lam + 2):
+        for image in itertools.product(range(1, size + 1), repeat=size):
+            if is_member(image, n, lam):
+                en._validate_m_star(en.Endofunction(image), n, lam)
+            else:
+                with pytest.raises(ValueError):
+                    en._validate_m_star(en.Endofunction(image), n, lam)
+
+
+def test_census_validates_each_member(monkeypatch):
+    monkeypatch.setattr(en, "enumerate_m_star", lambda n, lam: iter([en.Endofunction((2, 2, 3))]))
+    with pytest.raises(RuntimeError, match="forbidden"):
+        en.exhaustive_roundtrip(1, 1)
+
+
 def test_exhaustive_roundtrip_and_strata():
     strata = en.exhaustive_roundtrip(2, 2)
     assert sum(strata.values()) == 64

@@ -36,6 +36,26 @@ def test_cached_routes_build_no_variable(monkeypatch):
     assert built == []
 
 
+def test_derangement_range_computes_each_term_once(monkeypatch):
+    class CountingTable(list):
+        appends = 0
+
+        def append(self, value):
+            CountingTable.appends += 1
+            super().append(value)
+
+    monkeypatch.setattr(seq, "_DERANGEMENTS", CountingTable([1]))
+    seq.derangement.cache_clear()
+    try:
+        assert [seq.derangement(n) for n in range(200)][:6] == [1, 0, 1, 2, 9, 44]
+        assert CountingTable.appends == 199
+        seq.derangement.cache_clear()
+        assert seq.derangement(150) == 150 * seq.derangement(149) + 1
+        assert CountingTable.appends == 199
+    finally:
+        seq.derangement.cache_clear()
+
+
 def test_derangement_matches_enumeration():
     for n in range(7):
         assert seq.derangement(n) == enumeration.oracle_polynomials(n).derangements
