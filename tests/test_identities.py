@@ -1,6 +1,7 @@
 """Tests for umbral evaluation, the identity registry, and inverse relations."""
 
 import dataclasses
+import inspect
 import json
 import math
 import random
@@ -214,6 +215,32 @@ def test_verify_all_stream_matches_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(stream) == len(golden) == 510
     assert stream == golden
+
+
+# The points() output of every identity at six override sets (n_max, m_max,
+# order), key order included; written from the registry before it became a
+# table, by dumping `CATALOGUE[i].points(*limits)` for every id.
+POINTS_GOLDEN = Path(__file__).with_name("golden_points.json")
+
+
+def test_points_match_golden():
+    golden = json.loads(
+        POINTS_GOLDEN.read_text(encoding="utf-8"), object_pairs_hook=list
+    )
+    assert len(golden) == 6
+    for (_, limits), (_, by_id) in golden:
+        assert [i for i, _ in by_id] == list(ids.catalogue_ids())
+        for identity_id, points in by_id:
+            got = catalogue.CATALOGUE[identity_id].points(*limits)
+            assert [list(p.items()) for p in got] == points, (identity_id, limits)
+
+
+def test_every_point_binds_to_its_check():
+    for limits in [(None, None, None), (2, 1, 3), (12, 4, 9)]:
+        for entry in catalogue.CATALOGUE.values():
+            signature = inspect.signature(entry.check)
+            for point in entry.points(*limits):
+                signature.bind(**point)
 
 
 # ---- mutation tests: a perturbed identity must be reported as a failure ----
