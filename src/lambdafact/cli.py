@@ -38,7 +38,7 @@ TABLE_FAMILIES = (
     "q",
 )
 
-ABEL_FAMILIES = ("ones", "factorial", "derangement", "bell", "hermite", "charlier")
+ABEL_FAMILIES = tuple(sequences.ABEL_FAMILIES)
 
 
 def _default_order() -> int:
@@ -172,16 +172,8 @@ def _series_payload(args) -> series.TruncatedSeries:
         )
         return series.exp_series(lam - 1, T, order) * series.geometric(T, order)
     if what == "abel-rhs":
-        provider = {
-            "ones": lambda n: Polynomial.one(),
-            "factorial": lambda n: Polynomial.constant(sequences.factorial(n)),
-            "derangement": lambda n: Polynomial.constant(sequences.derangement(n)),
-            "bell": sequences.bell_poly,
-            "hermite": sequences.hermite_poly,
-            "charlier": sequences.charlier,
-        }[args.a]
         lam = Polynomial.variable(LAM) if args.lam == "sym" else int(args.lam)
-        return series.abel_rhs(provider, lam, order, X)
+        return series.abel_rhs(sequences.ABEL_FAMILIES[args.a], lam, order, X)
     raise ValueError(f"unknown series target {what!r}")
 
 
@@ -262,7 +254,7 @@ def _cmd_bijection(args) -> int:
     for k in range(n + 1):
         observed = strata.get(k, 0)
         expected = sequences.binomial(n, k) * (n + 1) ** (n - k) * int(
-            sequences.lambda_factorial_at(k + 1, lam)
+            sequences.lambda_factorial(k + 1).evaluate({LAM: lam})
         )
         mark = "ok" if observed == expected else "MISMATCH"
         ok = ok and observed == expected

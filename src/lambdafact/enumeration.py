@@ -209,8 +209,22 @@ def digraph_decompose(sigma: Endofunction) -> DigraphDecomposition:
 # ---- rooted forests ----
 
 
+@lru_cache(maxsize=None)
+def _parent_values(m: int) -> frozenset[int]:
+    """The values of a parent map on [m]: 0 (a root) or a vertex."""
+    return frozenset(range(m + 1))
+
+
 def is_forest(parent: Sequence[int]) -> bool:
-    """True iff following parents from every vertex reaches a root (0)."""
+    """True iff following parents from every vertex reaches a root (0).
+
+    A parent value outside [0..len(parent)] is not a parent map at all and
+    raises ValueError naming the value.
+    """
+    allowed = _parent_values(len(parent))
+    if not allowed.issuperset(parent):
+        bad = next(p for p in parent if p not in allowed)
+        raise ValueError(f"parent value {bad} outside [0..{len(parent)}]")
     return not _cycle_vertices(parent)
 
 
@@ -348,7 +362,7 @@ def _pair_to_head(
     a forest on [n+1], pi permuting its roots, colors in [1..lam] on pi's fixed points."""
     if len(parent) != n + 1:
         raise ValueError(f"forest must cover [{n + 1}]")
-    if not is_forest(parent):
+    if not is_forest(parent):  # also rejects a parent value outside [0..n+1]
         raise ValueError("parent map contains a cycle")
     perm = dict(pi)
     roots = {v for v, p in enumerate(parent, start=1) if p == 0}

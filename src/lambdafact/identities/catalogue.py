@@ -7,8 +7,10 @@ indeterminates, never by sampling, so one check per n covers all values.
 Series identities are checked to an explicit truncation order.
 
 Sums over k on the right-hand sides are truncated at the series order; this
-is exact because term k never contributes below the k-th coefficient, and
-that valuation property is asserted programmatically for every term.
+is exact because term k is x^k times a series, so it never reaches below
+the k-th coefficient.  The Theorem 1.2 kernel `series.abel_sum`, behind most
+series checks, applies that shift itself.  The registry is one table of
+(id, summary, check, point spec) rows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from ..polynomial import Polynomial
 from ..series import (
     TruncatedSeries,
     abel_rhs,
+    abel_sum,
     binomial_power,
     exp_series,
     exp_truncated,
@@ -34,6 +37,7 @@ from ..series import (
     truncate_total_degree,
 )
 from ..sequences import (
+    ABEL_FAMILIES as _A_FAMILIES,
     bell_number,
     bell_poly,
     binomial,
@@ -63,31 +67,17 @@ _D = Polynomial.variable(UMBRA)
 _ZERO = Polynomial.zero()
 
 
-def _f(n: int) -> Polynomial:
-    return lambda_factorial(n)
-
-
 def _f_at(n: int, value: Polynomial | int) -> Polynomial:
-    return _f(n).substitute(LAM, value)
+    return lambda_factorial(n).substitute(LAM, value)
 
 
 def _const(x) -> Polynomial:
     return Polynomial.constant(x)
 
 
-def _sum_k_terms(
-    term: Callable[[int], TruncatedSeries], order: int, var: str = X
-) -> TruncatedSeries:
-    """Sum term(k) for k = 0..order, asserting term k starts at var**k."""
-    total = TruncatedSeries.zero(var, order)
-    for k in range(order + 1):
-        t = term(k)
-        if not t.valuation_at_least(k):
-            raise RuntimeError(
-                f"summand {k} contributes below {var}^{k}; truncation would be wrong"
-            )
-        total = total + t
-    return total
+def _sum_to(n: int, term: Callable[[int], Polynomial], lo: int = 0) -> Polynomial:
+    """term(lo) + ... + term(n)."""
+    return sum((term(k) for k in range(lo, n + 1)), _ZERO)
 
 
 def _first_nonzero(residuals: Iterable[Polynomial]) -> Polynomial:
@@ -104,9 +94,7 @@ def _first_nonzero(residuals: Iterable[Polynomial]) -> Polynomial:
 
 def _check_1_0a(n: int) -> Polynomial:
     lhs = _f_at(n, _lam + _mu)
-    rhs = sum(
-        (_f(k) * _mu ** (n - k) * binomial(n, k) for k in range(n + 1)), _ZERO
-    )
+    rhs = _sum_to(n, lambda k: lambda_factorial(k) * _mu ** (n - k) * binomial(n, k))
     return lhs - rhs
 
 
@@ -115,11 +103,11 @@ def _check_1_0b(n: int) -> Polynomial:
 
 
 def _check_1_0c(n: int) -> Polynomial:
-    return _f(n) - (_f(n - 1) * n + (_lam - 1) ** n)
+    return lambda_factorial(n) - (lambda_factorial(n - 1) * n + (_lam - 1) ** n)
 
 
 def _check_1_0d(n: int) -> Polynomial:
-    return _f(n).derivative(LAM) - _f(n - 1) * n
+    return lambda_factorial(n).derivative(LAM) - lambda_factorial(n - 1) * n
 
 
 def _check_1_0e(n: int) -> Polynomial:
@@ -128,7 +116,7 @@ def _check_1_0e(n: int) -> Polynomial:
 
 def _check_charlier_spec(n: int) -> Polynomial:
     rhs = charlier(n).substitute(ALPHA, 1).substitute(U, _lam - 1)
-    return _f(n) - rhs
+    return lambda_factorial(n) - rhs
 
 
 def _check_charlier_recurrence(n: int) -> Polynomial:
@@ -152,9 +140,8 @@ def _check_sunxu(n: int) -> Polynomial:
 
 
 def _check_thm11(n: int) -> Polynomial:
-    lhs = sum(
-        (_f(k + 1) * (binomial(n, k) * (n + 1) ** (n - k)) for k in range(n + 1)),
-        _ZERO,
+    lhs = _sum_to(
+        n, lambda k: lambda_factorial(k + 1) * (binomial(n, k) * (n + 1) ** (n - k))
     )
     return lhs - (_lam + n) ** (n + 1)
 
@@ -190,15 +177,14 @@ def _check_2_3(n: int) -> Polynomial:
 
 
 def _check_2_3a(n: int) -> Polynomial:
-    lhs = sum(
-        (_f(k) * (binomial(n - 1, k - 1) * n ** (n - k)) for k in range(1, n + 1)),
-        _ZERO,
+    lhs = _sum_to(
+        n, lambda k: lambda_factorial(k) * (binomial(n - 1, k - 1) * n ** (n - k)), lo=1
     )
     return lhs - (_lam + (n - 1)) ** n
 
 
 def _check_2_4(n: int) -> Polynomial:
-    return umbral_eval((_D + _lam) ** n) - _f(n)
+    return umbral_eval((_D + _lam) ** n) - lambda_factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +202,6 @@ def _check_3_1(n: int) -> Polynomial:
     return (a + b) ** n - rhs
 
 
-def _series_bivariate_exp(order: int) -> Polynomial:
-    # Taylor terms of exp to combined degree `order` in x and t.
-    return sum(
-        (Polynomial.variable(X) ** j / math.factorial(j) for j in range(order + 1)),
-        _ZERO,
-    )
-
-
 def _check_3_2(a_kind: str, order: int) -> Polynomial:
     """The derivative-resummation form, in the ring truncated by total degree."""
     x = Polynomial.variable(X)
@@ -231,30 +209,20 @@ def _check_3_2(a_kind: str, order: int) -> Polynomial:
     syms = (X, T)
 
     if a_kind == "exp":
-        lhs = _series_bivariate_exp(order)
+        lhs = _sum_to(order, lambda j: x ** j / math.factorial(j))
 
         def deriv_at_kt(k: int) -> Polynomial:
             # k-th derivative of exp evaluated at k*t.
             return exp_truncated(t * k, syms, order) if k else Polynomial.one()
 
-        def weight(k: int) -> Fraction:
-            return Fraction(1, math.factorial(k))
-
     elif a_kind == "geometric":
-        lhs = sum((x ** j for j in range(order + 1)), _ZERO)
+        lhs = _sum_to(order, lambda j: x ** j)
 
         def deriv_at_kt(k: int) -> Polynomial:
             # k-th derivative of 1/(1-x) at k*t is k!/(1-kt)^(k+1).
-            return sum(
-                (
-                    t ** j * (binomial(k + j, j) * factorial(k) * k ** j)
-                    for j in range(order + 1)
-                ),
-                _ZERO,
+            return _sum_to(
+                order, lambda j: t ** j * (binomial(k + j, j) * factorial(k) * k ** j)
             )
-
-        def weight(k: int) -> Fraction:
-            return Fraction(1, math.factorial(k))
 
     else:
         raise ValueError(f"unknown series kind {a_kind!r}")
@@ -263,7 +231,7 @@ def _check_3_2(a_kind: str, order: int) -> Polynomial:
     rhs = truncate_total_degree(rhs, syms, 0)
     for k in range(1, order + 1):
         head = x * (x - t * k) ** (k - 1)
-        term = mul_truncated(head, deriv_at_kt(k), syms, order) * weight(k)
+        term = mul_truncated(head, deriv_at_kt(k), syms, order) / math.factorial(k)
         if not truncate_total_degree(term, syms, k - 1).is_zero:
             raise RuntimeError(f"summand {k} contributes below total degree {k}")
         rhs = rhs + term
@@ -275,20 +243,10 @@ def _check_3_3(n: int) -> Polynomial:
     return lhs - (_lam + n) ** (n + 1)
 
 
-_A_FAMILIES: dict[str, Callable[[int], Polynomial]] = {
-    "ones": lambda n: Polynomial.one(),
-    "factorial": lambda n: _const(factorial(n)),
-    "derangement": lambda n: _const(derangement(n)),
-    "bell": bell_poly,
-    "hermite": hermite_poly,
-    "charlier": charlier,
-}
-
-
 def _check_thm12(family: str, order: int, variant: str = "egf") -> TruncatedSeries:
     a = _A_FAMILIES[family]
     if variant == "egf":
-        lhs = TruncatedSeries.egf(lambda n: a(n) * _f(n), X, order)
+        lhs = TruncatedSeries.egf(lambda n: a(n) * lambda_factorial(n), X, order)
         return lhs - abel_rhs(a, _lam, order)
     if variant == "ogf-lambda-1":
         lhs = TruncatedSeries.ogf(a, X, order)
@@ -312,91 +270,103 @@ def _check_charlier_deriv(k: int, order: int) -> TruncatedSeries:
     return route1 - route2
 
 
-def _check_3_4(order: int, m: int = 0) -> TruncatedSeries:
-    lhs = TruncatedSeries.egf(lambda n: charlier(m + n) * _f(n), X, order)
-
-    def term(k: int) -> TruncatedSeries:
-        pre = (_lam + (k - 1)) ** k / math.factorial(k)
-        csub = substitute_series(
-            charlier(m + k), U, TruncatedSeries(X, [_u, _u * k], order)
-        )  # second argument u(1+kx)
-        damp = exp_series(-_u * k, X, order)
-        tail = binomial_power(k, -(_alpha + (m + k)), order)
-        return (csub * damp * tail).shift(k) * pre
-
-    return lhs - _sum_k_terms(term, order)
+# Closed forms of A^(k)(-kx), the k-th derivative of the EGF A of n -> a(m+n)
+# taken at -kx, as functions of (k, m, order).  Theorem 1.2 turns each into
+# the right side of a transform row.
 
 
-def _check_3_6(m: int, order: int) -> TruncatedSeries:
-    lhs = TruncatedSeries.egf(
-        lambda n: _const(derangement(m + n) * derangement(n)), X, order
-    )
+def _charlier_closed(k: int, m: int, order: int) -> TruncatedSeries:
+    # C_{m+k}(α, u(1+kx)) e^{-ukx} (1+kx)^{-(α+m+k)}
+    inner = TruncatedSeries(X, [_u, _u * k], order)
+    csub = substitute_series(charlier(m + k), U, inner)
+    tail = binomial_power(k, -(_alpha + (m + k)), order)
+    return csub * exp_series(-_u * k, X, order) * tail
 
-    def term(k: int) -> TruncatedSeries:
-        pre = Fraction((k - 1) ** k, math.factorial(k))
-        fsub = substitute_series(
-            lambda_factorial(m + k), LAM, TruncatedSeries(X, [0, -k], order)
-        )
-        grow = exp_series(k, X, order)
+
+def _f_closed(mu):
+    # f_{m+k}(1+(μ-1)(1+kx)) e^{-(μ-1)kx} (1+kx)^{-(m+k+1)}
+    def closed(k: int, m: int, order: int) -> TruncatedSeries:
+        inner = TruncatedSeries(X, [mu, (mu - 1) * k], order)
+        fsub = substitute_series(lambda_factorial(m + k), LAM, inner)
         tail = binomial_power(k, -(m + k + 1), order)
-        return (fsub * grow * tail).shift(k) * pre
+        return fsub * exp_series(-(mu - 1) * k, X, order) * tail
 
-    return lhs - _sum_k_terms(term, order)
-
-
-def _check_3_7(m: int, variant: str, order: int) -> TruncatedSeries:
-    if variant == "f-ogf":
-        lhs = TruncatedSeries.ogf(
-            lambda n: lambda_factorial(m + n).substitute(LAM, _mu), X, order
-        )
-
-        def term(k: int) -> TruncatedSeries:
-            pre = Fraction(k ** k, math.factorial(k))
-            inner = TruncatedSeries(X, [_mu, (_mu - 1) * k], order)  # 1+(μ-1)(1+kx)
-            fsub = substitute_series(lambda_factorial(m + k), LAM, inner)
-            damp = exp_series(-(_mu - 1) * k, X, order)
-            tail = binomial_power(k, -(m + k + 1), order)
-            return (fsub * damp * tail).shift(k) * pre
-
-        return lhs - _sum_k_terms(term, order)
-
-    if variant == "derangement-ogf":
-        lhs = TruncatedSeries.ogf(lambda n: _const(derangement(m + n)), X, order)
-
-        def term(k: int) -> TruncatedSeries:
-            pre = Fraction(k ** k, math.factorial(k))
-            fsub = substitute_series(
-                lambda_factorial(m + k), LAM, TruncatedSeries(X, [0, -k], order)
-            )
-            grow = exp_series(k, X, order)
-            tail = binomial_power(k, -(m + k + 1), order)
-            return (fsub * grow * tail).shift(k) * pre
-
-        return lhs - _sum_k_terms(term, order)
-
-    raise ValueError(f"unknown variant {variant!r}")
+    return closed
 
 
-def _check_3_7_1(variant: str, order: int, m: int = 0) -> TruncatedSeries:
-    if variant == "shifted-factorial":
-        lhs = TruncatedSeries.ogf(lambda n: _const(factorial(m + n)), X, order)
+def _factorial_closed(k: int, m: int, order: int) -> TruncatedSeries:
+    # (m+k)! (1+kx)^{-(m+k+1)}
+    return binomial_power(k, -(m + k + 1), order) * factorial(m + k)
 
-        def term(k: int) -> TruncatedSeries:
-            pre = Fraction(factorial(m + k) * k ** k, factorial(k))
-            return binomial_power(k, -(m + k + 1), order).shift(k) * pre
 
-        return lhs - _sum_k_terms(term, order)
+def _bell_closed(u):
+    # B_{m+k}(u e^{-kx}) exp(u(e^{-kx} - 1))
+    def closed(k: int, m: int, order: int) -> TruncatedSeries:
+        decay = exp_series(-k, X, order)
+        bsub = substitute_series(bell_poly(m + k), U, decay * u)
+        return bsub * ((decay - 1) * u).exp()
 
-    if variant == "f-ogf":
-        lhs = TruncatedSeries.ogf(_f, X, order)
+    return closed
 
-        def term(k: int) -> TruncatedSeries:
-            pre = (_lam + (k - 1)) ** k
-            return binomial_power(k, -(k + 1), order).shift(k) * pre
 
-        return lhs - _sum_k_terms(term, order)
+def _hermite_closed(u):
+    # H_{m+k}(u - kx) exp(-ukx + k^2 x^2/2)
+    def closed(k: int, m: int, order: int) -> TruncatedSeries:
+        inner = TruncatedSeries(X, [u, -k], order)
+        hsub = substitute_series(hermite_poly(m + k), U, inner)
+        gauss = TruncatedSeries(X, [0, -u * k, Fraction(k * k, 2)], order).exp()
+        return hsub * gauss
 
-    raise ValueError(f"unknown variant {variant!r}")
+    return closed
+
+
+def _egf_f(a: Callable[[int], Polynomial]):
+    # The left side a(m+n) f_n(λ)/n! of a row at symbolic λ.
+    return lambda n, m: a(m + n) * lambda_factorial(n) / factorial(n)
+
+
+def _transform(rows: dict) -> Callable[..., TruncatedSeries]:
+    """The check for transform rows {variant: (λ, lhs, closed)}: the series
+    with coefficients lhs(n, m), minus Theorem 1.2 at λ applied to the closed
+    form closed(k, m, order) of A^(k)(-kx).  The left side comes from its own
+    sequence route, never from the closed form's family."""
+
+    def check(order: int, m: int = 0, variant: str | None = None) -> TruncatedSeries:
+        if variant not in rows:
+            raise ValueError(f"unknown variant {variant!r}")
+        lam, lhs, closed = rows[variant]
+        left = TruncatedSeries.ogf(lambda n: lhs(n, m), X, order)
+        return left - abel_sum(lam, lambda k: closed(k, m, order), order)
+
+    return check
+
+
+_check_3_4 = _transform({None: (_lam, _egf_f(charlier), _charlier_closed)})
+_check_3_6 = _transform({
+    None: (0, lambda n, m: Fraction(derangement(m + n) * derangement(n), factorial(n)),
+           _f_closed(0)),
+})
+_check_3_7 = _transform({
+    "f-ogf": (1, lambda n, m: _f_at(m + n, _mu), _f_closed(_mu)),
+    "derangement-ogf": (1, lambda n, m: derangement(m + n), _f_closed(0)),
+})
+_check_3_7_1 = _transform({
+    "shifted-factorial": (1, lambda n, m: factorial(m + n), _factorial_closed),
+    "f-ogf": (_lam, lambda n, m: lambda_factorial(n) * math.perm(m + n, m),
+              _factorial_closed),
+})
+_check_bell_transform = _transform({None: (_lam, _egf_f(bell_poly), _bell_closed(_u))})
+_check_3_8 = _transform({None: (1, lambda n, m: bell_number(m + n), _bell_closed(1))})
+_check_3_9 = _transform({
+    "bilinear": (_lam, _egf_f(hermite_poly), _hermite_closed(_u)),
+    "involution-ogf": (1, lambda n, m: involution_number(m + n), _hermite_closed(1)),
+    "matching-ogf": (1, lambda n, m: matching_number(m + n), _hermite_closed(0)),
+})
+
+
+def _sum_k_terms(term: Callable[[int], TruncatedSeries], order: int) -> TruncatedSeries:
+    """Sum term(k) for k = 0..order; each term k is shifted to start at x^k."""
+    return sum((term(k) for k in range(order + 1)), TruncatedSeries.zero(X, order))
 
 
 def _check_gessel(variant: str, order: int) -> TruncatedSeries:
@@ -429,72 +399,12 @@ def _check_gessel(variant: str, order: int) -> TruncatedSeries:
 
 
 def _check_chz(order: int) -> TruncatedSeries:
-    lhs = TruncatedSeries.ogf(lambda n: _f(n).substitute(LAM, _mu), X, order)
+    lhs = TruncatedSeries.ogf(lambda n: _f_at(n, _mu), X, order)
 
     def term(k: int) -> TruncatedSeries:
         return binomial_power(-(_mu - 1), -(k + 1), order).shift(k) * factorial(k)
 
     return lhs - _sum_k_terms(term, order)
-
-
-def _check_bell_transform(m: int, order: int) -> TruncatedSeries:
-    lhs = TruncatedSeries.egf(lambda n: bell_poly(m + n) * _f(n), X, order)
-
-    def term(k: int) -> TruncatedSeries:
-        pre = (_lam + (k - 1)) ** k / math.factorial(k)
-        decay = exp_series(-k, X, order)
-        bsub = substitute_series(bell_poly(m + k), U, decay * _u)
-        blow = ((decay - 1) * _u).exp()
-        return (bsub * blow).shift(k) * pre
-
-    return lhs - _sum_k_terms(term, order)
-
-
-def _check_3_8(m: int, order: int) -> TruncatedSeries:
-    lhs = TruncatedSeries.ogf(lambda n: _const(bell_number(m + n)), X, order)
-
-    def term(k: int) -> TruncatedSeries:
-        pre = Fraction(k ** k, math.factorial(k))
-        decay = exp_series(-k, X, order)
-        bsub = substitute_series(bell_poly(m + k), U, decay)
-        blow = (decay - 1).exp()
-        return (bsub * blow).shift(k) * pre
-
-    return lhs - _sum_k_terms(term, order)
-
-
-def _check_3_9(m: int, variant: str, order: int) -> TruncatedSeries:
-    if variant == "bilinear":
-        lhs = TruncatedSeries.egf(lambda n: hermite_poly(m + n) * _f(n), X, order)
-
-        def term(k: int) -> TruncatedSeries:
-            pre = (_lam + (k - 1)) ** k / math.factorial(k)
-            hsub = substitute_series(
-                hermite_poly(m + k), U, TruncatedSeries(X, [_u, -k], order)
-            )
-            gauss = TruncatedSeries(X, [0, -_u * k, Fraction(k * k, 2)], order).exp()
-            return (hsub * gauss).shift(k) * pre
-
-        return lhs - _sum_k_terms(term, order)
-
-    if variant in ("involution-ogf", "matching-ogf"):
-        point = 1 if variant == "involution-ogf" else 0
-        count = involution_number if variant == "involution-ogf" else matching_number
-        lhs = TruncatedSeries.ogf(lambda n: _const(count(m + n)), X, order)
-
-        def term(k: int) -> TruncatedSeries:
-            pre = Fraction(k ** k, math.factorial(k))
-            hsub = substitute_series(
-                hermite_poly(m + k), U, TruncatedSeries(X, [point, -k], order)
-            )
-            gauss = TruncatedSeries(
-                X, [0, -point * k, Fraction(k * k, 2)], order
-            ).exp()
-            return (hsub * gauss).shift(k) * pre
-
-        return lhs - _sum_k_terms(term, order)
-
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +413,14 @@ def _check_3_9(m: int, variant: str, order: int) -> TruncatedSeries:
 
 
 def _check_4_1(n: int) -> Polynomial:
-    lhs = sum(
-        (
-            _f(k) * (_mu + (k - n)) * _mu ** (n - k) * binomial(n, k)
-            for k in range(n + 1)
-        ),
-        _ZERO,
-    )
+    lhs = _sum_to(n, lambda k: lambda_factorial(k) * (_mu + (k - n)) * _mu ** (n - k)
+                  * binomial(n, k))
     return lhs - _mu * (_lam + _mu - 1) ** n
 
 
 def _check_4_2(n: int) -> Polynomial:
-    lhs = sum(
-        (
-            _f(k) * _f_at(n - k, _mu + 1) * binomial(n, k)
-            for k in range(n + 1)
-        ),
-        _ZERO,
+    lhs = _sum_to(
+        n, lambda k: lambda_factorial(k) * _f_at(n - k, _mu + 1) * binomial(n, k)
     )
     rhs = (_lam + _mu - 1) ** (n + 1) + (_const(n + 2) - _lam - _mu) * _f_at(
         n, _lam + _mu
@@ -528,48 +429,26 @@ def _check_4_2(n: int) -> Polynomial:
 
 
 def _check_cor_selfdual(n: int) -> Polynomial:
-    lhs = sum(
-        (
-            _f(k) * _f_at(n - k, _const(n + 3) - _lam) * binomial(n, k)
-            for k in range(n + 1)
-        ),
-        _ZERO,
-    )
+    lhs = _sum_to(n, lambda k: lambda_factorial(k) * _f_at(n - k, _const(n + 3) - _lam)
+                  * binomial(n, k))
     return lhs - (n + 1) ** (n + 1)
 
 
 def _check_4_3(n: int) -> Polynomial:
-    rhs = sum(
-        (
-            (_lam + k) ** k * (_mu - (k + 1)) ** (n - k) * binomial(n, k)
-            for k in range(n + 1)
-        ),
-        _ZERO,
+    rhs = _sum_to(
+        n, lambda k: (_lam + k) ** k * (_mu - (k + 1)) ** (n - k) * binomial(n, k)
     )
     return _f_at(n, _lam + _mu) - rhs
 
 
 def _check_difference(n: int) -> Polynomial:
-    lhs = sum(
-        (
-            (_lam + k) ** n * ((-1) ** (n - k) * binomial(n, k))
-            for k in range(n + 1)
-        ),
-        _ZERO,
-    )
+    lhs = _sum_to(n, lambda k: (_lam + k) ** n * ((-1) ** (n - k) * binomial(n, k)))
     return lhs - factorial(n)
 
 
 def _check_4_3a(n: int, at: int | None = None) -> Polynomial:
-    rhs = sum(
-        (
-            (_lam + k) ** k
-            * (_lam + (k + 1)) ** (n - k)
-            * ((-1) ** (n - k) * binomial(n, k))
-            for k in range(n + 1)
-        ),
-        _ZERO,
-    )
+    rhs = _sum_to(n, lambda k: (_lam + k) ** k * (_lam + (k + 1)) ** (n - k)
+                  * ((-1) ** (n - k) * binomial(n, k)))
     residual = _const(derangement(n)) - rhs
     if at is not None:
         return _const(residual.substitute(LAM, at).as_fraction())
@@ -590,26 +469,18 @@ def _rhs_4_4(n: int) -> Polynomial:
 
 
 def _check_4_4(n: int) -> Polynomial:
-    lhs = sum(
-        (_f(k + 1) * _mu ** (n - k) * binomial(n, k) for k in range(n + 1)), _ZERO
+    lhs = _sum_to(
+        n, lambda k: lambda_factorial(k + 1) * _mu ** (n - k) * binomial(n, k)
     )
     return lhs - _rhs_4_4(n)
 
 
 def _check_4_5(n: int) -> Polynomial:
-    lhs = sum(
-        (
-            _f(k + 1) * _f_at(n - k, _mu + 1) * binomial(n, k)
-            for k in range(n + 1)
-        ),
-        _ZERO,
+    lhs = _sum_to(
+        n, lambda k: lambda_factorial(k + 1) * _f_at(n - k, _mu + 1) * binomial(n, k)
     )
-    rhs = sum(
-        (
-            (_lam + k) ** (k + 1) * (_mu - (k + 1)) ** (n - k) * binomial(n, k)
-            for k in range(n + 1)
-        ),
-        _ZERO,
+    rhs = _sum_to(
+        n, lambda k: (_lam + k) ** (k + 1) * (_mu - (k + 1)) ** (n - k) * binomial(n, k)
     )
     return lhs - rhs
 
@@ -621,13 +492,7 @@ def _check_remark_mu(n: int) -> Polynomial:
 
 def _check_stirling_difference(n: int, m_max: int) -> Polynomial:
     def residual(m: int) -> Polynomial:
-        lhs = sum(
-            (
-                (_lam + k) ** m * ((-1) ** (n - k) * binomial(n, k))
-                for k in range(n + 1)
-            ),
-            _ZERO,
-        )
+        lhs = _sum_to(n, lambda k: (_lam + k) ** m * ((-1) ** (n - k) * binomial(n, k)))
         rhs = _ZERO
         for k in range(n, m + 1):
             coeff = (-1) ** k * stirling2(m, k)
@@ -639,22 +504,12 @@ def _check_stirling_difference(n: int, m_max: int) -> Polynomial:
 
 def _check_cor_n_factorial(n: int, variant: str) -> Polynomial:
     if variant == "plain":
-        lhs = sum(
-            (
-                _f(k + 1) * (1 - _lam) ** (n - k) * binomial(n, k)
-                for k in range(n + 1)
-            ),
-            _ZERO,
-        )
+        lhs = _sum_to(n, lambda k: lambda_factorial(k + 1) * (1 - _lam) ** (n - k)
+                      * binomial(n, k))
         return lhs - (_lam + n) * factorial(n)
     if variant == "convolved":
-        lhs = sum(
-            (
-                _f(k + 1) * _f_at(n - k, 2 - _lam) * binomial(n, k)
-                for k in range(n + 1)
-            ),
-            _ZERO,
-        )
+        lhs = _sum_to(n, lambda k: lambda_factorial(k + 1) * _f_at(n - k, 2 - _lam)
+                      * binomial(n, k))
         return lhs - (_lam + Fraction(n, 2)) * factorial(n + 1)
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -702,17 +557,13 @@ def _check_q_second(n: int, m_hi: int) -> Polynomial:
 
 def _check_q_diag(big_n: int) -> Polynomial:
     t = Polynomial.variable(T)
-    lhs = sum(
-        (
-            q_poly(big_n - n, n) * t ** (big_n - n) * binomial(big_n, n)
-            for n in range(big_n + 1)
-        ),
-        _ZERO,
+    lhs = _sum_to(
+        big_n, lambda n: q_poly(big_n - n, n) * t ** (big_n - n) * binomial(big_n, n)
     )
     # (t+1)^N f_N(λ + μt/(t+1)) via homogenization: f_N(a/b) b^N.
     a = _lam * (t + 1) + _mu * t
     b = t + 1
-    coeffs = _f(big_n).coefficients_in(LAM)
+    coeffs = lambda_factorial(big_n).coefficients_in(LAM)
     rhs = _ZERO
     for i, c in enumerate(coeffs):
         rhs = rhs + c * a ** i * b ** (big_n - i)
@@ -746,19 +597,11 @@ def _check_5_4(n: int, m_hi: int) -> Polynomial:
 
 
 def _check_thm_5_2(n: int) -> Polynomial:
-    lhs = sum(
-        (_f(k + 2) * _mu ** (n - k) * binomial(n, k) for k in range(n + 1)), _ZERO
+    lhs = _sum_to(
+        n, lambda k: lambda_factorial(k + 2) * _mu ** (n - k) * binomial(n, k)
     )
-    rhs = sum(
-        (
-            (_lam ** 2 + (2 * k + 1))
-            * (_lam + k) ** k
-            * (_mu - (k + 1)) ** (n - k)
-            * binomial(n, k)
-            for k in range(n + 1)
-        ),
-        _ZERO,
-    )
+    rhs = _sum_to(n, lambda k: (_lam ** 2 + (2 * k + 1)) * (_lam + k) ** k
+                  * (_mu - (k + 1)) ** (n - k) * binomial(n, k))
     return lhs - rhs
 
 
@@ -766,279 +609,178 @@ def _check_thm_5_2(n: int) -> Polynomial:
 # registry
 # ---------------------------------------------------------------------------
 
+# A point spec is a tuple of groups.  Each group maps parameter -> axis, in
+# the key order of the points it makes, and contributes the product of its
+# axes with the first axis varying slowest.  An axis is a literal tuple of
+# values or one of the helpers below, which alone read the override knobs
+# n_max, m_max and order (None keeps the default).
+_N, _M, _O = "n_max", "m_max", "order"
+
+
+def _or(value: int | None, default: int) -> int:
+    return default if value is None else value
+
+
+def _upto(knob: str, default: int, lo: int = 0):
+    """The axis lo..(knob or default)."""
+    return lambda knobs, point: range(lo, _or(knobs[knob], default) + 1)
+
+
+def _knob(knob: str, default: int):
+    """The one-value axis (knob or default)."""
+    return lambda knobs, point: (_or(knobs[knob], default),)
+
+
+def _m_hi(total: int):
+    """m_max, or total - n: the check loops m up to it."""
+    return lambda knobs, point: (_or(knobs[_M], total - point["n"]),)
+
 
 @dataclass(frozen=True)
 class Identity:
     id: str
     summary: str
-    points: Callable[[int | None, int | None, int | None], list[dict]]
     check: Callable[..., Residual]
+    spec: tuple[dict, ...]
+
+    def points(
+        self, n_max: int | None, m_max: int | None, order: int | None
+    ) -> list[dict]:
+        """The parameter points of the spec under the override knobs."""
+        knobs = {_N: n_max, _M: m_max, _O: order}
+        out: list[dict] = []
+        for group in self.spec:
+            points: list[dict] = [{}]
+            for param, axis in group.items():
+                points = [
+                    {**p, param: v}
+                    for p in points
+                    for v in (axis if isinstance(axis, tuple) else axis(knobs, p))
+                ]
+            out += points
+        return out
 
 
-def _n_points(default_hi: int, lo: int = 0):
-    def points(n_max, m_max, order):
-        hi = default_hi if n_max is None else n_max
-        return [{"n": n} for n in range(lo, hi + 1)]
+# Specs shared by several rows: m = 0..3 at order 6, and the Q triangle
+# n + m <= 10.
+_M_ORDER = ({"m": _upto(_M, 3), "order": _knob(_O, 6)},)
+_Q10 = ({"n": _upto(_N, 10), "m_hi": _m_hi(10)},)
 
-    return points
+_ROWS = (
+    ("1.0a", "binomial shift of the argument of f",
+     _check_1_0a, ({"n": _upto(_N, 15)},)),
+    ("1.0b", "f as a factorial-kernel binomial sum",
+     _check_1_0b, ({"n": _upto(_N, 20)},)),
+    ("1.0c", "first-order recurrence for f",
+     _check_1_0c, ({"n": _upto(_N, 20, lo=1)},)),
+    ("1.0d", "derivative of f lowers the index",
+     _check_1_0d, ({"n": _upto(_N, 12, lo=1)},)),
+    ("1.0e", "f as a derangement-kernel binomial sum",
+     _check_1_0e, ({"n": _upto(_N, 15)},)),
+    ("charlier-spec", "f is a Charlier polynomial at unit first argument",
+     _check_charlier_spec, ({"n": _upto(_N, 10)},)),
+    ("charlier-recurrence", "three-term contiguous recurrence for Charlier polynomials",
+     _check_charlier_recurrence, ({"n": _upto(_N, 10)},)),
+    ("riordan", "factorial convolution with tree counts",
+     _check_riordan, ({"n": _upto(_N, 12)},)),
+    ("sunxu", "derangement convolution with tree counts",
+     _check_sunxu, ({"n": _upto(_N, 12)},)),
+    ("thm1.1", "unified convolution of shifted f with tree counts",
+     _check_thm11, ({"n": _upto(_N, 15)},)),
+    ("2.1", "coefficients of powers of the tree series",
+     _check_2_1, ({"n": _upto(_N, 8, lo=1)},)),
+    ("2.2", "exponential of the tree series over its complement",
+     _check_2_2, ({"n": _upto(_N, 8)},)),
+    ("2.3", "exponential generating function of f",
+     _check_2_3, ({"n": _upto(_N, 10)},)),
+    ("2.3a", "tree-count convolution equivalent to thm1.1",
+     _check_2_3a, ({"n": _upto(_N, 12, lo=1)},)),
+    ("2.4", "umbral closed form of f",
+     _check_2_4, ({"n": _upto(_N, 10)},)),
+    ("3.1", "one-parameter extension of the binomial theorem",
+     _check_3_1, ({"n": _upto(_N, 8)},)),
+    ("3.2", "resummation of a generating function by shifted derivatives",
+     _check_3_2, ({"a_kind": ("exp", "geometric"), "order": _knob(_O, 8)},)),
+    ("3.3", "umbral form of the tree-count convolution",
+     _check_3_3, ({"n": _upto(_N, 10)},)),
+    ("thm1.2", "series transform pairing f with shifted derivatives",
+     _check_thm12, (
+         {"family": tuple(_A_FAMILIES), "order": _knob(_O, 8)},
+         {"family": ("factorial",), "variant": ("ogf-lambda-1",),
+          "order": _knob(_O, 10)},
+     )),
+    ("charlier-deriv",
+     "closed form for derivatives of the Charlier generating function",
+     _check_charlier_deriv, ({"k": tuple(range(6)), "order": _knob(_O, 6)},)),
+    ("3.4", "Charlier transform of f",
+     _check_3_4, ({"order": _knob(_O, 6)},)),
+    ("3.5", "shifted Charlier transform of f",
+     _check_3_4, _M_ORDER),
+    ("3.6", "bilinear derangement series",
+     _check_3_6, _M_ORDER),
+    ("3.7", "ordinary generating functions for shifted f and derangements",
+     _check_3_7, ({"m": _upto(_M, 3), "variant": ("f-ogf", "derangement-ogf"),
+                   "order": _knob(_O, 6)},)),
+    ("3.7.1", "ordinary generating functions for shifted factorials and for f",
+     _check_3_7_1, (
+         {"variant": ("shifted-factorial",), "m": _upto(_M, 3), "order": _knob(_O, 8)},
+         {"variant": ("f-ogf",), "m": (0,), "order": _knob(_O, 8)},
+     )),
+    ("gessel", "bilinear Charlier generating function and its derangement case",
+     _check_gessel, ({"variant": ("bilinear",), "order": _knob(_O, 5)},
+                     {"variant": ("derangement",), "order": _knob(_O, 8)})),
+    ("chz", "ordinary generating function of f by a rational kernel",
+     _check_chz, ({"order": _knob(_O, 8)},)),
+    ("bell-transform", "Bell-polynomial transform of f",
+     _check_bell_transform, _M_ORDER),
+    ("3.8", "ordinary generating function for shifted Bell numbers",
+     _check_3_8, _M_ORDER),
+    ("3.9", "Hermite transform of f and involution/matching generating functions",
+     _check_3_9, ({"m": _upto(_M, 3),
+                   "variant": ("bilinear", "involution-ogf", "matching-ogf"),
+                   "order": _knob(_O, 6)},)),
+    ("4.1", "weighted binomial convolution of f collapses",
+     _check_4_1, ({"n": _upto(_N, 12)},)),
+    ("4.2", "convolution of f with shifted f",
+     _check_4_2, ({"n": _upto(_N, 12)},)),
+    ("cor-selfdual", "self-dual convolution of f summing to (n+1)^(n+1)",
+     _check_cor_selfdual, ({"n": _upto(_N, 10)},)),
+    ("4.3", "explicit two-parameter expansion of f",
+     _check_4_3, ({"n": _upto(_N, 12)},)),
+    ("difference", "n-th finite difference of the n-th power",
+     _check_difference, ({"n": _upto(_N, 12)},)),
+    ("4.3a", "alternating closed form for derangement numbers",
+     _check_4_3a, ({"n": _upto(_N, 12)}, {"n": _upto(_N, 12), "at": (-1,)})),
+    ("4.4", "shifted convolution against a free parameter",
+     _check_4_4, ({"n": _upto(_N, 10)},)),
+    ("4.5", "doubly shifted convolution of f",
+     _check_4_5, ({"n": _upto(_N, 10)},)),
+    ("remark-mu", "specialization of the free parameter recovers thm1.1",
+     _check_remark_mu, ({"n": _upto(_N, 10)},)),
+    ("stirling-difference", "general finite difference via Stirling numbers",
+     _check_stirling_difference, ({"n": _upto(_N, 6), "m_max": _knob(_M, 8)},)),
+    ("cor-n-factorial", "convolutions of shifted f collapsing to factorials",
+     _check_cor_n_factorial,
+     ({"n": _upto(_N, 12), "variant": ("plain", "convolved")},)),
+    ("5.1", "two-index recurrence for Q",
+     _check_5_1, _Q10),
+    ("5.2", "bivariate exponential generating function of Q",
+     _check_5_2, ({"total_degree": _knob(_O, 10)},)),
+    ("q-second", "index-trading recurrence for Q",
+     _check_q_second, ({"n": _upto(_N, 9), "m_hi": _m_hi(9)},)),
+    ("q-diag", "diagonal substitution identity for Q",
+     _check_q_diag, ({"big_n": _upto(_N, 8)},)),
+    ("q-explicit", "explicit double-sum formula for Q",
+     _check_q_explicit, _Q10),
+    ("5.3", "umbral reduction of Q in its second index",
+     _check_5_3, _Q10),
+    ("5.4", "convolution reduction of Q in its second index",
+     _check_5_4, _Q10),
+    ("thm5.2", "doubly shifted convolution expanded explicitly",
+     _check_thm_5_2, ({"n": _upto(_N, 10)},)),
+)
 
-
-def _n_points_with_m(default_n: int, total: int):
-    # One point per n; the check loops m with n+m <= total.
-    def points(n_max, m_max, order):
-        hi = default_n if n_max is None else n_max
-        return [{"n": n, "m_hi": (total if m_max is None else m_max + n) - n}
-                for n in range(hi + 1)]
-
-    return points
-
-
-def _order_points(default_order: int, **fixed):
-    def points(n_max, m_max, order):
-        o = default_order if order is None else order
-        return [dict(fixed, order=o)]
-
-    return points
-
-
-def _m_points(default_m: int, default_order: int, variants: tuple[str, ...] | None = None, m_lo: int = 0):
-    def points(n_max, m_max, order):
-        mm = default_m if m_max is None else m_max
-        oo = default_order if order is None else order
-        if variants is None:
-            return [{"m": m, "order": oo} for m in range(m_lo, mm + 1)]
-        return [
-            {"m": m, "variant": v, "order": oo}
-            for m in range(m_lo, mm + 1)
-            for v in variants
-        ]
-
-    return points
-
-
-CATALOGUE: dict[str, Identity] = {}
-
-
-def _register(id_: str, summary: str, points, check) -> None:
-    CATALOGUE[id_] = Identity(id_, summary, points, check)
-
-
-_register("1.0a", "binomial shift of the argument of f", _n_points(15), _check_1_0a)
-_register("1.0b", "f as a factorial-kernel binomial sum", _n_points(20), _check_1_0b)
-_register("1.0c", "first-order recurrence for f", _n_points(20, lo=1), _check_1_0c)
-_register("1.0d", "derivative of f lowers the index", _n_points(12, lo=1), _check_1_0d)
-_register("1.0e", "f as a derangement-kernel binomial sum", _n_points(15), _check_1_0e)
-_register(
-    "charlier-spec",
-    "f is a Charlier polynomial at unit first argument",
-    _n_points(10),
-    _check_charlier_spec,
-)
-_register(
-    "charlier-recurrence",
-    "three-term contiguous recurrence for Charlier polynomials",
-    _n_points(10),
-    _check_charlier_recurrence,
-)
-_register("riordan", "factorial convolution with tree counts", _n_points(12), _check_riordan)
-_register("sunxu", "derangement convolution with tree counts", _n_points(12), _check_sunxu)
-_register(
-    "thm1.1",
-    "unified convolution of shifted f with tree counts",
-    _n_points(15),
-    _check_thm11,
-)
-_register("2.1", "coefficients of powers of the tree series", _n_points(8, lo=1), _check_2_1)
-_register(
-    "2.2",
-    "exponential of the tree series over its complement",
-    _n_points(8),
-    _check_2_2,
-)
-_register("2.3", "exponential generating function of f", _n_points(10), _check_2_3)
-_register(
-    "2.3a",
-    "tree-count convolution equivalent to thm1.1",
-    _n_points(12, lo=1),
-    _check_2_3a,
-)
-_register("2.4", "umbral closed form of f", _n_points(10), _check_2_4)
-_register("3.1", "one-parameter extension of the binomial theorem", _n_points(8), _check_3_1)
-_register(
-    "3.2",
-    "resummation of a generating function by shifted derivatives",
-    lambda n_max, m_max, order: [
-        {"a_kind": kind, "order": 8 if order is None else order}
-        for kind in ("exp", "geometric")
-    ],
-    _check_3_2,
-)
-_register("3.3", "umbral form of the tree-count convolution", _n_points(10), _check_3_3)
-_register(
-    "thm1.2",
-    "series transform pairing f with shifted derivatives",
-    lambda n_max, m_max, order: [
-        {"family": fam, "order": 8 if order is None else order}
-        for fam in _A_FAMILIES
-    ]
-    + [
-        {
-            "family": "factorial",
-            "variant": "ogf-lambda-1",
-            "order": 10 if order is None else order,
-        }
-    ],
-    _check_thm12,
-)
-_register(
-    "charlier-deriv",
-    "closed form for derivatives of the Charlier generating function",
-    lambda n_max, m_max, order: [
-        {"k": k, "order": 6 if order is None else order} for k in range(6)
-    ],
-    _check_charlier_deriv,
-)
-_register(
-    "3.4",
-    "Charlier transform of f",
-    _order_points(6),
-    _check_3_4,
-)
-_register(
-    "3.5",
-    "shifted Charlier transform of f",
-    _m_points(3, 6),
-    lambda m, order: _check_3_4(order, m=m),
-)
-_register("3.6", "bilinear derangement series", _m_points(3, 6), _check_3_6)
-_register(
-    "3.7",
-    "ordinary generating functions for shifted f and derangements",
-    _m_points(3, 6, variants=("f-ogf", "derangement-ogf")),
-    _check_3_7,
-)
-_register(
-    "3.7.1",
-    "ordinary generating functions for shifted factorials and for f",
-    lambda n_max, m_max, order: [
-        {"variant": "shifted-factorial", "m": m, "order": 8 if order is None else order}
-        for m in range(0, (3 if m_max is None else m_max) + 1)
-    ]
-    + [{"variant": "f-ogf", "m": 0, "order": 8 if order is None else order}],
-    _check_3_7_1,
-)
-_register(
-    "gessel",
-    "bilinear Charlier generating function and its derangement case",
-    lambda n_max, m_max, order: [
-        {"variant": "bilinear", "order": 5 if order is None else order},
-        {"variant": "derangement", "order": 8 if order is None else order},
-    ],
-    _check_gessel,
-)
-_register(
-    "chz",
-    "ordinary generating function of f by a rational kernel",
-    _order_points(8),
-    _check_chz,
-)
-_register("bell-transform", "Bell-polynomial transform of f", _m_points(3, 6), _check_bell_transform)
-_register("3.8", "ordinary generating function for shifted Bell numbers", _m_points(3, 6), _check_3_8)
-_register(
-    "3.9",
-    "Hermite transform of f and involution/matching generating functions",
-    _m_points(3, 6, variants=("bilinear", "involution-ogf", "matching-ogf")),
-    _check_3_9,
-)
-_register("4.1", "weighted binomial convolution of f collapses", _n_points(12), _check_4_1)
-_register("4.2", "convolution of f with shifted f", _n_points(12), _check_4_2)
-_register(
-    "cor-selfdual",
-    "self-dual convolution of f summing to (n+1)^(n+1)",
-    _n_points(10),
-    _check_cor_selfdual,
-)
-_register("4.3", "explicit two-parameter expansion of f", _n_points(12), _check_4_3)
-_register(
-    "difference",
-    "n-th finite difference of the n-th power",
-    _n_points(12),
-    _check_difference,
-)
-_register(
-    "4.3a",
-    "alternating closed form for derangement numbers",
-    lambda n_max, m_max, order: [
-        {"n": n} for n in range(0, (12 if n_max is None else n_max) + 1)
-    ]
-    + [
-        {"n": n, "at": -1}
-        for n in range(0, (12 if n_max is None else n_max) + 1)
-    ],
-    _check_4_3a,
-)
-_register("4.4", "shifted convolution against a free parameter", _n_points(10), _check_4_4)
-_register("4.5", "doubly shifted convolution of f", _n_points(10), _check_4_5)
-_register(
-    "remark-mu",
-    "specialization of the free parameter recovers thm1.1",
-    _n_points(10),
-    _check_remark_mu,
-)
-_register(
-    "stirling-difference",
-    "general finite difference via Stirling numbers",
-    lambda n_max, m_max, order: [
-        {"n": n, "m_max": 8 if m_max is None else m_max}
-        for n in range(0, (6 if n_max is None else n_max) + 1)
-    ],
-    _check_stirling_difference,
-)
-_register(
-    "cor-n-factorial",
-    "convolutions of shifted f collapsing to factorials",
-    lambda n_max, m_max, order: [
-        {"n": n, "variant": v}
-        for n in range(0, (12 if n_max is None else n_max) + 1)
-        for v in ("plain", "convolved")
-    ],
-    _check_cor_n_factorial,
-)
-_register("5.1", "two-index recurrence for Q", _n_points_with_m(10, 10), _check_5_1)
-_register(
-    "5.2",
-    "bivariate exponential generating function of Q",
-    lambda n_max, m_max, order: [{"total_degree": 10 if order is None else order}],
-    _check_5_2,
-)
-_register(
-    "q-second",
-    "index-trading recurrence for Q",
-    _n_points_with_m(9, 9),
-    _check_q_second,
-)
-_register(
-    "q-diag",
-    "diagonal substitution identity for Q",
-    lambda n_max, m_max, order: [
-        {"big_n": n} for n in range(0, (8 if n_max is None else n_max) + 1)
-    ],
-    _check_q_diag,
-)
-_register(
-    "q-explicit",
-    "explicit double-sum formula for Q",
-    _n_points_with_m(10, 10),
-    _check_q_explicit,
-)
-_register("5.3", "umbral reduction of Q in its second index", _n_points_with_m(10, 10), _check_5_3)
-_register("5.4", "convolution reduction of Q in its second index", _n_points_with_m(10, 10), _check_5_4)
-_register(
-    "thm5.2",
-    "doubly shifted convolution expanded explicitly",
-    _n_points(10),
-    _check_thm_5_2,
-)
+CATALOGUE: dict[str, Identity] = {row[0]: Identity(*row) for row in _ROWS}
 
 
 _PARAM_CAPS = {"n": 40, "m": 12, "m_hi": 12, "m_max": 12, "order": 20,

@@ -23,8 +23,8 @@ integer coefficients, and int arithmetic skips the gcd that every Fraction
 operation runs.  Every operation that can turn a Fraction integral
 normalises its result, so the representation stays canonical: equality is a
 dict comparison and printing is deterministic.  Any other scalar type is a
-TypeError.  Values leave the ring as Fraction: evaluate, as_fraction and
-constant_term always return one.
+TypeError.  Values leave the ring as Fraction: evaluate and as_fraction
+always return one.
 
 Symbols are open-ended strings, which lets any number of parameters coexist
 in one ring.  Values are immutable after construction and safe to share.
@@ -228,9 +228,6 @@ class Polynomial:
         return max(
             (sum(e for _, e in mono) for mono, _ in self.terms()), default=0
         )
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get(0, 0))
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; raises if symbols remain."""

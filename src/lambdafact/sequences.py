@@ -11,8 +11,8 @@ in `enumeration` as the final arbiter at small n.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from . import enumeration
 from .polynomial import Polynomial, Scalar
@@ -32,8 +32,10 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# D_0, D_1, ...: grown, never recomputed, so a cold call at any n and an
-# ascending range of calls both cost O(n) steps in total.
+# Each recurrence grows a table (D_0, D_1, ... here) one step per new index
+# and never recomputes it, so a cold call at any n and an ascending range of
+# calls both cost O(n) steps in total, with no recursion.  The lru_cache
+# entry points in front of the tables answer repeated calls.
 _DERANGEMENTS = [1]
 
 
@@ -59,12 +61,18 @@ LAMBDA_FACTORIAL_ROUTES = (
 ENUMERATION_CUTOFF = 8
 
 
+_LAMBDA_FACTORIALS = [Polynomial.one()]
+
+
 @lru_cache(maxsize=None)
 def _lambda_factorial_recurrence(n: int) -> Polynomial:
-    if n == 0:
-        return Polynomial.one()
-    lam = Polynomial.variable(LAM)
-    return _lambda_factorial_recurrence(n - 1) * n + (lam - 1) ** n
+    f = _LAMBDA_FACTORIALS
+    if len(f) <= n:
+        lam = Polynomial.variable(LAM)
+        while len(f) <= n:
+            k = len(f)
+            f.append(f[-1] * k + (lam - 1) ** k)
+    return f[n]
 
 
 def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
@@ -101,11 +109,6 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
     raise ValueError(f"unknown route {route!r}; expected one of {LAMBDA_FACTORIAL_ROUTES}")
 
 
-def lambda_factorial_at(n: int, value: Scalar) -> Fraction:
-    """f_n evaluated at a concrete point."""
-    return lambda_factorial(n).evaluate({LAM: value})
-
-
 def rising_factorial(base: Polynomial | Scalar, k: int) -> Polynomial:
     """base * (base+1) * ... * (base+k-1); the empty product is 1."""
     if k < 0:
@@ -130,20 +133,27 @@ def charlier(n: int) -> Polynomial:
     return acc
 
 
+_BELL_POLYS = [Polynomial.one()]
+
+
 @lru_cache(maxsize=None)
 def bell_poly(n: int) -> Polynomial:
     """Set-partition block-count polynomial in u, via B' recurrence."""
     if n < 0:
         raise ValueError("bell_poly needs n >= 0")
-    if n == 0:
-        return Polynomial.one()
-    u = Polynomial.variable(U)
-    prev = bell_poly(n - 1)
-    return u * prev + u * prev.derivative(U)
+    b = _BELL_POLYS
+    if len(b) <= n:
+        u = Polynomial.variable(U)
+        while len(b) <= n:
+            b.append(u * b[-1] + u * b[-1].derivative(U))
+    return b[n]
 
 
 def bell_number(n: int) -> int:
     return int(bell_poly(n).evaluate({U: 1}))
+
+
+_HERMITE_POLYS = [Polynomial.one()]
 
 
 @lru_cache(maxsize=None)
@@ -151,11 +161,12 @@ def hermite_poly(n: int) -> Polynomial:
     """Involution fixed-point polynomial in u, via H' recurrence."""
     if n < 0:
         raise ValueError("hermite_poly needs n >= 0")
-    if n == 0:
-        return Polynomial.one()
-    u = Polynomial.variable(U)
-    prev = hermite_poly(n - 1)
-    return u * prev + prev.derivative(U)
+    h = _HERMITE_POLYS
+    if len(h) <= n:
+        u = Polynomial.variable(U)
+        while len(h) <= n:
+            h.append(u * h[-1] + h[-1].derivative(U))
+    return h[n]
 
 
 def involution_number(n: int) -> int:
@@ -166,14 +177,35 @@ def matching_number(n: int) -> int:
     return int(hermite_poly(n).evaluate({U: 0}))
 
 
+# The sequences a_n offered to the Theorem 1.2 transform, by name.
+ABEL_FAMILIES: dict[str, Callable[[int], Polynomial]] = {
+    "ones": lambda n: Polynomial.one(),
+    "factorial": lambda n: Polynomial.constant(factorial(n)),
+    "derangement": lambda n: Polynomial.constant(derangement(n)),
+    "bell": bell_poly,
+    "hermite": hermite_poly,
+    "charlier": charlier,
+}
+
+
+# Column j holds S(0, j), S(1, j), ...; a call extends columns 0..k to row n.
+_STIRLING2_COLUMNS: list[list[int]] = []
+
+
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind; zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1  # k == 0 here
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    cols = _STIRLING2_COLUMNS
+    while len(cols) <= k:
+        cols.append([int(not cols)])  # S(0, 0) = 1, S(0, j) = 0 for j > 0
+    for j in range(k + 1):
+        col = cols[j]
+        while len(col) <= n:
+            i = len(col)
+            col.append(j * col[i - 1] + (cols[j - 1][i - 1] if j else 0))
+    return cols[k][n]
 
 
 Q_POLY_ROUTES = (
@@ -184,18 +216,29 @@ Q_POLY_ROUTES = (
 )
 
 
+# Column j holds Q_{0,j}, Q_{1,j}, ...; a call extends columns 0..m to row n.
+_Q_COLUMNS: list[list[Polynomial]] = []
+
+
 @lru_cache(maxsize=None)
 def _q_recurrence(n: int, m: int) -> Polynomial:
-    if n < 0 or m < 0:
-        return Polynomial.zero()
-    lam = Polynomial.variable(LAM)
-    mu = Polynomial.variable(MU)
-    acc = (lam - 1) ** m * (lam + mu - 1) ** n
-    if n:
-        acc = acc + _q_recurrence(n - 1, m) * n
-    if m:
-        acc = acc + _q_recurrence(n, m - 1) * m
-    return acc
+    cols = _Q_COLUMNS
+    if len(cols) <= m or len(cols[m]) <= n:
+        lam = Polynomial.variable(LAM)
+        mu = Polynomial.variable(MU)
+        while len(cols) <= m:
+            cols.append([])
+        for j in range(m + 1):
+            col = cols[j]
+            while len(col) <= n:
+                i = len(col)
+                acc = (lam - 1) ** j * (lam + mu - 1) ** i
+                if i:
+                    acc = acc + col[i - 1] * i
+                if j:
+                    acc = acc + cols[j - 1][i] * j
+                col.append(acc)
+    return cols[m][n]
 
 
 def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:

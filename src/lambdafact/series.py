@@ -70,6 +70,8 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, var: str, order: int) -> TruncatedSeries:
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
         return cls._raw(var, (Polynomial.zero(),) * (order + 1))
 
     @classmethod
@@ -125,9 +127,6 @@ class TruncatedSeries:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
-
-    def valuation_at_least(self, k: int) -> bool:
-        return all(c.is_zero for c in self.coeffs[: min(k, self.order + 1)])
 
     # ---- order management ----
 
@@ -419,6 +418,27 @@ def tree_function(order: int, var: str = "x") -> TruncatedSeries:
     return y
 
 
+def abel_sum(
+    lam: PolyLike,
+    shifted_derivative: Callable[[int], TruncatedSeries],
+    order: int,
+    var: str = "x",
+) -> TruncatedSeries:
+    """The right side of Theorem 1.2: sum over k of (lam+k-1)**k/k! * var**k * D_k.
+
+    D_k = shifted_derivative(k) stands for A^(k)(-k*var), the k-th derivative
+    of an EGF A taken at -k*var.  Term k is var**k times a series, so it
+    never reaches below var**k, and truncating the k-sum at the series order
+    is exact.
+    """
+    lam = _as_poly(lam)
+    total = TruncatedSeries.zero(var, order)
+    for k in range(order + 1):
+        prefactor = (lam + (k - 1)) ** k / math.factorial(k)
+        total = total + shifted_derivative(k).shift(k) * prefactor
+    return total
+
+
 def abel_rhs(
     a: Callable[[int], PolyLike],
     lam: PolyLike,
@@ -427,19 +447,11 @@ def abel_rhs(
 ) -> TruncatedSeries:
     """sum over k of (k+lam-1)**k * var**k * A_k(-k*var) / k!.
 
-    A_k denotes the k-th derivative of the EGF of the sequence a.  Term k
-    starts at var**k, so truncating the k-sum at the series order is exact;
-    this valuation property is asserted for every term.
+    A_k denotes the k-th derivative of the EGF of the sequence a.
     """
-    lam = _as_poly(lam)
-    total = TruncatedSeries.zero(var, order)
-    for k in range(order + 1):
-        prefactor = (lam + (k - 1)) ** k / math.factorial(k)
-        term = egf_shift(a, k, order, var).rescale(-k).shift(k) * prefactor
-        if not term.valuation_at_least(k):
-            raise RuntimeError(f"term {k} has coefficients below {var}^{k}")
-        total = total + term
-    return total
+    return abel_sum(
+        lam, lambda k: egf_shift(a, k, order, var).rescale(-k), order, var
+    )
 
 
 def substitute_series(

@@ -113,7 +113,7 @@ def test_criterion_04_bijection_roundtrip():
                 expected = (
                     seq.binomial(n, k)
                     * (n + 1) ** (n - k)
-                    * int(seq.lambda_factorial_at(k + 1, lam_val))
+                    * int(seq.lambda_factorial(k + 1).evaluate({LAM: lam_val}))
                 )
                 if strata.get(k, 0) != expected:
                     failures.append(("stratum", n, lam_val, k))

@@ -114,6 +114,14 @@ def test_series_abel_rhs_factorials(capsys):
     assert out.strip() == "1 + x + 2x^2 + 6x^3 + O(x^4)"
 
 
+@pytest.mark.parametrize("what", ["tree", "egf-f", "abel-rhs"])
+def test_series_negative_order_is_an_error(capsys, what):
+    code, out, err = run(capsys, "series", what, "--order", "-1")
+    assert code == 2
+    assert out == ""
+    assert "order must be >= 0" in err
+
+
 def test_series_egf_f_json(capsys):
     code, out, _ = run(
         capsys, "series", "egf-f", "--order", "3", "--format", "json"
@@ -163,6 +171,18 @@ def test_table_derangement_beyond_the_recursion_limit(capsys):
     n = 1500
     expected = sum((-1) ** k * (math.factorial(n) // math.factorial(k)) for k in range(n + 1))
     assert out.strip() == f"derangement,1500,{expected}"
+
+
+def test_table_stirling2_beyond_the_recursion_limit(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "_STIRLING2_COLUMNS", [])
+    sequences.stirling2.cache_clear()  # a cold cache is the case that recursed
+    try:
+        code, out, _ = run(capsys, "table", "stirling2", "1200", "3", "--unsafe")
+    finally:
+        sequences.stirling2.cache_clear()
+    assert code == 0
+    n = 1200
+    assert out.strip() == f"stirling2,1200,3,{(3 ** n - 3 * 2 ** n + 3) // 6}"
 
 
 def test_closed_stdout_ends_quietly_and_not_as_a_pass():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lambdafact import enumeration as en
 from lambdafact import sequences as seq
 from lambdafact.cli import main
+from lambdafact.symbols import LAM
 
 
 def test_permutations_with_fix_small():
@@ -90,6 +91,12 @@ def test_is_forest_rejects_cycles():
     assert en.is_forest((0, 1, 2))
 
 
+@pytest.mark.parametrize("parent,bad", [((5, 0), 5), ((-1, 0), -1), ((0, 3), 3)])
+def test_is_forest_rejects_parent_values_out_of_range(parent, bad):
+    with pytest.raises(ValueError, match=rf"parent value {bad} outside \[0\.\.2\]"):
+        en.is_forest(parent)
+
+
 def test_enumerate_m_star_counts_and_order():
     images = [s.image for s in en.enumerate_m_star(2, 2)]
     assert len(images) == 64  # (2+2)^3
@@ -162,7 +169,7 @@ def test_exhaustive_roundtrip_and_strata():
         expected = (
             seq.binomial(2, k)
             * 3 ** (2 - k)
-            * int(seq.lambda_factorial_at(k + 1, 2))
+            * int(seq.lambda_factorial(k + 1).evaluate({LAM: 2}))
         )
         assert strata.get(k, 0) == expected, k
 
@@ -173,7 +180,7 @@ def test_exhaustive_roundtrip_and_strata():
         expected = (
             seq.binomial(2, k)
             * 3 ** (2 - k)
-            * int(seq.lambda_factorial_at(k + 1, 1))
+            * int(seq.lambda_factorial(k + 1).evaluate({LAM: 1}))
         )
         assert strata.get(k, 0) == expected, k
 
@@ -283,6 +290,8 @@ MALFORMED_PAIRS = {
     "cyclic parent": (((2, 1), (), (), 1, 1), "cycle"),
     "color overflow": (((0,), ((1, 1),), ((1, 5),), 0, 1), "color"),
     "short forest": (((0,), ((1, 1),), ((1, 1),), 1, 1), "cover"),
+    "parent above n+1": (((5, 0), ((2, 2),), ((2, 1),), 1, 1), r"parent value 5 "),
+    "negative parent": (((-1, 0), ((2, 2),), ((2, 1),), 1, 1), r"parent value -1 "),
 }
 
 
@@ -302,7 +311,8 @@ def test_pair_to_head_rejects_what_pair_to_sigma_rejects(case):
 
 def census_formula(n, lam):
     return {
-        k: seq.binomial(n, k) * (n + 1) ** (n - k) * int(seq.lambda_factorial_at(k + 1, lam))
+        k: seq.binomial(n, k) * (n + 1) ** (n - k)
+        * int(seq.lambda_factorial(k + 1).evaluate({LAM: lam}))
         for k in range(n + 1)
     }
 

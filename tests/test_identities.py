@@ -309,3 +309,18 @@ def test_truncating_one_degree_too_low_is_caught(monkeypatch, capsys):
 
     monkeypatch.setattr(catalogue, "mul_truncated", off_by_one)
     _assert_every_report_fails("5.2", capsys)
+
+
+TRANSFORM_IDS = ("3.4", "3.5", "3.6", "3.7", "3.7.1", "bell-transform", "3.8", "3.9")
+
+
+@pytest.mark.parametrize("identity_id", TRANSFORM_IDS)
+def test_unit_term_in_the_transform_kernel_is_not_hidden(identity_id, monkeypatch, capsys):
+    real = catalogue.abel_sum
+
+    def perturbed(lam, shifted_derivative, order, var=X):
+        unit = TruncatedSeries(var, [0] * order + [1], order)
+        return real(lam, shifted_derivative, order, var) + unit
+
+    monkeypatch.setattr(catalogue, "abel_sum", perturbed)
+    _assert_every_report_fails(identity_id, capsys)

@@ -1,5 +1,8 @@
 """Route-agreement and value tests for the named families."""
 
+import inspect
+import sys
+
 import pytest
 
 from lambdafact import enumeration, sequences as seq
@@ -54,6 +57,40 @@ def test_derangement_range_computes_each_term_once(monkeypatch):
         assert CountingTable.appends == 199
     finally:
         seq.derangement.cache_clear()
+
+
+# (entry point, its grow-only table, a fresh table, an index whose recursive
+# route would need more frames than the lowered limit allows)
+RECURRENCES = [
+    ("stirling2", "_STIRLING2_COLUMNS", list, (300, 3)),
+    ("bell_poly", "_BELL_POLYS", lambda: [Polynomial.one()], (80,)),
+    ("hermite_poly", "_HERMITE_POLYS", lambda: [Polynomial.one()], (80,)),
+    ("_lambda_factorial_recurrence", "_LAMBDA_FACTORIALS", lambda: [Polynomial.one()], (80,)),
+    ("_q_recurrence", "_Q_COLUMNS", list, (60, 2)),
+]
+
+
+@pytest.mark.parametrize("name,table,fresh,args", RECURRENCES, ids=[r[0] for r in RECURRENCES])
+def test_recurrence_grows_without_recursing(name, table, fresh, args, monkeypatch):
+    fn = getattr(seq, name)
+    expected = fn(*args)
+    monkeypatch.setattr(seq, table, fresh())
+    fn.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        got = fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+        fn.cache_clear()
+    assert got == expected
+
+
+def test_stirling2_matches_its_closed_forms():
+    for n in range(1, 60):
+        assert seq.stirling2(n, 2) == 2 ** (n - 1) - 1
+        assert seq.stirling2(n, 3) == (3 ** n - 3 * 2 ** n + 3) // 6
+    assert [seq.stirling2(4, k) for k in range(-1, 6)] == [0, 0, 1, 7, 6, 1, 0]
 
 
 def test_derangement_matches_enumeration():

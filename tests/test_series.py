@@ -13,6 +13,7 @@ from lambdafact.sequences import factorial, lambda_factorial
 from lambdafact.series import (
     TruncatedSeries,
     abel_rhs,
+    abel_sum,
     binomial_power,
     egf_shift,
     exp_series,
@@ -183,6 +184,24 @@ def test_abel_rhs_factorials_at_one():
 
 def test_abel_rhs_zero_sequence():
     assert abel_rhs(lambda n: 0, lam, 5).is_zero
+
+
+def test_abel_sum_of_a_closed_form_matches_the_egf_of_f():
+    # A = e^x has A^(k)(-kx) = e^(-kx), and the left side of Theorem 1.2 is
+    # then the EGF of f_n(λ), e^((λ-1)x)/(1-x).
+    order = 6
+    s = abel_sum(lam, lambda k: exp_series(-k, X, order), order)
+    assert s == exp_series(lam - 1, X, order) * geometric(X, order)
+    assert s == abel_rhs(lambda n: 1, lam, order)
+
+
+def test_abel_sum_shifts_term_k_by_x_to_the_k():
+    # Term k alone is x^k (k-1)^k/k! at λ = 0; truncation keeps k <= order.
+    order = 4
+    s = abel_sum(0, lambda k: TruncatedSeries.one(X, order), order)
+    assert [c.as_fraction() for c in s.coeffs] == [
+        Fraction((k - 1) ** k, math.factorial(k)) for k in range(order + 1)
+    ]
 
 
 def test_reciprocal():
