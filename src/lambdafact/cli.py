@@ -27,16 +27,16 @@ BIJECTION_DEFAULT_CAP = 10 ** 5
 BIJECTION_UNSAFE_CAP = enumeration.MSTAR_CUTOFF
 BROKEN_PIPE_EXIT = 128 + 13  # what a shell reports for a process ended by SIGPIPE
 
-TABLE_FAMILIES = (
-    "factorial",
-    "derangement",
-    "lambda-factorial",
-    "charlier",
-    "bell",
-    "hermite",
-    "stirling2",
-    "q",
-)
+# The one-index families, each with the sequences function that computes it.
+_ONE_INDEX = {
+    "factorial": "factorial",
+    "derangement": "derangement",
+    "lambda-factorial": "lambda_factorial",
+    "charlier": "charlier",
+    "bell": "bell_poly",
+    "hermite": "hermite_poly",
+}
+TABLE_FAMILIES = (*_ONE_INDEX, "stirling2", "q")
 
 ABEL_FAMILIES = tuple(sequences.ABEL_FAMILIES)
 
@@ -68,18 +68,11 @@ def _parse_range(spec: str) -> range:
 
 
 def _table_rows(family: str, ns: range, ms: range | None):
-    if family == "factorial":
-        return [(n, None, sequences.factorial(n)) for n in ns]
-    if family == "derangement":
-        return [(n, None, sequences.derangement(n)) for n in ns]
-    if family == "lambda-factorial":
-        return [(n, None, sequences.lambda_factorial(n)) for n in ns]
-    if family == "charlier":
-        return [(n, None, sequences.charlier(n)) for n in ns]
-    if family == "bell":
-        return [(n, None, sequences.bell_poly(n)) for n in ns]
-    if family == "hermite":
-        return [(n, None, sequences.hermite_poly(n)) for n in ns]
+    if family in _ONE_INDEX:
+        if ms is not None:
+            raise ValueError(f"family {family!r} takes one index, got a second")
+        fn = getattr(sequences, _ONE_INDEX[family])
+        return [(n, None, fn(n)) for n in ns]
     if family == "stirling2":
         rows = []
         for n in ns:
@@ -205,8 +198,9 @@ def _parse_sigma(raw: str, size: int) -> enumeration.Endofunction:
 
 def _cmd_bijection(args) -> int:
     n, lam = args.n, args.lam
-    if n < 0 or lam < 0:
-        print("error: need n >= 0 and lambda >= 0", file=sys.stderr)
+    if n < 0 or lam < 0 or n + lam == 0:
+        # n = lambda = 0 has no objects: a census of nothing is no pass.
+        print("error: need n >= 0, lambda >= 0 and n + lambda >= 1", file=sys.stderr)
         return 2
     count = (n + lam) ** (n + 1)
     cap = BIJECTION_UNSAFE_CAP if args.unsafe else BIJECTION_DEFAULT_CAP

@@ -6,10 +6,20 @@ in the parameters are checked with those parameters as genuine
 indeterminates, never by sampling, so one check per n covers all values.
 Series identities are checked to an explicit truncation order.
 
-Sums over k on the right-hand sides are truncated at the series order; this
-is exact because term k is x^k times a series, so it never reaches below
-the k-th coefficient.  The Theorem 1.2 kernel `series.abel_sum`, behind most
-series checks, applies that shift itself.  The registry is one table of
+Most checks are rows of one of three kinds:
+
+- transform rows (λ, left side, closed form of A^(k)(-kx)) behind the
+  Theorem 1.2 kernel `series.abel_sum`;
+- convolution rows (term, closed form) behind `binomial_convolution`, the
+  sum over k of C(n-lo, k-lo) term(n, k) against a closed form in n;
+- sweeps, which report the first nonzero residual over a range of a second
+  index; a sweep over an empty range is an error, never a pass.
+
+Only one side of a row goes through its kernel.  Were both sides to use it,
+a defect in the kernel could cancel in the residual and the row would still
+pass.  Sums over k on the right of a series identity are truncated at the
+series order; this is exact because term k is x^k times a series, and
+`abel_sum` applies that shift itself.  The registry is one table of
 (id, summary, check, point spec) rows.
 """
 
@@ -71,20 +81,38 @@ def _f_at(n: int, value: Polynomial | int) -> Polynomial:
     return lambda_factorial(n).substitute(LAM, value)
 
 
-def _const(x) -> Polynomial:
-    return Polynomial.constant(x)
+def _sum_to(n: int, term: Callable[[int], Polynomial]) -> Polynomial:
+    """term(0) + ... + term(n)."""
+    return sum((term(k) for k in range(n + 1)), _ZERO)
 
 
-def _sum_to(n: int, term: Callable[[int], Polynomial], lo: int = 0) -> Polynomial:
-    """term(lo) + ... + term(n)."""
-    return sum((term(k) for k in range(lo, n + 1)), _ZERO)
+def binomial_convolution(n: int, term: Callable[[int], Polynomial | int],
+                         lo: int = 0) -> Polynomial:
+    """The convolution kernel: the sum of C(n-lo, k-lo) term(k), k = lo..n."""
+    return sum((term(k) * binomial(n - lo, k - lo) for k in range(lo, n + 1)), _ZERO)
+
+
+def _convolution(term: Callable[[int, int], Polynomial | int],
+                 closed: Callable[[int], Polynomial | int], lo: int = 0):
+    """The check of a convolution row: n -> the kernel over term(n, k), minus
+    closed(n).  The closed side never goes through the kernel."""
+    return lambda n: binomial_convolution(n, lambda k: term(n, k), lo) - closed(n)
 
 
 def _first_nonzero(residuals: Iterable[Polynomial]) -> Polynomial:
+    """The first nonzero residual, else zero; no residual at all is an error."""
+    r = None
     for r in residuals:
         if not r.is_zero:
             return r
+    if r is None:
+        raise ValueError("empty sweep: no residual to check")
     return _ZERO
+
+
+def _sweep(residual: Callable[[int, int], Polynomial]):
+    """The check (n, m_hi) -> the first nonzero residual(n, m), m = 0..m_hi."""
+    return lambda n, m_hi: _first_nonzero(residual(n, m) for m in range(m_hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +120,8 @@ def _first_nonzero(residuals: Iterable[Polynomial]) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _check_1_0a(n: int) -> Polynomial:
-    lhs = _f_at(n, _lam + _mu)
-    rhs = _sum_to(n, lambda k: lambda_factorial(k) * _mu ** (n - k) * binomial(n, k))
-    return lhs - rhs
+_check_1_0a = _convolution(lambda n, k: lambda_factorial(k) * _mu ** (n - k),
+                           lambda n: _f_at(n, _lam + _mu))
 
 
 def _check_1_0b(n: int) -> Polynomial:
@@ -125,25 +151,12 @@ def _check_charlier_recurrence(n: int) -> Polynomial:
     return lhs - rhs
 
 
-def _check_riordan(n: int) -> Polynomial:
-    lhs = sum(
-        binomial(n, k) * factorial(k + 1) * (n + 1) ** (n - k) for k in range(n + 1)
-    )
-    return _const(lhs - (n + 1) ** (n + 1))
-
-
-def _check_sunxu(n: int) -> Polynomial:
-    lhs = sum(
-        binomial(n, k) * derangement(k + 1) * (n + 1) ** (n - k) for k in range(n + 1)
-    )
-    return _const(lhs - n ** (n + 1))
-
-
-def _check_thm11(n: int) -> Polynomial:
-    lhs = _sum_to(
-        n, lambda k: lambda_factorial(k + 1) * (binomial(n, k) * (n + 1) ** (n - k))
-    )
-    return lhs - (_lam + n) ** (n + 1)
+_check_riordan = _convolution(lambda n, k: factorial(k + 1) * (n + 1) ** (n - k),
+                              lambda n: (n + 1) ** (n + 1))
+_check_sunxu = _convolution(lambda n, k: derangement(k + 1) * (n + 1) ** (n - k),
+                            lambda n: n ** (n + 1))
+_check_thm11 = _convolution(lambda n, k: lambda_factorial(k + 1) * (n + 1) ** (n - k),
+                            lambda n: (_lam + n) ** (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +170,8 @@ def _check_2_1(n: int) -> Polynomial:
     power = TruncatedSeries.one(X, n)
     for k in range(1, n + 1):
         power = power * y
-        lhs = power.coefficient(n).as_fraction() * Fraction(
-            factorial(n), factorial(k)
-        )
-        rhs = binomial(n - 1, k - 1) * n ** (n - k)
-        residuals.append(_const(lhs - rhs))
+        lhs = power.coefficient(n) * Fraction(factorial(n), factorial(k))
+        residuals.append(lhs - binomial(n - 1, k - 1) * n ** (n - k))
     return _first_nonzero(residuals)
 
 
@@ -176,11 +186,8 @@ def _check_2_3(n: int) -> Polynomial:
     return ser.egf_coefficient(n) - lambda_factorial(n, "binomial-1.0b")
 
 
-def _check_2_3a(n: int) -> Polynomial:
-    lhs = _sum_to(
-        n, lambda k: lambda_factorial(k) * (binomial(n - 1, k - 1) * n ** (n - k)), lo=1
-    )
-    return lhs - (_lam + (n - 1)) ** n
+_check_2_3a = _convolution(lambda n, k: lambda_factorial(k) * n ** (n - k),
+                           lambda n: (_lam + (n - 1)) ** n, lo=1)
 
 
 def _check_2_4(n: int) -> Polynomial:
@@ -192,14 +199,11 @@ def _check_2_4(n: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _check_3_1(n: int) -> Polynomial:
-    a = Polynomial.variable("a")
-    b = Polynomial.variable("b")
-    t = Polynomial.variable(T)
-    rhs = b ** n  # the k = 0 factor a(a - k t)^(k-1) is 1 by convention
-    for k in range(1, n + 1):
-        rhs = rhs + a * (a - t * k) ** (k - 1) * (b + t * k) ** (n - k) * binomial(n, k)
-    return (a + b) ** n - rhs
+# Abel's binomial identity; the k = 0 factor a(a - k t)^(k-1) is 1 by convention.
+_a, _b, _t = Polynomial.variable("a"), Polynomial.variable("b"), Polynomial.variable(T)
+_check_3_1 = _convolution(
+    lambda n, k: (_a * (_a - _t * k) ** (k - 1) if k else 1) * (_b + _t * k) ** (n - k),
+    lambda n: (_a + _b) ** n)
 
 
 def _check_3_2(a_kind: str, order: int) -> Polynomial:
@@ -387,7 +391,8 @@ def _check_gessel(variant: str, order: int) -> TruncatedSeries:
         return lhs - rhs
 
     if variant == "derangement":
-        lhs = TruncatedSeries.egf(lambda n: _const(derangement(n) ** 2), X, order)
+        lhs = TruncatedSeries.egf(
+            lambda n: Polynomial.constant(derangement(n) ** 2), X, order)
 
         def term(k: int) -> TruncatedSeries:
             return binomial_power(1, -(2 * k + 2), order).shift(k) * factorial(k)
@@ -412,77 +417,44 @@ def _check_chz(order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _check_4_1(n: int) -> Polynomial:
-    lhs = _sum_to(n, lambda k: lambda_factorial(k) * (_mu + (k - n)) * _mu ** (n - k)
-                  * binomial(n, k))
-    return lhs - _mu * (_lam + _mu - 1) ** n
-
-
-def _check_4_2(n: int) -> Polynomial:
-    lhs = _sum_to(
-        n, lambda k: lambda_factorial(k) * _f_at(n - k, _mu + 1) * binomial(n, k)
-    )
-    rhs = (_lam + _mu - 1) ** (n + 1) + (_const(n + 2) - _lam - _mu) * _f_at(
-        n, _lam + _mu
-    )
-    return lhs - rhs
-
-
-def _check_cor_selfdual(n: int) -> Polynomial:
-    lhs = _sum_to(n, lambda k: lambda_factorial(k) * _f_at(n - k, _const(n + 3) - _lam)
-                  * binomial(n, k))
-    return lhs - (n + 1) ** (n + 1)
-
-
-def _check_4_3(n: int) -> Polynomial:
-    rhs = _sum_to(
-        n, lambda k: (_lam + k) ** k * (_mu - (k + 1)) ** (n - k) * binomial(n, k)
-    )
-    return _f_at(n, _lam + _mu) - rhs
-
-
-def _check_difference(n: int) -> Polynomial:
-    lhs = _sum_to(n, lambda k: (_lam + k) ** n * ((-1) ** (n - k) * binomial(n, k)))
-    return lhs - factorial(n)
+_check_4_1 = _convolution(
+    lambda n, k: lambda_factorial(k) * (_mu + (k - n)) * _mu ** (n - k),
+    lambda n: _mu * (_lam + _mu - 1) ** n)
+_check_4_2 = _convolution(
+    lambda n, k: lambda_factorial(k) * _f_at(n - k, _mu + 1),
+    lambda n: (_lam + _mu - 1) ** (n + 1)
+    + (n + 2 - _lam - _mu) * _f_at(n, _lam + _mu))
+_check_cor_selfdual = _convolution(
+    lambda n, k: lambda_factorial(k) * _f_at(n - k, n + 3 - _lam),
+    lambda n: (n + 1) ** (n + 1))
+# The Abel-type sums of 4.3, difference and 4.3a are their kernel side.
+_check_4_3 = _convolution(lambda n, k: (_lam + k) ** k * (_mu - (k + 1)) ** (n - k),
+                          lambda n: _f_at(n, _lam + _mu))
+_check_difference = _convolution(lambda n, k: (_lam + k) ** n * (-1) ** (n - k),
+                                 factorial)
+_alternating_derangement = _convolution(
+    lambda n, k: (_lam + k) ** k * (_lam + (k + 1)) ** (n - k) * (-1) ** (n - k),
+    derangement)
 
 
 def _check_4_3a(n: int, at: int | None = None) -> Polynomial:
-    rhs = _sum_to(n, lambda k: (_lam + k) ** k * (_lam + (k + 1)) ** (n - k)
-                  * ((-1) ** (n - k) * binomial(n, k)))
-    residual = _const(derangement(n)) - rhs
-    if at is not None:
-        return _const(residual.substitute(LAM, at).as_fraction())
-    return residual
+    residual = _alternating_derangement(n)
+    return residual if at is None else residual.substitute(LAM, at)
 
 
 def _rhs_4_4(n: int) -> Polynomial:
     # The k = n factor (μ-(n+1))(μ-k-1)^(n-k-1) is 1 by convention.
-    rhs = (_lam + n) ** (n + 1)
-    for k in range(n):
-        rhs = rhs + (
-            (_lam + k) ** (k + 1)
-            * (_mu - (n + 1))
-            * (_mu - (k + 1)) ** (n - k - 1)
-            * binomial(n, k)
-        )
-    return rhs
+    return (_lam + n) ** (n + 1) + _sum_to(
+        n - 1, lambda k: (_lam + k) ** (k + 1) * (_mu - (n + 1))
+        * (_mu - (k + 1)) ** (n - k - 1) * binomial(n, k))
 
 
-def _check_4_4(n: int) -> Polynomial:
-    lhs = _sum_to(
-        n, lambda k: lambda_factorial(k + 1) * _mu ** (n - k) * binomial(n, k)
-    )
-    return lhs - _rhs_4_4(n)
-
-
-def _check_4_5(n: int) -> Polynomial:
-    lhs = _sum_to(
-        n, lambda k: lambda_factorial(k + 1) * _f_at(n - k, _mu + 1) * binomial(n, k)
-    )
-    rhs = _sum_to(
-        n, lambda k: (_lam + k) ** (k + 1) * (_mu - (k + 1)) ** (n - k) * binomial(n, k)
-    )
-    return lhs - rhs
+_check_4_4 = _convolution(lambda n, k: lambda_factorial(k + 1) * _mu ** (n - k),
+                          _rhs_4_4)
+_check_4_5 = _convolution(
+    lambda n, k: lambda_factorial(k + 1) * _f_at(n - k, _mu + 1),
+    lambda n: _sum_to(n, lambda k: (_lam + k) ** (k + 1) * (_mu - (k + 1)) ** (n - k)
+                      * binomial(n, k)))
 
 
 def _check_remark_mu(n: int) -> Polynomial:
@@ -492,7 +464,7 @@ def _check_remark_mu(n: int) -> Polynomial:
 
 def _check_stirling_difference(n: int, m_max: int) -> Polynomial:
     def residual(m: int) -> Polynomial:
-        lhs = _sum_to(n, lambda k: (_lam + k) ** m * ((-1) ** (n - k) * binomial(n, k)))
+        lhs = binomial_convolution(n, lambda k: (_lam + k) ** m * (-1) ** (n - k))
         rhs = _ZERO
         for k in range(n, m + 1):
             coeff = (-1) ** k * stirling2(m, k)
@@ -502,16 +474,20 @@ def _check_stirling_difference(n: int, m_max: int) -> Polynomial:
     return _first_nonzero(residual(m) for m in range(m_max + 1))
 
 
+_COR_N_FACTORIAL = {
+    "plain": _convolution(
+        lambda n, k: lambda_factorial(k + 1) * (1 - _lam) ** (n - k),
+        lambda n: (_lam + n) * factorial(n)),
+    "convolved": _convolution(
+        lambda n, k: lambda_factorial(k + 1) * _f_at(n - k, 2 - _lam),
+        lambda n: (_lam + Fraction(n, 2)) * factorial(n + 1)),
+}
+
+
 def _check_cor_n_factorial(n: int, variant: str) -> Polynomial:
-    if variant == "plain":
-        lhs = _sum_to(n, lambda k: lambda_factorial(k + 1) * (1 - _lam) ** (n - k)
-                      * binomial(n, k))
-        return lhs - (_lam + n) * factorial(n)
-    if variant == "convolved":
-        lhs = _sum_to(n, lambda k: lambda_factorial(k + 1) * _f_at(n - k, 2 - _lam)
-                      * binomial(n, k))
-        return lhs - (_lam + Fraction(n, 2)) * factorial(n + 1)
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in _COR_N_FACTORIAL:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _COR_N_FACTORIAL[variant](n)
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +495,14 @@ def _check_cor_n_factorial(n: int, variant: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _check_5_1(n: int, m_hi: int) -> Polynomial:
-    def residual(m: int) -> Polynomial:
-        lhs = q_poly(n, m)
-        rhs = (_lam - 1) ** m * (_lam + _mu - 1) ** n
-        if n:
-            rhs = rhs + q_poly(n - 1, m) * n
-        if m:
-            rhs = rhs + q_poly(n, m - 1) * m
-        return lhs - rhs
-
-    return _first_nonzero(residual(m) for m in range(m_hi + 1))
+@_sweep
+def _check_5_1(n: int, m: int) -> Polynomial:
+    rhs = (_lam - 1) ** m * (_lam + _mu - 1) ** n
+    if n:
+        rhs = rhs + q_poly(n - 1, m) * n
+    if m:
+        rhs = rhs + q_poly(n, m - 1) * m
+    return q_poly(n, m) - rhs
 
 
 def _check_5_2(total_degree: int) -> Polynomial:
@@ -548,18 +521,13 @@ def _check_5_2(total_degree: int) -> Polynomial:
     return lhs - rhs
 
 
-def _check_q_second(n: int, m_hi: int) -> Polynomial:
-    def residual(m: int) -> Polynomial:
-        return q_poly(n + 1, m) - q_poly(n, m + 1) - _mu * q_poly(n, m)
-
-    return _first_nonzero(residual(m) for m in range(m_hi + 1))
+_check_q_second = _sweep(
+    lambda n, m: q_poly(n + 1, m) - q_poly(n, m + 1) - _mu * q_poly(n, m))
 
 
 def _check_q_diag(big_n: int) -> Polynomial:
     t = Polynomial.variable(T)
-    lhs = _sum_to(
-        big_n, lambda n: q_poly(big_n - n, n) * t ** (big_n - n) * binomial(big_n, n)
-    )
+    lhs = binomial_convolution(big_n, lambda n: q_poly(big_n - n, n) * t ** (big_n - n))
     # (t+1)^N f_N(λ + μt/(t+1)) via homogenization: f_N(a/b) b^N.
     a = _lam * (t + 1) + _mu * t
     b = t + 1
@@ -570,39 +538,25 @@ def _check_q_diag(big_n: int) -> Polynomial:
     return lhs - rhs
 
 
-def _check_q_explicit(n: int, m_hi: int) -> Polynomial:
-    return _first_nonzero(
-        q_poly(n, m, "definition-sum") - q_poly(n, m, "explicit-double-sum")
-        for m in range(m_hi + 1)
-    )
+_check_q_explicit = _sweep(
+    lambda n, m: q_poly(n, m, "definition-sum") - q_poly(n, m, "explicit-double-sum"))
 
 
-def _check_5_3(n: int, m_hi: int) -> Polynomial:
-    def residual(m: int) -> Polynomial:
-        lhs = q_poly(n, m)
-        rhs = (_lam - 1) ** m * _f_at(n, _lam + _mu)
-        if m:
-            shifted = q_poly(n, m - 1).substitute(MU, _D + _mu + 1)
-            rhs = rhs + umbral_eval(shifted) * m
-        return lhs - rhs
-
-    return _first_nonzero(residual(m) for m in range(m_hi + 1))
+@_sweep
+def _check_5_3(n: int, m: int) -> Polynomial:
+    rhs = (_lam - 1) ** m * _f_at(n, _lam + _mu)
+    if m:
+        shifted = q_poly(n, m - 1).substitute(MU, _D + _mu + 1)
+        rhs = rhs + umbral_eval(shifted) * m
+    return q_poly(n, m) - rhs
 
 
-def _check_5_4(n: int, m_hi: int) -> Polynomial:
-    return _first_nonzero(
-        q_poly(n, m, "definition-sum") - q_poly(n, m, "lemma-5.4")
-        for m in range(m_hi + 1)
-    )
-
-
-def _check_thm_5_2(n: int) -> Polynomial:
-    lhs = _sum_to(
-        n, lambda k: lambda_factorial(k + 2) * _mu ** (n - k) * binomial(n, k)
-    )
-    rhs = _sum_to(n, lambda k: (_lam ** 2 + (2 * k + 1)) * (_lam + k) ** k
-                  * (_mu - (k + 1)) ** (n - k) * binomial(n, k))
-    return lhs - rhs
+_check_5_4 = _sweep(
+    lambda n, m: q_poly(n, m, "definition-sum") - q_poly(n, m, "lemma-5.4"))
+_check_thm_5_2 = _convolution(
+    lambda n, k: lambda_factorial(k + 2) * _mu ** (n - k),
+    lambda n: _sum_to(n, lambda k: (_lam ** 2 + (2 * k + 1)) * (_lam + k) ** k
+                      * (_mu - (k + 1)) ** (n - k) * binomial(n, k)))
 
 
 # ---------------------------------------------------------------------------

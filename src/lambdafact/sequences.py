@@ -36,10 +36,30 @@ def binomial(n: int, k: int) -> int:
 # and never recomputes it, so a cold call at any n and an ascending range of
 # calls both cost O(n) steps in total, with no recursion.  The lru_cache
 # entry points in front of the tables answer repeated calls.
+def _grow_only(table: list):
+    """Put an lru_cache entry point in front of the grow-only `table`.  Its
+    cache_clear() also cuts the table back to its seed entries, so a cleared
+    cache is cold all the way down and gives back the table's memory."""
+    seed = len(table)
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=None)(fn)
+        clear_lru = cached.cache_clear
+
+        def cache_clear() -> None:
+            clear_lru()
+            del table[seed:]
+
+        cached.cache_clear = cache_clear
+        return cached
+
+    return wrap
+
+
 _DERANGEMENTS = [1]
 
 
-@lru_cache(maxsize=None)
+@_grow_only(_DERANGEMENTS)
 def derangement(n: int) -> int:
     """Number of permutations of [n] without fixed points."""
     if n < 0:
@@ -64,7 +84,7 @@ ENUMERATION_CUTOFF = 8
 _LAMBDA_FACTORIALS = [Polynomial.one()]
 
 
-@lru_cache(maxsize=None)
+@_grow_only(_LAMBDA_FACTORIALS)
 def _lambda_factorial_recurrence(n: int) -> Polynomial:
     f = _LAMBDA_FACTORIALS
     if len(f) <= n:
@@ -136,7 +156,7 @@ def charlier(n: int) -> Polynomial:
 _BELL_POLYS = [Polynomial.one()]
 
 
-@lru_cache(maxsize=None)
+@_grow_only(_BELL_POLYS)
 def bell_poly(n: int) -> Polynomial:
     """Set-partition block-count polynomial in u, via B' recurrence."""
     if n < 0:
@@ -156,7 +176,7 @@ def bell_number(n: int) -> int:
 _HERMITE_POLYS = [Polynomial.one()]
 
 
-@lru_cache(maxsize=None)
+@_grow_only(_HERMITE_POLYS)
 def hermite_poly(n: int) -> Polynomial:
     """Involution fixed-point polynomial in u, via H' recurrence."""
     if n < 0:
@@ -192,7 +212,7 @@ ABEL_FAMILIES: dict[str, Callable[[int], Polynomial]] = {
 _STIRLING2_COLUMNS: list[list[int]] = []
 
 
-@lru_cache(maxsize=None)
+@_grow_only(_STIRLING2_COLUMNS)
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind; zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
@@ -220,7 +240,7 @@ Q_POLY_ROUTES = (
 _Q_COLUMNS: list[list[Polynomial]] = []
 
 
-@lru_cache(maxsize=None)
+@_grow_only(_Q_COLUMNS)
 def _q_recurrence(n: int, m: int) -> Polynomial:
     cols = _Q_COLUMNS
     if len(cols) <= m or len(cols[m]) <= n:

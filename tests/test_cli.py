@@ -257,3 +257,31 @@ def test_verify_negative_total_degree_is_an_error(capsys, ident, order):
     assert code == 2
     assert out == ""
     assert "truncation order must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "ident", ["5.1", "5.3", "5.4", "q-second", "q-explicit", "stirling-difference"]
+)
+def test_verify_empty_sweep_is_an_error(capsys, ident):
+    code, out, err = run(capsys, "verify", ident, "--m-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "empty sweep" in err
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["factorial", "derangement", "lambda-factorial", "charlier", "bell", "hermite"],
+)
+def test_table_one_index_family_rejects_a_second_index(capsys, family):
+    code, out, err = run(capsys, "table", family, "3", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "one index" in err
+
+
+def test_bijection_with_no_objects_is_an_error(capsys):
+    code, out, err = run(capsys, "bijection", "0", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

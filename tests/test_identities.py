@@ -324,3 +324,45 @@ def test_unit_term_in_the_transform_kernel_is_not_hidden(identity_id, monkeypatc
 
     monkeypatch.setattr(catalogue, "abel_sum", perturbed)
     _assert_every_report_fails(identity_id, capsys)
+
+
+# The fifteen convolution rows of Theorem 1.1 and section 4, then the other
+# checks with one side a binomial sum: the row 3.1, the sweep of
+# stirling-difference and the diagonal sum of q-diag.
+CONVOLUTION_IDS = (
+    "1.0a", "riordan", "sunxu", "thm1.1", "2.3a", "4.1", "4.2", "cor-selfdual",
+    "4.3", "difference", "4.3a", "4.4", "4.5", "cor-n-factorial", "thm5.2",
+    "3.1", "stirling-difference", "q-diag",
+)
+
+
+@pytest.mark.parametrize("identity_id", CONVOLUTION_IDS)
+def test_unit_term_in_the_convolution_kernel_is_not_hidden(
+    identity_id, monkeypatch, capsys
+):
+    real = catalogue.binomial_convolution
+
+    def perturbed(n, term, lo=0):
+        return real(n, term, lo) + Polynomial.one()
+
+    monkeypatch.setattr(catalogue, "binomial_convolution", perturbed)
+    _assert_every_report_fails(identity_id, capsys)
+
+
+def test_binomial_convolution_kernel():
+    for n in range(6):
+        ones = catalogue.binomial_convolution(n, lambda k: 1)
+        assert ones == Polynomial.constant(2 ** n)
+        shifted = catalogue.binomial_convolution(n, lambda k: k, lo=1)
+        expected = sum(math.comb(n - 1, k - 1) * k for k in range(1, n + 1))
+        assert shifted == Polynomial.constant(expected)
+    assert catalogue.binomial_convolution(0, lambda k: 1, lo=1).is_zero
+    first = catalogue.binomial_convolution(4, lambda k: lam ** k)
+    assert first == (lam + 1) ** 4
+
+
+def test_empty_sweep_is_an_error_not_a_pass():
+    with pytest.raises(ValueError, match="empty sweep"):
+        ids.verify("5.1", n=2, m_hi=-1)
+    with pytest.raises(ValueError, match="empty sweep"):
+        ids.verify("2.1", n=0)

@@ -52,8 +52,8 @@ def test_derangement_range_computes_each_term_once(monkeypatch):
     try:
         assert [seq.derangement(n) for n in range(200)][:6] == [1, 0, 1, 2, 9, 44]
         assert CountingTable.appends == 199
-        seq.derangement.cache_clear()
-        assert seq.derangement(150) == 150 * seq.derangement(149) + 1
+        # Past the lru cache, the table answers without computing again.
+        assert seq.derangement.__wrapped__(150) == 150 * seq.derangement(149) + 1
         assert CountingTable.appends == 199
     finally:
         seq.derangement.cache_clear()
@@ -84,6 +84,32 @@ def test_recurrence_grows_without_recursing(name, table, fresh, args, monkeypatc
         sys.setrecursionlimit(limit)
         fn.cache_clear()
     assert got == expected
+
+
+# (entry point, its table, its seed length, the arguments that grow it)
+GROW_ONLY = [
+    ("derangement", "_DERANGEMENTS", 1, (200,)),
+    ("_lambda_factorial_recurrence", "_LAMBDA_FACTORIALS", 1, (200,)),
+    ("bell_poly", "_BELL_POLYS", 1, (200,)),
+    ("hermite_poly", "_HERMITE_POLYS", 1, (200,)),
+    ("stirling2", "_STIRLING2_COLUMNS", 0, (200, 3)),
+    ("_q_recurrence", "_Q_COLUMNS", 0, (20, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,table,seed,args", GROW_ONLY, ids=[g[0] for g in GROW_ONLY]
+)
+def test_cache_clear_leaves_a_cold_table(name, table, seed, args):
+    fn = getattr(seq, name)
+    expected = fn(*args)
+    assert len(getattr(seq, table)) > seed
+    assert type(fn).__name__ == "_lru_cache_wrapper" and fn.cache_info().currsize
+    fn.cache_clear()
+    assert len(getattr(seq, table)) == seed
+    assert fn.cache_info().currsize == 0
+    assert fn(*args) == expected
+    fn.cache_clear()
 
 
 def test_stirling2_matches_its_closed_forms():
