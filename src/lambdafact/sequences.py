@@ -33,14 +33,18 @@ def binomial(n: int, k: int) -> int:
 
 
 # Each recurrence grows a table (D_0, D_1, ... here) one step per new index
-# and never recomputes it, so a cold call at any n and an ascending range of
-# calls both cost O(n) steps in total, with no recursion.  The lru_cache
-# entry points in front of the tables answer repeated calls.
-def _grow_only(table: list):
-    """Put an lru_cache entry point in front of the grow-only `table`.  Its
-    cache_clear() also cuts the table back to its seed entries, so a cleared
-    cache is cold all the way down and gives back the table's memory."""
-    seed = len(table)
+# and never recomputes it, with no recursion.  Where the recurrence adds a
+# power of a linear form, a second table carries that power for the last
+# row, so a step costs one product by the linear form rather than a `**`:
+# a cold call at any n and an ascending range of calls both cost O(n) such
+# steps in total.  The lru_cache entry points in front of the tables answer
+# repeated calls.
+def _grow_only(*tables: list):
+    """Put an lru_cache entry point in front of the grow-only `tables` it
+    owns.  Its cache_clear() also puts each table back to its seed entries,
+    so a cleared cache is cold all the way down and gives back the tables'
+    memory."""
+    seeds = [list(table) for table in tables]
 
     def wrap(fn):
         cached = lru_cache(maxsize=None)(fn)
@@ -48,7 +52,8 @@ def _grow_only(table: list):
 
         def cache_clear() -> None:
             clear_lru()
-            del table[seed:]
+            for table, seed in zip(tables, seeds):
+                table[:] = seed
 
         cached.cache_clear = cache_clear
         return cached
@@ -81,17 +86,22 @@ LAMBDA_FACTORIAL_ROUTES = (
 ENUMERATION_CUTOFF = 8
 
 
+# f_0, f_1, ...; _LAMBDA_POWER[0] is (λ-1)^k for the last index k.
 _LAMBDA_FACTORIALS = [Polynomial.one()]
+_LAMBDA_POWER = [Polynomial.one()]
 
 
-@_grow_only(_LAMBDA_FACTORIALS)
+@_grow_only(_LAMBDA_FACTORIALS, _LAMBDA_POWER)
 def _lambda_factorial_recurrence(n: int) -> Polynomial:
     f = _LAMBDA_FACTORIALS
     if len(f) <= n:
-        lam = Polynomial.variable(LAM)
+        l1 = Polynomial.variable(LAM) - 1
+        power = _LAMBDA_POWER[0]
         while len(f) <= n:
             k = len(f)
-            f.append(f[-1] * k + (lam - 1) ** k)
+            power = power * l1
+            f.append(f[-1] * k + power)
+            _LAMBDA_POWER[0] = power
     return f[n]
 
 
@@ -109,7 +119,8 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
     lam = Polynomial.variable(LAM)
     if route == "binomial-1.0b":
         return sum(
-            ((lam - 1) ** (n - k) * (binomial(n, k) * factorial(k)) for k in range(n + 1)),
+            (power * (binomial(n, k) * factorial(k))
+             for k, power in zip(range(n, -1, -1), _powers(lam - 1, n))),
             Polynomial.zero(),
         )
     if route == "derangement-1.0e":
@@ -127,6 +138,15 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
             acc = acc + lam ** fix
         return acc
     raise ValueError(f"unknown route {route!r}; expected one of {LAMBDA_FACTORIAL_ROUTES}")
+
+
+def _powers(base: Polynomial, top: int):
+    """base^0, base^1, ..., base^top, each one product from the last."""
+    power = Polynomial.one()
+    yield power
+    for _ in range(top):
+        power = power * base
+        yield power
 
 
 def rising_factorial(base: Polynomial | Scalar, k: int) -> Polynomial:
@@ -148,8 +168,11 @@ def charlier(n: int) -> Polynomial:
     alpha = Polynomial.variable(ALPHA)
     u = Polynomial.variable(U)
     acc = Polynomial.zero()
+    rising = Polynomial.one()  # (α)_k, one product from (α)_(k-1)
     for k in range(n + 1):
-        acc = acc + rising_factorial(alpha, k) * u ** (n - k) * binomial(n, k)
+        if k:
+            rising = rising * (alpha + (k - 1))
+        acc = acc + rising * u ** (n - k) * binomial(n, k)
     return acc
 
 
@@ -236,28 +259,32 @@ Q_POLY_ROUTES = (
 )
 
 
-# Column j holds Q_{0,j}, Q_{1,j}, ...; a call extends columns 0..m to row n.
+# Column j holds Q_{0,j}, Q_{1,j}, ...; _Q_POWERS[j] is (λ-1)^j (λ+μ-1)^i
+# for the last row i of column j.  A call extends columns 0..m to row n.
 _Q_COLUMNS: list[list[Polynomial]] = []
+_Q_POWERS: list[Polynomial] = []
 
 
-@_grow_only(_Q_COLUMNS)
+@_grow_only(_Q_COLUMNS, _Q_POWERS)
 def _q_recurrence(n: int, m: int) -> Polynomial:
-    cols = _Q_COLUMNS
+    cols, powers = _Q_COLUMNS, _Q_POWERS
     if len(cols) <= m or len(cols[m]) <= n:
         lam = Polynomial.variable(LAM)
-        mu = Polynomial.variable(MU)
-        while len(cols) <= m:
-            cols.append([])
+        lm1 = lam + Polynomial.variable(MU) - 1
         for j in range(m + 1):
-            col = cols[j]
+            if j == len(cols):
+                power = (lam - 1) ** j
+                cols.append([power + cols[j - 1][0] * j if j else power])
+                powers.append(power)
+            col, power = cols[j], powers[j]
             while len(col) <= n:
                 i = len(col)
-                acc = (lam - 1) ** j * (lam + mu - 1) ** i
-                if i:
-                    acc = acc + col[i - 1] * i
+                power = power * lm1
+                acc = power + col[i - 1] * i
                 if j:
                     acc = acc + cols[j - 1][i] * j
                 col.append(acc)
+                powers[j] = power
     return cols[m][n]
 
 
@@ -281,12 +308,11 @@ def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:
     lam = Polynomial.variable(LAM)
     if route == "explicit-double-sum":
         acc = Polynomial.zero()
-        lm1 = lam + mu - 1
-        l1 = lam - 1
-        for k in range(n + 1):
-            for j in range(m + 1):
+        l1_powers = list(zip(range(m, -1, -1), _powers(lam - 1, m)))
+        for k, lm1_power in zip(range(n, -1, -1), _powers(lam + mu - 1, n)):
+            for j, l1_power in l1_powers:
                 c = binomial(n, k) * binomial(m, j) * factorial(k + j)
-                acc = acc + lm1 ** (n - k) * l1 ** (m - j) * c
+                acc = acc + lm1_power * l1_power * c
         return acc
     if route == "lemma-5.4":
         acc = lambda_factorial(n).substitute(LAM, lam + mu) * (lam - 1) ** m

@@ -1,11 +1,18 @@
 """Route-agreement and value tests for the named families."""
 
 import inspect
+import json
 import sys
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import test_acceptance
 from lambdafact import enumeration, sequences as seq
+from lambdafact.cli import main
+from lambdafact.identities import catalogue, verify_default
 from lambdafact.polynomial import Polynomial, variables
 from lambdafact.symbols import ALPHA, LAM, MU, U
 
@@ -86,30 +93,188 @@ def test_recurrence_grows_without_recursing(name, table, fresh, args, monkeypatc
     assert got == expected
 
 
-# (entry point, its table, its seed length, the arguments that grow it)
+# (entry point, each table it owns with its seed contents, the arguments
+# that grow them)
 GROW_ONLY = [
-    ("derangement", "_DERANGEMENTS", 1, (200,)),
-    ("_lambda_factorial_recurrence", "_LAMBDA_FACTORIALS", 1, (200,)),
-    ("bell_poly", "_BELL_POLYS", 1, (200,)),
-    ("hermite_poly", "_HERMITE_POLYS", 1, (200,)),
-    ("stirling2", "_STIRLING2_COLUMNS", 0, (200, 3)),
-    ("_q_recurrence", "_Q_COLUMNS", 0, (20, 2)),
+    ("derangement", {"_DERANGEMENTS": [1]}, (200,)),
+    ("_lambda_factorial_recurrence",
+     {"_LAMBDA_FACTORIALS": [Polynomial.one()], "_LAMBDA_POWER": [Polynomial.one()]},
+     (200,)),
+    ("bell_poly", {"_BELL_POLYS": [Polynomial.one()]}, (200,)),
+    ("hermite_poly", {"_HERMITE_POLYS": [Polynomial.one()]}, (200,)),
+    ("stirling2", {"_STIRLING2_COLUMNS": []}, (200, 3)),
+    ("_q_recurrence", {"_Q_COLUMNS": [], "_Q_POWERS": []}, (20, 2)),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,table,seed,args", GROW_ONLY, ids=[g[0] for g in GROW_ONLY]
+    "name,tables,args", GROW_ONLY, ids=[g[0] for g in GROW_ONLY]
 )
-def test_cache_clear_leaves_a_cold_table(name, table, seed, args):
+def test_cache_clear_leaves_a_cold_table(name, tables, args):
     fn = getattr(seq, name)
     expected = fn(*args)
-    assert len(getattr(seq, table)) > seed
+    first, first_seed = next(iter(tables.items()))
+    assert len(getattr(seq, first)) > len(first_seed)
+    for table, seed in tables.items():
+        assert getattr(seq, table) != seed, table
     assert type(fn).__name__ == "_lru_cache_wrapper" and fn.cache_info().currsize
     fn.cache_clear()
-    assert len(getattr(seq, table)) == seed
+    for table, seed in tables.items():
+        assert getattr(seq, table) == seed, table
     assert fn.cache_info().currsize == 0
     assert fn(*args) == expected
     fn.cache_clear()
+
+
+# ---- the carried powers against a slow path that raises each power by ** ----
+
+F_TOP, Q_TOP = 200, 30
+
+
+@cache
+def f_reference() -> tuple:
+    """f_0..f_F_TOP by recurrence 1.0c, with (λ-1)^k raised by ** per index."""
+    f = [Polynomial.one()]
+    for k in range(1, F_TOP + 1):
+        f.append(f[-1] * k + (lam - 1) ** k)
+    return tuple(f)
+
+
+@cache
+def q_reference() -> dict:
+    """Q_{n,m} for n+m <= Q_TOP by recurrence 5.1, with ** per cell."""
+    q = {}
+    for s in range(Q_TOP + 1):
+        for n in range(s + 1):
+            m = s - n
+            acc = (lam - 1) ** m * (lam + mu - 1) ** n
+            if n:
+                acc = acc + q[n - 1, m] * n
+            if m:
+                acc = acc + q[n, m - 1] * m
+            q[n, m] = acc
+    return q
+
+
+# A call names an index by its offset from the last row its table holds:
+# small offsets walk the table a few rows at a time, as an ascending range of
+# calls does; large ones extend it by many rows at once.
+OFFSETS = st.integers(-3, 3) | st.integers(-Q_TOP, F_TOP)
+CALLS = st.one_of(
+    st.tuples(st.just("f"), OFFSETS),
+    st.tuples(st.just("q"), OFFSETS, st.integers(0, 3) | st.integers(0, Q_TOP)),
+    st.tuples(st.just("clear"), st.sampled_from(["f", "q"])),
+)
+
+
+def _clamp(value, top):
+    return max(0, min(top, value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(CALLS, min_size=1, max_size=10))
+def test_carried_powers_match_a_power_per_cell(calls):
+    tables = {"f": seq._lambda_factorial_recurrence, "q": seq._q_recurrence}
+    for fn in tables.values():
+        fn.cache_clear()
+    for kind, *args in calls:
+        if kind == "clear":
+            tables[args[0]].cache_clear()
+        elif kind == "f":
+            n = _clamp(len(seq._LAMBDA_FACTORIALS) - 1 + args[0], F_TOP)
+            assert seq.lambda_factorial(n) == f_reference()[n], calls
+        else:
+            offset, m = args
+            rows = len(seq._Q_COLUMNS[m]) if m < len(seq._Q_COLUMNS) else 0
+            n = _clamp(rows - 1 + offset, Q_TOP - m)
+            assert seq.q_poly(n, m, "recurrence-5.1") == q_reference()[n, m], calls
+
+
+# Each row of f and each cell of Q is built by a one-row extension, so a
+# defect tied to the extension that starts at one row cannot hide.
+def test_carried_powers_match_on_an_ascending_walk():
+    seq._lambda_factorial_recurrence.cache_clear()
+    seq._q_recurrence.cache_clear()
+    assert [seq.lambda_factorial(n) for n in range(F_TOP + 1)] == list(f_reference())
+    for s in range(Q_TOP + 1):
+        for n in range(s + 1):
+            got = seq.q_poly(n, s - n, "recurrence-5.1")
+            assert got == q_reference()[n, s - n], (n, s - n)
+
+
+def test_charlier_matches_the_definition_sum():
+    rising = [seq.rising_factorial(alpha, k) for k in range(41)]
+    for n in range(41):
+        expected = sum(
+            (rising[k] * u ** (n - k) * seq.binomial(n, k) for k in range(n + 1)),
+            Polynomial.zero(),
+        )
+        assert seq.charlier(n) == expected, n
+
+
+# ---- mutation tests: a unit term in a carried power must fail a check ----
+
+
+def _fails_from(identity_id, first_bad, capsys):
+    """`verify identity_id` fails at every point n >= first_bad, passes below
+    it, and exits 1."""
+    for report in verify_default(identity_id):
+        assert report.verdict == (report.params["n"] < first_bad), report.params
+    assert main(["verify", identity_id]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert any(json.loads(line)["verdict"] == "fail" for line in lines)
+
+
+@pytest.mark.parametrize("identity_id", ["1.0b", "1.0c", "1.0e"])
+def test_unit_term_in_the_carried_f_power_fails(identity_id, monkeypatch, capsys):
+    # f_0..f_2 are right; the carried (λ-1)^2 has a unit term added.
+    good = list(f_reference()[:3])
+    seq._lambda_factorial_recurrence.cache_clear()
+    monkeypatch.setattr(seq, "_LAMBDA_FACTORIALS", good)
+    monkeypatch.setattr(seq, "_LAMBDA_POWER", [(lam - 1) ** 2 + 1])
+    try:
+        _fails_from(identity_id, 3, capsys)
+    finally:
+        seq._lambda_factorial_recurrence.cache_clear()
+
+
+def test_unit_term_in_the_carried_q_power_fails_route_agreement(monkeypatch):
+    # Q_{0,0} is right; its carried power (λ-1)^0 (λ+μ-1)^0 has a unit term
+    # added, so column 0 goes wrong from row 1.  No catalogue id reads the
+    # recurrence-5.1 route, so verify cannot see this; criterion 01 can.
+    seq._q_recurrence.cache_clear()
+    monkeypatch.setattr(seq, "_Q_COLUMNS", [[Polynomial.one()]])
+    monkeypatch.setattr(seq, "_Q_POWERS", [Polynomial.one() + 1])
+    try:
+        with pytest.raises(AssertionError) as failed:
+            test_acceptance.test_criterion_01_route_agreement()
+    finally:
+        seq._q_recurrence.cache_clear()
+    message = str(failed.value)
+    assert "('q_poly', 1, 0, 'recurrence-5.1')" in message
+    assert "lambda_factorial" not in message
+
+
+def _mutant(fn, line, mutated):
+    """`fn` compiled again from its source with `line` replaced by `mutated`."""
+    source = inspect.getsource(fn)
+    assert source.count(line) == 1, line
+    namespace = dict(vars(seq))
+    exec(source.replace(line, mutated), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize(
+    "identity_id,first_bad", [("charlier-spec", 2), ("charlier-recurrence", 1)]
+)
+def test_unit_term_in_the_running_rising_factorial_fails(
+    identity_id, first_bad, monkeypatch, capsys
+):
+    step = "rising = rising * (alpha + (k - 1))"
+    # (α)_2 gets a unit term; (α)_0 and (α)_1 are right.
+    mutant = _mutant(seq.charlier, step, step + " + int(k == 2)")
+    monkeypatch.setattr(catalogue, "charlier", mutant)
+    _fails_from(identity_id, first_bad, capsys)
 
 
 def test_stirling2_matches_its_closed_forms():
