@@ -10,7 +10,7 @@ from .catalogue import (
 )
 from .inverse import KINDS as INVERSE_KINDS, inverse_relation_roundtrip
 from .report import IdentityReport
-from .umbral import DERANGEMENT_UMBRA, UmbralMoments, derangement_umbra, umbral_eval
+from .umbral import umbral_eval
 
 __all__ = [
     "CATALOGUE",
@@ -22,8 +22,5 @@ __all__ = [
     "INVERSE_KINDS",
     "inverse_relation_roundtrip",
     "IdentityReport",
-    "DERANGEMENT_UMBRA",
-    "UmbralMoments",
-    "derangement_umbra",
     "umbral_eval",
 ]

@@ -29,9 +29,10 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from ..polynomial import Polynomial
+from ..polynomial import Polynomial, powers
 from ..series import (
     TruncatedSeries,
     abel_rhs,
@@ -166,13 +167,11 @@ _check_thm11 = _convolution(lambda n, k: lambda_factorial(k + 1) * (n + 1) ** (n
 
 def _check_2_1(n: int) -> Polynomial:
     y = tree_function(n)
-    residuals = []
-    power = TruncatedSeries.one(X, n)
-    for k in range(1, n + 1):
-        power = power * y
-        lhs = power.coefficient(n) * Fraction(factorial(n), factorial(k))
-        residuals.append(lhs - binomial(n - 1, k - 1) * n ** (n - k))
-    return _first_nonzero(residuals)
+    return _first_nonzero(
+        power.coefficient(n) * Fraction(factorial(n), factorial(k))
+        - binomial(n - 1, k - 1) * n ** (n - k)
+        for k, power in zip(range(1, n + 1), islice(powers(y), 1, None))
+    )
 
 
 def _check_2_2(n: int) -> Polynomial:
@@ -502,7 +501,7 @@ def _check_5_1(n: int, m: int) -> Polynomial:
         rhs = rhs + q_poly(n - 1, m) * n
     if m:
         rhs = rhs + q_poly(n, m - 1) * m
-    return q_poly(n, m) - rhs
+    return q_poly(n, m, "recurrence-5.1") - rhs
 
 
 def _check_5_2(total_degree: int) -> Polynomial:

@@ -1,54 +1,25 @@
-"""Linear umbral evaluation: powers of a distinguished symbol are replaced
-by the moments of a sequence.
-
-With the derangement umbra, D**n evaluates to the n-th derangement number,
-which turns many of the catalogued identities into one-line polynomial
-computations.
+"""Linear umbral evaluation with the derangement umbra: every power D**k of
+the umbral symbol is replaced by the k-th derangement number, which turns
+many of the catalogued identities into one-line polynomial computations.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 from ..polynomial import Polynomial
 from ..sequences import derangement
 from ..symbols import UMBRA
 
 
-@dataclass(frozen=True)
-class UmbralMoments:
-    """A named moment sequence k -> polynomial substituted for the k-th power."""
-
-    name: str
-    moment: Callable[[int], Polynomial]
-
-
-def derangement_umbra() -> UmbralMoments:
-    umbra = UmbralMoments(
-        "derangement", lambda k: Polynomial.constant(derangement(k))
-    )
-    assert umbra.moment(0) == Polynomial.one()
-    return umbra
-
-
-DERANGEMENT_UMBRA = derangement_umbra()
-
-
-def umbral_eval(
-    p: Polynomial,
-    moments: UmbralMoments = DERANGEMENT_UMBRA,
-    symbol: str = UMBRA,
-) -> Polynomial:
-    """Replace every power symbol**k linearly by moments.moment(k).
+def umbral_eval(p: Polynomial) -> Polynomial:
+    """Replace every power D**k linearly by the derangement number D_k.
 
     The substitution is linear over the remaining symbols: a term
-    c * symbol**k * rest becomes c * moment(k) * rest, and symbol-free
-    terms pass through unchanged.
+    c * D**k * rest becomes c * D_k * rest, and D-free terms pass through
+    unchanged (D_0 = 1).
     """
-    coeffs = p.coefficients_in(symbol)
+    coeffs = p.coefficients_in(UMBRA)
     out = coeffs[0]
     for k in range(1, len(coeffs)):
         if coeffs[k]:
-            out = out + coeffs[k] * moments.moment(k)
+            out = out + coeffs[k] * derangement(k)
     return out

@@ -31,6 +31,9 @@ in one ring.  Values are immutable after construction and safe to share.
 
 Only ring arithmetic, substitution, formal derivatives, and evaluation are
 provided; there is deliberately no factorization or division of polynomials.
+The three helpers at the end serve the series layer too: the running powers
+`powers`, the evaluation kernel `evaluate_at` behind substitution and series
+composition, and the term renderer `join_signed`.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from operator import index, or_
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -385,14 +389,7 @@ class Polynomial:
         if not isinstance(value, Polynomial):
             value = Polynomial.constant(value)
         coeffs = self.coefficients_in(sym)
-        result = coeffs[0]
-        power = value
-        for j in range(1, len(coeffs)):
-            if j > 1:
-                power = power * value
-            if coeffs[j]:
-                result = result + coeffs[j] * power
-        return result
+        return evaluate_at(coeffs, value, coeffs[0])
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a point; every symbol must be bound."""
@@ -416,30 +413,12 @@ class Polynomial:
         return key
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         terms = dict(self.terms())
         syms = tuple(sorted(self.symbols()))
-        parts: list[str] = []
-        for mono in sorted(terms, key=self._sort_key(syms)):
-            c = terms[mono]
-            body = "".join(
-                s if e == 1 else f"{s}^{e}" for s, e in mono
-            )
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            elif mag.denominator == 1:
-                piece = f"{mag}{body}"
-            else:
-                piece = f"{mag} {body}"
-            if not parts:
-                parts.append(piece if c > 0 else f"-{piece}")
-            else:
-                parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
-        return " ".join(parts)
+        return join_signed(
+            (terms[mono], "".join(s if e == 1 else f"{s}^{e}" for s, e in mono))
+            for mono in sorted(terms, key=self._sort_key(syms))
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)})"
@@ -453,3 +432,59 @@ _ONE = Polynomial._raw({0: 1})
 def variables(*names: str) -> tuple[Polynomial, ...]:
     """Convenience: variables("x", "y") -> (x, y) as polynomials."""
     return tuple(Polynomial.variable(n) for n in names)
+
+
+# ---- kernels shared with the series layer ----
+
+
+def powers(base: Any) -> Iterator[Any]:
+    """1, base, base**2, ...: each power after base is one product by base.
+
+    The zeroth power is the polynomial 1 whatever base is, and base may be
+    any value with a `*`, a TruncatedSeries say.  The stream never ends: zip
+    it after the indices it serves, so that no unused power is formed.
+    """
+    yield _ONE
+    power = base
+    while True:
+        yield power
+        power = power * base
+
+
+def evaluate_at(coeffs: Sequence[Polynomial], value: Any, total: Any) -> Any:
+    """total + sum of coeffs[j] * value**j over j >= 1, from running powers.
+
+    This is the polynomial with coefficients coeffs at value, where total is
+    coeffs[0] given value's type (a constant series for a series value).  A
+    zero coefficient adds no term, though its power is still formed for the
+    next one.
+    """
+    for c, power in zip(coeffs[1:], islice(powers(value), 1, None)):
+        if c:
+            total = total + c * power
+    return total
+
+
+def join_signed(terms: Iterable[tuple[Scalar, str]]) -> str:
+    """Render (coefficient, body) pairs as "c1 b1 + c2 b2 - c3 b3"; "0" if none.
+
+    A unit coefficient is left out unless the body is empty, an integral one
+    is written against its body and a fraction apart from it; each sign after
+    the first stands alone between the terms.
+    """
+    parts: list[str] = []
+    for c, body in terms:
+        mag = abs(c)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        elif mag.denominator == 1:
+            piece = f"{mag}{body}"
+        else:
+            piece = f"{mag} {body}"
+        if not parts:
+            parts.append(piece if c > 0 else f"-{piece}")
+        else:
+            parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+    return " ".join(parts) if parts else "0"

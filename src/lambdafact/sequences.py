@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import enumeration
-from .polynomial import Polynomial, Scalar
+from .polynomial import Polynomial, Scalar, powers
 from .symbols import ALPHA, LAM, MU, U
 
 
@@ -120,7 +120,7 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
     if route == "binomial-1.0b":
         return sum(
             (power * (binomial(n, k) * factorial(k))
-             for k, power in zip(range(n, -1, -1), _powers(lam - 1, n))),
+             for k, power in zip(range(n, -1, -1), powers(lam - 1))),
             Polynomial.zero(),
         )
     if route == "derangement-1.0e":
@@ -138,15 +138,6 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
             acc = acc + lam ** fix
         return acc
     raise ValueError(f"unknown route {route!r}; expected one of {LAMBDA_FACTORIAL_ROUTES}")
-
-
-def _powers(base: Polynomial, top: int):
-    """base^0, base^1, ..., base^top, each one product from the last."""
-    power = Polynomial.one()
-    yield power
-    for _ in range(top):
-        power = power * base
-        yield power
 
 
 def rising_factorial(base: Polynomial | Scalar, k: int) -> Polynomial:
@@ -308,8 +299,8 @@ def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:
     lam = Polynomial.variable(LAM)
     if route == "explicit-double-sum":
         acc = Polynomial.zero()
-        l1_powers = list(zip(range(m, -1, -1), _powers(lam - 1, m)))
-        for k, lm1_power in zip(range(n, -1, -1), _powers(lam + mu - 1, n)):
+        l1_powers = list(zip(range(m, -1, -1), powers(lam - 1)))
+        for k, lm1_power in zip(range(n, -1, -1), powers(lam + mu - 1)):
             for j, l1_power in l1_powers:
                 c = binomial(n, k) * binomial(m, j) * factorial(k + j)
                 acc = acc + lm1_power * l1_power * c

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from itertools import count, islice, repeat
+from typing import Callable, Iterable, Sequence, Union
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, evaluate_at, join_signed, powers
 
 PolyLike = Union[Polynomial, int, Fraction]
 
@@ -37,11 +38,7 @@ class TruncatedSeries:
 
     __slots__ = ("var", "order", "coeffs")
 
-    def __init__(self, var: str, coeffs: Sequence[PolyLike], order: int | None = None):
-        if order is None:
-            if not coeffs:
-                raise ValueError("need an explicit order for an empty coefficient list")
-            order = len(coeffs) - 1
+    def __init__(self, var: str, coeffs: Sequence[PolyLike], order: int):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         cs = [_as_poly(c) for c in coeffs[: order + 1]]
@@ -105,14 +102,6 @@ class TruncatedSeries:
         """Series with c_n = a(n)."""
         return cls(var, [a(n) for n in range(order + 1)], order)
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, var: str, order: int) -> TruncatedSeries:
-        """Reinterpret a polynomial as a series in var (exact if deg <= order)."""
-        cs = p.coefficients_in(var)
-        if len(cs) - 1 > order:
-            cs = cs[: order + 1]
-        return cls(var, cs, order)
-
     # ---- inspection ----
 
     def coefficient(self, n: int) -> Polynomial:
@@ -175,11 +164,10 @@ class TruncatedSeries:
             return TruncatedSeries._raw(self.var, tuple(a * c for a in self.coeffs))
         if isinstance(other, Polynomial):
             if self.var in other.symbols():
-                other = TruncatedSeries.from_polynomial(other, self.var, self.order)
-            else:
-                return TruncatedSeries._raw(
-                    self.var, tuple(a * other for a in self.coeffs)
+                raise ValueError(
+                    f"a polynomial factor mentions the series variable {self.var!r}: {other}"
                 )
+            return TruncatedSeries._raw(self.var, tuple(a * other for a in self.coeffs))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = self._common(other)
@@ -196,13 +184,9 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other: TruncatedSeries | PolyLike) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Polynomial):
-            if self.var in other.symbols():
-                other = TruncatedSeries.from_polynomial(other, self.var, self.order)
-            else:
-                return self * (Fraction(1) / other.as_fraction())
+        if isinstance(other, (Polynomial, int, Fraction)):
+            # as_fraction raises unless the divisor is a rational constant.
+            return self * (1 / _as_poly(other).as_fraction())
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self * other.reciprocal()
@@ -235,12 +219,9 @@ class TruncatedSeries:
         c = _as_poly(c)
         if self.var in c.symbols():
             raise ValueError("rescale factor must not contain the series variable")
-        out = []
-        power = Polynomial.one()
-        for a in self.coeffs:
-            out.append(a * power)
-            power = power * c
-        return TruncatedSeries._raw(self.var, tuple(out))
+        return TruncatedSeries._raw(
+            self.var, tuple(a * power for a, power in zip(self.coeffs, powers(c)))
+        )
 
     def derivative(self) -> TruncatedSeries:
         """Termwise d/dvar; exact one order lower."""
@@ -295,55 +276,27 @@ class TruncatedSeries:
         if not inner.coeffs[0].is_zero:
             raise ValueError("series composition needs a zero inner constant term")
         n = min(self.order, inner.order)
-        if self.var != inner.var:
-            for i, c in enumerate(self.coeffs[: n + 1]):
-                if inner.var in c.symbols():
-                    raise ValueError(
-                        f"outer coefficient of {self.var}^{i} already mentions {inner.var!r}"
-                    )
-        inner = inner.truncate(n)
-        # Horner from the top coefficient down.
-        result = TruncatedSeries.constant(self.coeffs[n], inner.var, n)
-        for i in range(n - 1, -1, -1):
-            result = result * inner + self.coeffs[i]
-        return result
+        # An outer coefficient that mentions the inner variable raises a
+        # ValueError, in the constant series or in its product with a power.
+        constant = TruncatedSeries.constant(self.coeffs[0], inner.var, n)
+        return evaluate_at(self.coeffs[: n + 1], inner.truncate(n), constant)
 
     # ---- rendering ----
 
     def __str__(self) -> str:
-        parts = []
+        terms = []
         for i, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
             body = self.var if i == 1 else f"{self.var}^{i}"
             if i == 0:
-                parts.append(str(c))
-                continue
-            if c.symbols():
-                piece = f"({c}) {body}"
+                # Always the first term, so its own leading sign stands.
+                terms.append((1, str(c)))
+            elif c.symbols():
+                terms.append((1, f"({c}) {body}"))
             else:
-                val = c.as_fraction()
-                if val == 1:
-                    piece = body
-                elif val == -1:
-                    piece = f"-{body}"
-                elif val.denominator == 1:
-                    piece = f"{val}{body}"
-                else:
-                    piece = f"{val} {body}"
-            parts.append(piece)
-        joined: list[str] = []
-        for p in parts:
-            if not joined:
-                joined.append(p)
-            elif p.startswith("-"):
-                joined.append(f"- {p[1:]}")
-            else:
-                joined.append(f"+ {p}")
-        if not joined:
-            joined.append("0")
-        joined.append(f"+ O({self.var}^{self.order + 1})")
-        return " ".join(joined)
+                terms.append((c.as_fraction(), body))
+        return f"{join_signed(terms)} + O({self.var}^{self.order + 1})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({str(self)})"
@@ -380,10 +333,8 @@ def binomial_power(
             raise ValueError("binomial_power arguments must not contain the series variable")
     coeffs = [Polynomial.one()]
     falling = Polynomial.one()
-    cpow = Polynomial.one()
-    for j in range(1, order + 1):
+    for j, cpow in zip(range(1, order + 1), islice(powers(c), 1, None)):
         falling = falling * (e - (j - 1))
-        cpow = cpow * c
         coeffs.append(falling * cpow / math.factorial(j))
     return TruncatedSeries(var, coeffs, order)
 
@@ -459,22 +410,12 @@ def substitute_series(
 ) -> TruncatedSeries:
     """Evaluate p with sym replaced by a series; other symbols ride along.
 
-    Every coefficient of p in sym must be free of the series variable.
+    Every coefficient of p in sym must be free of the series variable; one
+    that is not is a ValueError.
     """
-    var = value.var
     coeffs = p.coefficients_in(sym)
-    for c in coeffs:
-        if var in c.symbols():
-            raise ValueError(
-                f"coefficient {c} of {sym} already contains the series variable {var}"
-            )
-    result = TruncatedSeries.constant(coeffs[0], var, value.order)
-    power = TruncatedSeries.one(var, value.order)
-    for j in range(1, len(coeffs)):
-        power = power * value
-        if not coeffs[j].is_zero:
-            result = result + power * coeffs[j]
-    return result
+    constant = TruncatedSeries.constant(coeffs[0], value.var, value.order)
+    return evaluate_at(coeffs, value, constant)
 
 
 # ---- total-degree-truncated polynomial arithmetic (bivariate layer) ----
@@ -507,33 +448,35 @@ def mul_truncated(
     return p._mul_capped(q, frozenset(syms), total_degree)
 
 
+def _capped_power_sum(
+    name: str, p: Polynomial, factors: Iterable[Polynomial],
+    syms: tuple[str, ...], total_degree: int,
+) -> Polynomial:
+    """1 + f_1 + f_1 f_2 + ... + f_1 ... f_d for d = total_degree, where the
+    factors f_j are multiples of p and each product is capped at d.
+
+    Requires every monomial of p to have positive degree in syms: the term
+    of step j then starts at degree j, so stopping at d is exact.
+    """
+    if not truncate_total_degree(p, syms, 0).is_zero:
+        raise ValueError(f"{name} needs every term to involve the truncation symbols")
+    result = term = Polynomial.one()
+    for _, f in zip(range(total_degree), factors):
+        term = mul_truncated(term, f, syms, total_degree)
+        result = result + term
+    return result
+
+
 def exp_truncated(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
-    """exp(p) to a total degree, for p with no syms-free part.
-
-    Requires every monomial of p to have positive degree in syms, so the
-    exponential is a finite sum of p**j/j! with j <= total_degree.
-    """
-    if not truncate_total_degree(p, syms, 0).is_zero:
-        raise ValueError("exp_truncated needs every term to involve the truncation symbols")
-    result = Polynomial.one()
-    power = Polynomial.one()
-    for j in range(1, total_degree + 1):
-        power = mul_truncated(power, p, syms, total_degree)
-        result = result + power / math.factorial(j)
-    return result
+    """exp(p) = sum p**j/j! to a total degree, for p with no syms-free part."""
+    factors = (p / j for j in count(1))
+    return _capped_power_sum("exp_truncated", p, factors, syms, total_degree)
 
 
 def geometric_truncated(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """1/(1-p) = sum p**j to a total degree; same valuation requirement as exp."""
-    if not truncate_total_degree(p, syms, 0).is_zero:
-        raise ValueError("geometric_truncated needs every term to involve the truncation symbols")
-    result = Polynomial.one()
-    power = Polynomial.one()
-    for _ in range(total_degree):
-        power = mul_truncated(power, p, syms, total_degree)
-        result = result + power
-    return result
+    return _capped_power_sum("geometric_truncated", p, repeat(p), syms, total_degree)

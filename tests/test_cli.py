@@ -114,6 +114,16 @@ def test_series_abel_rhs_factorials(capsys):
     assert out.strip() == "1 + x + 2x^2 + 6x^3 + O(x^4)"
 
 
+def test_series_abel_rhs_bell_at_symbolic_lambda(capsys):
+    code, out, _ = run(capsys, "series", "abel-rhs", "--a", "bell", "--order", "3")
+    assert code == 0
+    assert out == (
+        "1 + (uλ) x + (1/2 u^2λ^2 + 1/2 uλ^2 + 1/2 u^2 + 1/2 u) x^2"
+        " + (1/6 u^3λ^3 + 1/2 u^2λ^3 + 1/6 uλ^3 + 1/2 u^3λ + 3/2 u^2λ + 1/3 u^3"
+        " + 1/2 uλ + u^2 + 1/3 u) x^3 + O(x^4)\n"
+    )
+
+
 @pytest.mark.parametrize("what", ["tree", "egf-f", "abel-rhs"])
 def test_series_negative_order_is_an_error(capsys, what):
     code, out, err = run(capsys, "series", what, "--order", "-1")

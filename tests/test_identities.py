@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdafact import identities as ids
+from lambdafact import polynomial
 from lambdafact.cli import main
 from lambdafact.enumeration import permutations_with_fix
 from lambdafact.identities import catalogue
@@ -41,10 +43,6 @@ def test_umbral_eval_shifted_binomial():
     assert ids.umbral_eval((D + lam) ** 3) == enum_f(3)
     # One-step instance: (D+λ)(D+λ+2) evaluates to (1+λ)^2.
     assert ids.umbral_eval((D + lam) * (D + lam + 2)) == (lam + 1) ** 2
-
-
-def test_umbral_moment_zero_is_one():
-    assert ids.DERANGEMENT_UMBRA.moment(0) == Polynomial.one()
 
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -347,6 +345,59 @@ def test_unit_term_in_the_convolution_kernel_is_not_hidden(
 
     monkeypatch.setattr(catalogue, "binomial_convolution", perturbed)
     _assert_every_report_fails(identity_id, capsys)
+
+
+# The ids whose reports fail under a unit term in one shared kernel of the
+# polynomial layer, pinned from `lambdafact verify all`.
+KERNEL_MUTANT_FAILURES = {
+    # a unit term added to each result of evaluate_at, which serves
+    # Polynomial.substitute, substitute_series and TruncatedSeries.compose
+    "evaluate_at": (
+        "1.0a", "charlier-spec", "charlier-recurrence", "charlier-deriv", "3.4",
+        "3.5", "3.6", "3.7", "gessel", "chz", "bell-transform", "3.8", "3.9",
+        "4.2", "cor-selfdual", "4.3", "4.3a", "4.5", "remark-mu",
+        "cor-n-factorial", "5.3", "5.4",
+    ),
+    # a unit term added to every power after the zeroth from powers
+    "powers": (
+        "1.0a", "1.0b", "charlier-spec", "charlier-recurrence", "2.3", "thm1.2",
+        "charlier-deriv", "3.4", "3.5", "3.6", "3.7", "3.7.1", "gessel", "chz",
+        "bell-transform", "3.8", "3.9", "4.2", "cor-selfdual", "4.3", "4.5",
+        "remark-mu", "cor-n-factorial", "q-explicit", "5.3", "5.4",
+    ),
+}
+
+
+def _evaluate_at_mutant(real):
+    return lambda coeffs, value, total: real(coeffs, value, total) + 1
+
+
+def _powers_mutant(real):
+    def mutant(base):
+        for j, power in enumerate(real(base)):
+            yield power + 1 if j else power
+
+    return mutant
+
+
+MAKE_MUTANT = {"evaluate_at": _evaluate_at_mutant, "powers": _powers_mutant}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_MUTANT_FAILURES))
+def test_unit_term_in_a_shared_polynomial_kernel_fails_verify_all(
+    kernel, monkeypatch, capsys
+):
+    real = getattr(polynomial, kernel)
+    mutant = MAKE_MUTANT[kernel](real)
+    # Every module that imported the kernel holds its own binding.
+    for module in [m for name, m in sys.modules.items() if name.startswith("lambdafact")]:
+        if getattr(module, kernel, None) is real:
+            monkeypatch.setattr(module, kernel, mutant)
+    assert main(["verify", "all"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failed = {r["id"] for r in records if r["verdict"] == "fail"}
+    got = tuple(i for i in ids.catalogue_ids() if i in failed)
+    assert got == KERNEL_MUTANT_FAILURES[kernel]
 
 
 def test_binomial_convolution_kernel():

@@ -238,13 +238,16 @@ def test_unit_term_in_the_carried_f_power_fails(identity_id, monkeypatch, capsys
         seq._lambda_factorial_recurrence.cache_clear()
 
 
-def test_unit_term_in_the_carried_q_power_fails_route_agreement(monkeypatch):
+def _q_power_with_a_unit_term(monkeypatch):
     # Q_{0,0} is right; its carried power (λ-1)^0 (λ+μ-1)^0 has a unit term
-    # added, so column 0 goes wrong from row 1.  No catalogue id reads the
-    # recurrence-5.1 route, so verify cannot see this; criterion 01 can.
+    # added, so column 0 goes wrong from row 1.
     seq._q_recurrence.cache_clear()
     monkeypatch.setattr(seq, "_Q_COLUMNS", [[Polynomial.one()]])
     monkeypatch.setattr(seq, "_Q_POWERS", [Polynomial.one() + 1])
+
+
+def test_unit_term_in_the_carried_q_power_fails_route_agreement(monkeypatch):
+    _q_power_with_a_unit_term(monkeypatch)
     try:
         with pytest.raises(AssertionError) as failed:
             test_acceptance.test_criterion_01_route_agreement()
@@ -253,6 +256,16 @@ def test_unit_term_in_the_carried_q_power_fails_route_agreement(monkeypatch):
     message = str(failed.value)
     assert "('q_poly', 1, 0, 'recurrence-5.1')" in message
     assert "lambda_factorial" not in message
+
+
+def test_unit_term_in_the_carried_q_power_fails_5_1(monkeypatch, capsys):
+    # The left side of 5.1 reads the recurrence-5.1 route, its right side
+    # the definition sum, so verify sees the defect at every n >= 1.
+    _q_power_with_a_unit_term(monkeypatch)
+    try:
+        _fails_from("5.1", 1, capsys)
+    finally:
+        seq._q_recurrence.cache_clear()
 
 
 def _mutant(fn, line, mutated):

@@ -245,6 +245,35 @@ def test_derivative():
 def test_series_rendering():
     y = tree_function(4)
     assert str(y) == "x + x^2 + 3/2 x^3 + 8/3 x^4 + O(x^5)"
+    # A coefficient with symbols, a negative coefficient after the first
+    # term, and the zero series.
+    assert str(TruncatedSeries(X, [0, lam + 1], 2)) == "(λ + 1) x + O(x^3)"
+    assert str(TruncatedSeries(X, [1, 0, Fraction(-3, 2)], 2)) == "1 - 3/2 x^2 + O(x^3)"
+    assert str(TruncatedSeries.zero(X, 3)) == "0 + O(x^4)"
+    mixed = TruncatedSeries(X, [1 - lam, -1, 1 - 2 * u, Fraction(5, 2), -7], 4)
+    assert str(mixed) == "-λ + 1 - x + (-2u + 1) x^2 + 5/2 x^3 - 7x^4 + O(x^5)"
+    assert str(TruncatedSeries(X, [0, -1, 3], 2)) == "-x + 3x^2 + O(x^3)"
+
+
+def test_a_polynomial_factor_in_the_series_variable_is_an_error():
+    s = TruncatedSeries(X, [1, 1], 3)
+    x = Polynomial.variable(X)
+    for bad in (x, x + 1, lam * x):
+        with pytest.raises(ValueError, match="series variable"):
+            s * bad
+        with pytest.raises(ValueError):
+            s / bad
+    assert s / Polynomial.constant(2) == s * Fraction(1, 2)
+    with pytest.raises(ValueError):
+        s / lam
+    # An outer coefficient in the inner variable, at index 0 and above, and
+    # a polynomial whose coefficients in the substituted symbol mention it.
+    for coeffs in ([x], [0, lam, x]):
+        with pytest.raises(ValueError, match="series variable"):
+            TruncatedSeries(T, coeffs, 3).compose(TruncatedSeries.identity(X, 3))
+    for p in (x, u * x + u ** 2):
+        with pytest.raises(ValueError, match="series variable"):
+            substitute_series(p, U, s)
 
 
 def test_bivariate_truncated_product():
