@@ -5,8 +5,9 @@ Output is deterministic for fixed inputs.  JSON is the machine format, CSV
 the tabular convenience, DOT the graph format.  The default truncation
 order comes from the LAMBDAFACT_ORDER environment variable (8 if unset; a
 value that is not a nonnegative integer is an error); requests beyond the
-safety cutoffs need --unsafe.  If the reader closes standard output early,
-the command stops quietly with exit status 141.
+safety cutoffs need --unsafe.  A rejected request is reported as
+`error: ...` on standard error with exit status 2.  If the reader closes
+standard output early, the command stops quietly with exit status 141.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .symbols import LAM, T, X
 SERIES_ORDER_CAP = 12
 TABLE_INDEX_CAP = 50
 BIJECTION_DEFAULT_CAP = 10 ** 5
-BIJECTION_UNSAFE_CAP = enumeration.MSTAR_CUTOFF
 BROKEN_PIPE_EXIT = 128 + 13  # what a shell reports for a process ended by SIGPIPE
 
 # The one-index families, each with the sequences function that computes it.
@@ -45,15 +45,9 @@ def _default_order() -> int:
     raw = os.environ.get("LAMBDAFACT_ORDER", "")
     if not raw:
         return 8
-    try:
-        order = int(raw)
-        if order < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"LAMBDAFACT_ORDER must be a nonnegative integer, got {raw!r}"
-        ) from None
-    return order
+    if not raw.isdecimal():
+        raise ValueError(f"LAMBDAFACT_ORDER must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_range(spec: str) -> range:
@@ -65,6 +59,13 @@ def _parse_range(spec: str) -> range:
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range {spec!r}")
     return range(lo, hi + 1)
+
+
+def _check_cap(what: str, value: int, cap: int, unsafe: bool) -> None:
+    if value > cap and not unsafe:
+        raise ValueError(
+            f"{what} {value} beyond the default cap {cap}; pass --unsafe to override"
+        )
 
 
 def _table_rows(family: str, ns: range, ms: range | None):
@@ -79,27 +80,17 @@ def _table_rows(family: str, ns: range, ms: range | None):
             for k in ms if ms is not None else range(0, n + 1):
                 rows.append((n, k, sequences.stirling2(n, k)))
         return rows
-    if family == "q":
-        if ms is None:
-            raise ValueError("family 'q' needs an m range")
-        return [(n, m, sequences.q_poly(n, m)) for n in ns for m in ms]
-    raise ValueError(f"unknown family {family!r}")
+    if ms is None:
+        raise ValueError("family 'q' needs an m range")
+    return [(n, m, sequences.q_poly(n, m)) for n in ns for m in ms]
 
 
 def _cmd_table(args) -> int:
-    try:
-        ns = _parse_range(args.n)
-        ms = _parse_range(args.m) if args.m is not None else None
-        top = max(ns.stop - 1, (ms.stop - 1) if ms is not None else 0)
-        if top > TABLE_INDEX_CAP and not args.unsafe:
-            raise ValueError(
-                f"index {top} beyond the default cap {TABLE_INDEX_CAP}; "
-                "pass --unsafe to override"
-            )
-        rows = _table_rows(args.family, ns, ms)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ns = _parse_range(args.n)
+    ms = _parse_range(args.m) if args.m is not None else None
+    top = max(ns.stop - 1, (ms.stop - 1) if ms is not None else 0)
+    _check_cap("index", top, TABLE_INDEX_CAP, args.unsafe)
+    rows = _table_rows(args.family, ns, ms)
     if args.format == "json":
         payload = [
             {"family": args.family, "n": n, **({"m": m} if m is not None else {}),
@@ -115,67 +106,31 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    wanted = args.ids
-    known = identities.catalogue_ids()
-    if not wanted or wanted == ["all"]:
-        wanted = list(known)
-    unknown = [i for i in wanted if i not in known]
-    if unknown:
-        print(f"error: unknown identity ids: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    empty = [
-        i for i in wanted
-        if not identities.CATALOGUE[i].points(args.n_max, args.m_max, args.order)
-    ]
-    if empty:
-        # Checking nothing must not read as a pass.
-        print(
-            f"error: no parameter points to check for: {', '.join(empty)}",
-            file=sys.stderr,
-        )
-        return 2
+    wanted = None if args.ids in ([], ["all"]) else args.ids
     failures = 0
-    try:
-        for report in identities.verify_many(
-            wanted, n_max=args.n_max, m_max=args.m_max, order=args.order
-        ):
-            print(json.dumps(report.to_json(), ensure_ascii=False))
-            if not report.verdict:
-                failures += 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for report in identities.verify_many(
+        wanted, n_max=args.n_max, m_max=args.m_max, order=args.order
+    ):
+        print(json.dumps(report.to_json(), ensure_ascii=False))
+        if not report.verdict:
+            failures += 1
     return 1 if failures else 0
 
 
 def _series_payload(args) -> series.TruncatedSeries:
     order = args.order if args.order is not None else _default_order()
-    if order > SERIES_ORDER_CAP and not args.unsafe:
-        raise ValueError(
-            f"order {order} beyond the default cap {SERIES_ORDER_CAP}; pass --unsafe to override"
-        )
-    what = args.what
-    if what == "tree":
+    _check_cap("order", order, SERIES_ORDER_CAP, args.unsafe)
+    if args.what == "tree":
         return series.tree_function(order)
-    if what == "egf-f":
-        lam = (
-            Polynomial.variable(LAM)
-            if args.lam == "sym"
-            else Polynomial.constant(int(args.lam))
-        )
+    lam = (Polynomial.variable(LAM) if args.lam == "sym"
+           else Polynomial.constant(int(args.lam)))
+    if args.what == "egf-f":
         return series.exp_series(lam - 1, T, order) * series.geometric(T, order)
-    if what == "abel-rhs":
-        lam = Polynomial.variable(LAM) if args.lam == "sym" else int(args.lam)
-        return series.abel_rhs(sequences.ABEL_FAMILIES[args.a], lam, order, X)
-    raise ValueError(f"unknown series target {what!r}")
+    return series.abel_rhs(sequences.ABEL_FAMILIES[args.a], lam, order, X)
 
 
 def _cmd_series(args) -> int:
-    try:
-        ser = _series_payload(args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ser = _series_payload(args)
     if args.format == "json":
         print(
             json.dumps(
@@ -200,27 +155,13 @@ def _cmd_bijection(args) -> int:
     n, lam = args.n, args.lam
     if n < 0 or lam < 0 or n + lam == 0:
         # n = lambda = 0 has no objects: a census of nothing is no pass.
-        print("error: need n >= 0, lambda >= 0 and n + lambda >= 1", file=sys.stderr)
-        return 2
-    count = (n + lam) ** (n + 1)
-    cap = BIJECTION_UNSAFE_CAP if args.unsafe else BIJECTION_DEFAULT_CAP
-    if count > cap and args.sigma is None:
-        print(
-            f"error: {count} objects exceeds the cutoff {cap}"
-            + ("" if args.unsafe else "; pass --unsafe to raise it"),
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("need n >= 0, lambda >= 0 and n + lambda >= 1")
 
     if args.sigma is not None:
-        try:
-            sigma = _parse_sigma(args.sigma, n + lam + 1)
-            tau, colors = enumeration.sigma_to_tau(sigma, n, lam)
-            pair = enumeration.sigma_to_pair(sigma, n, lam)
-            back = enumeration.pair_to_sigma(pair, n, lam)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        sigma = _parse_sigma(args.sigma, n + lam + 1)
+        tau, colors = enumeration.sigma_to_tau(sigma, n, lam)
+        pair = enumeration.sigma_to_pair(sigma, n, lam)
+        back = enumeration.pair_to_sigma(pair, n, lam)
         print(f"sigma: {list(sigma.image)}")
         print(f"tau:   {list(tau)}  colors: {dict(colors)}")
         print(f"forest parents: {list(pair.parent)} (0 marks roots)")
@@ -234,6 +175,9 @@ def _cmd_bijection(args) -> int:
             print(enumeration.pair_to_dot(pair, name="pair"))
         return 0 if status == "OK" else 1
 
+    # Under --unsafe the enumeration's own cutoff is the limit.
+    count = (n + lam) ** (n + 1)
+    _check_cap("object count", count, BIJECTION_DEFAULT_CAP, args.unsafe)
     start = time.perf_counter()
     try:
         strata = enumeration.exhaustive_roundtrip(n, lam)
@@ -314,6 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except ValueError as exc:
+        # The one place a rejected request becomes exit status 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader closed stdout.  Whatever is still buffered goes nowhere,
         # and the exit status says the stream did not complete.

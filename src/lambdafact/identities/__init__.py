@@ -1,13 +1,6 @@
 """Umbral evaluation and the exact identity catalogue."""
 
-from .catalogue import (
-    CATALOGUE,
-    catalogue_ids,
-    describe,
-    verify,
-    verify_default,
-    verify_many,
-)
+from .catalogue import CATALOGUE, catalogue_ids, verify, verify_many
 from .inverse import KINDS as INVERSE_KINDS, inverse_relation_roundtrip
 from .report import IdentityReport
 from .umbral import umbral_eval
@@ -15,9 +8,7 @@ from .umbral import umbral_eval
 __all__ = [
     "CATALOGUE",
     "catalogue_ids",
-    "describe",
     "verify",
-    "verify_default",
     "verify_many",
     "INVERSE_KINDS",
     "inverse_relation_roundtrip",

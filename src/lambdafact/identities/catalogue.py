@@ -100,6 +100,9 @@ def _convolution(term: Callable[[int, int], Polynomial | int],
     return lambda n: binomial_convolution(n, lambda k: term(n, k), lo) - closed(n)
 
 
+_EMPTY_SWEEP = "empty sweep: no residual to check"
+
+
 def _first_nonzero(residuals: Iterable[Polynomial]) -> Polynomial:
     """The first nonzero residual, else zero; no residual at all is an error."""
     r = None
@@ -107,7 +110,7 @@ def _first_nonzero(residuals: Iterable[Polynomial]) -> Polynomial:
         if not r.is_zero:
             return r
     if r is None:
-        raise ValueError("empty sweep: no residual to check")
+        raise ValueError(_EMPTY_SWEEP)
     return _ZERO
 
 
@@ -744,10 +747,6 @@ def catalogue_ids() -> tuple[str, ...]:
     return tuple(CATALOGUE)
 
 
-def describe(identity_id: str) -> str:
-    return _lookup(identity_id).summary
-
-
 def _lookup(identity_id: str) -> Identity:
     entry = CATALOGUE.get(identity_id)
     if entry is None:
@@ -755,13 +754,17 @@ def _lookup(identity_id: str) -> Identity:
     return entry
 
 
-def verify(identity_id: str, **params) -> IdentityReport:
-    """Check one identity at one parameter point; exact, zero tolerance."""
-    entry = _lookup(identity_id)
+def _check_caps(params: dict) -> None:
     for key, value in params.items():
         cap = _PARAM_CAPS.get(key)
         if cap is not None and isinstance(value, int) and value > cap:
             raise ValueError(f"{key}={value} beyond the supported cap {cap}")
+
+
+def verify(identity_id: str, **params) -> IdentityReport:
+    """Check one identity at one parameter point; exact, zero tolerance."""
+    entry = _lookup(identity_id)
+    _check_caps(params)
     start = time.perf_counter()
     residual = entry.check(**params)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -774,24 +777,35 @@ def verify(identity_id: str, **params) -> IdentityReport:
     )
 
 
-def verify_default(
-    identity_id: str,
-    n_max: int | None = None,
-    m_max: int | None = None,
-    order: int | None = None,
-) -> Iterator[IdentityReport]:
-    """Run one identity over its default (or overridden) parameter points."""
-    entry = _lookup(identity_id)
-    for point in entry.points(n_max, m_max, order):
-        yield verify(identity_id, **point)
-
-
 def verify_many(
     ids: Iterable[str] | None = None,
     n_max: int | None = None,
     m_max: int | None = None,
     order: int | None = None,
 ) -> Iterator[IdentityReport]:
-    """Run several identities (default: the whole catalogue, in id order)."""
-    for identity_id in ids if ids is not None else catalogue_ids():
-        yield from verify_default(identity_id, n_max=n_max, m_max=m_max, order=order)
+    """Run identities over their default (or overridden) parameter points;
+    by default the whole catalogue, in id order.
+
+    The whole request is checked before anything runs: no ids, an unknown
+    id, an identity left with no points, a point beyond the caps, a sweep
+    over an empty range or a negative truncation order raises ValueError
+    at the call, so a rejected request yields no report at all.
+    """
+    ids = catalogue_ids() if ids is None else tuple(ids)
+    if not ids:
+        raise ValueError("no identity ids to verify")
+    unknown = [i for i in ids if i not in CATALOGUE]
+    if unknown:
+        raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+    points = {i: CATALOGUE[i].points(n_max, m_max, order) for i in ids}
+    empty = [i for i in ids if not points[i]]
+    if empty:
+        raise ValueError(f"no parameter points to check for: {', '.join(empty)}")
+    request = [(i, point) for i in ids for point in points[i]]
+    for _, point in request:
+        _check_caps(point)
+        if min(point.get("m_hi", 0), point.get("m_max", 0)) < 0:
+            raise ValueError(_EMPTY_SWEEP)
+        if min(point.get("order", 0), point.get("total_degree", 0)) < 0:
+            raise ValueError("truncation order must be >= 0")
+    return (verify(identity_id, **point) for identity_id, point in request)

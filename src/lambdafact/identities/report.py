@@ -39,8 +39,3 @@ class IdentityReport:
             "verdict": "pass" if self.verdict else "fail",
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
-
-    def __str__(self) -> str:
-        status = "pass" if self.verdict else "FAIL"
-        ptxt = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"[{status}] {self.identity} ({ptxt})"

@@ -83,9 +83,6 @@ LAMBDA_FACTORIAL_ROUTES = (
     "recurrence-1.0c",
 )
 
-ENUMERATION_CUTOFF = 8
-
-
 # f_0, f_1, ...; _LAMBDA_POWER[0] is (λ-1)^k for the last index k.
 _LAMBDA_FACTORIALS = [Polynomial.one()]
 _LAMBDA_POWER = [Polynomial.one()]
@@ -129,10 +126,6 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
             Polynomial.zero(),
         )
     if route == "definition-enumeration":
-        if n > ENUMERATION_CUTOFF:
-            raise ValueError(
-                f"enumeration route supports n <= {ENUMERATION_CUTOFF}, got {n}"
-            )
         acc = Polynomial.zero()
         for _, fix in enumeration.permutations_with_fix(n):
             acc = acc + lam ** fix

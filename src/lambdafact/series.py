@@ -195,7 +195,9 @@ class TruncatedSeries:
         # Compares up to the smaller truncation order.
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common(other)
+        if self.var != other.var:
+            return False
+        n = min(self.order, other.order)
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     __hash__ = None  # type: ignore[assignment]
@@ -458,6 +460,7 @@ def _capped_power_sum(
     Requires every monomial of p to have positive degree in syms: the term
     of step j then starts at degree j, so stopping at d is exact.
     """
+    _check_total_degree(total_degree)
     if not truncate_total_degree(p, syms, 0).is_zero:
         raise ValueError(f"{name} needs every term to involve the truncation symbols")
     result = term = Polynomial.one()

@@ -29,7 +29,7 @@ def _report(num, description, failures):
 def _run_ids(identity_ids, **overrides):
     failures = []
     for identity in identity_ids:
-        for report in ids.verify_default(identity, **overrides):
+        for report in ids.verify_many([identity], **overrides):
             if not report.verdict:
                 failures.append((identity, dict(report.params)))
     return failures

@@ -236,6 +236,11 @@ def test_bijection_cutoff_requires_unsafe(capsys):
     code, _, err = run(capsys, "bijection", "5", "2")
     assert code == 2
     assert "--unsafe" in err
+    # Under --unsafe the enumeration's own cutoff still holds.
+    code, out, err = run(capsys, "bijection", "6", "2", "--unsafe")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cutoff" in err
 
 
 def test_verify_empty_point_set_is_an_error(capsys):
@@ -295,3 +300,30 @@ def test_bijection_with_no_objects_is_an_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["1.0a", "--n-max", "41"],
+        ["bogus", "x"],
+        ["5.1", "--n-max", "11"],
+        ["q-second", "--n-max", "10"],
+        ["thm1.1", "5.1", "--n-max", "11"],
+        ["thm1.1", "3.2", "--order", "-1"],
+    ],
+)
+def test_verify_rejects_a_bad_request_before_any_output(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_a_defect_is_not_reported_as_a_rejected_request(monkeypatch):
+    def defect(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(lambdafact.identities, "verify_many", defect)
+    with pytest.raises(KeyError):
+        main(["verify", "thm1.1"])

@@ -117,7 +117,7 @@ def test_report_json_shape():
 
 
 def test_verify_default_point_counts():
-    reports = list(ids.verify_default("thm1.1", n_max=10))
+    reports = list(ids.verify_many(["thm1.1"], n_max=10))
     assert len(reports) == 11
     assert all(r.verdict for r in reports)
 
@@ -267,7 +267,7 @@ def _perturb(monkeypatch, identity_id, unit):
 
 
 def _assert_every_report_fails(identity_id, capsys):
-    reports = list(ids.verify_default(identity_id))
+    reports = list(ids.verify_many([identity_id]))
     assert reports
     for report in reports:
         assert not report.verdict
@@ -417,3 +417,24 @@ def test_empty_sweep_is_an_error_not_a_pass():
         ids.verify("5.1", n=2, m_hi=-1)
     with pytest.raises(ValueError, match="empty sweep"):
         ids.verify("2.1", n=0)
+
+
+@pytest.mark.parametrize(
+    "wanted,knobs,message",
+    [
+        (["2.1"], {"n_max": -3}, "no parameter points to check for: 2.1"),
+        (["1.0a"], {"n_max": 41}, "n=41 beyond the supported cap 40"),
+        (["bogus", "thm1.1", "x"], {}, "unknown identity ids: bogus, x"),
+        (["5.1"], {"n_max": 11}, "empty sweep"),
+        (["q-second"], {"n_max": 10}, "empty sweep"),
+        (["thm1.1", "stirling-difference"], {"m_max": -1}, "empty sweep"),
+        (["thm1.1", "3.2"], {"order": -1}, "truncation order must be >= 0"),
+        ([], {}, "no identity ids"),
+    ],
+)
+def test_verify_many_rejects_a_bad_request_before_any_report(wanted, knobs, message):
+    reports = []
+    with pytest.raises(ValueError, match=message):
+        for report in ids.verify_many(wanted, **knobs):
+            reports.append(report)
+    assert reports == []

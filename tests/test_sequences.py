@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import test_acceptance
 from lambdafact import enumeration, sequences as seq
 from lambdafact.cli import main
-from lambdafact.identities import catalogue, verify_default
+from lambdafact.identities import catalogue, verify_many
 from lambdafact.polynomial import Polynomial, variables
 from lambdafact.symbols import ALPHA, LAM, MU, U
 
@@ -31,6 +31,24 @@ def test_factorial_and_binomial():
 
 def test_derangement_values():
     assert [seq.derangement(n) for n in range(6)] == [1, 0, 1, 2, 9, 44]
+
+
+@pytest.mark.parametrize(
+    "family,index,value",
+    [
+        (seq.derangement, (3,), 2),
+        (seq.lambda_factorial, (3,), lam ** 3 + 3 * lam + 2),
+        (seq.charlier, (3,), u ** 3 + 3 * alpha * u ** 2 + 3 * alpha * (alpha + 1) * u
+         + alpha * (alpha + 1) * (alpha + 2)),
+        (seq.bell_poly, (3,), u ** 3 + 3 * u ** 2 + u),
+        (seq.hermite_poly, (3,), u ** 3 + 3 * u),
+        (seq.q_poly, (3, 0), (lam + mu) ** 3 + 3 * (lam + mu) + 2),
+    ],
+)
+def test_negative_index_is_rejected(family, index, value):
+    with pytest.raises(ValueError, match=">= 0"):
+        family(-1, *index[1:])
+    assert family(*index) == value
 
 
 def test_cached_routes_build_no_variable(monkeypatch):
@@ -218,7 +236,7 @@ def test_charlier_matches_the_definition_sum():
 def _fails_from(identity_id, first_bad, capsys):
     """`verify identity_id` fails at every point n >= first_bad, passes below
     it, and exits 1."""
-    for report in verify_default(identity_id):
+    for report in verify_many([identity_id]):
         assert report.verdict == (report.params["n"] < first_bad), report.params
     assert main(["verify", identity_id]) == 1
     lines = capsys.readouterr().out.strip().splitlines()

@@ -17,6 +17,7 @@ from lambdafact.series import (
     binomial_power,
     egf_shift,
     exp_series,
+    exp_truncated,
     geometric,
     geometric_truncated,
     mul_truncated,
@@ -62,6 +63,13 @@ def test_equality_compares_to_min_order():
     b = geometric(X, 6)
     assert a == b  # agrees through order 1
     assert TruncatedSeries(X, [1, 2], 1) != b
+
+
+def test_series_in_different_variables_are_unequal():
+    a, b = TruncatedSeries(X, [1], 2), TruncatedSeries(T, [1], 2)
+    assert not a == b
+    assert a != b
+    assert a not in [b]
 
 
 def test_compose_identity_substitution():
@@ -284,6 +292,14 @@ def test_bivariate_truncated_product():
     assert truncate_total_degree(p, (T, X), 0) == Polynomial.constant(5)
     prod = mul_truncated(t + 1, x + 1, (T, X), 1)
     assert prod == t + x + 1
+
+
+@pytest.mark.parametrize("kernel", [exp_truncated, geometric_truncated])
+@pytest.mark.parametrize("total_degree", [-1, -2])
+def test_capped_power_sums_reject_a_negative_order(kernel, total_degree):
+    t = Polynomial.variable(T)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        kernel(t, (T,), total_degree)
 
 
 small_poly = st.fractions(min_value=-3, max_value=3, max_denominator=2).map(
