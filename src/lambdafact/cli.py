@@ -134,7 +134,8 @@ def _cmd_series(args) -> int:
     if args.format == "json":
         print(
             json.dumps(
-                {"var": ser.var, "order": ser.order, "coefficients": ser.coefficient_strings()},
+                {"var": ser.var, "order": ser.order,
+                 "coefficients": [str(c) for c in ser.coeffs]},
                 ensure_ascii=False,
             )
         )

@@ -74,6 +74,8 @@ _beta = Polynomial.variable(BETA)
 _u = Polynomial.variable(U)
 _v = Polynomial.variable(V)
 _D = Polynomial.variable(UMBRA)
+_t = Polynomial.variable(T)
+_x = Polynomial.variable(X)
 
 _ZERO = Polynomial.zero()
 
@@ -202,7 +204,7 @@ def _check_2_4(n: int) -> Polynomial:
 
 
 # Abel's binomial identity; the k = 0 factor a(a - k t)^(k-1) is 1 by convention.
-_a, _b, _t = Polynomial.variable("a"), Polynomial.variable("b"), Polynomial.variable(T)
+_a, _b = Polynomial.variable("a"), Polynomial.variable("b")
 _check_3_1 = _convolution(
     lambda n, k: (_a * (_a - _t * k) ** (k - 1) if k else 1) * (_b + _t * k) ** (n - k),
     lambda n: (_a + _b) ** n)
@@ -210,33 +212,30 @@ _check_3_1 = _convolution(
 
 def _check_3_2(a_kind: str, order: int) -> Polynomial:
     """The derivative-resummation form, in the ring truncated by total degree."""
-    x = Polynomial.variable(X)
-    t = Polynomial.variable(T)
     syms = (X, T)
 
     if a_kind == "exp":
-        lhs = _sum_to(order, lambda j: x ** j / math.factorial(j))
+        lhs = _sum_to(order, lambda j: _x ** j / math.factorial(j))
 
         def deriv_at_kt(k: int) -> Polynomial:
             # k-th derivative of exp evaluated at k*t.
-            return exp_truncated(t * k, syms, order) if k else Polynomial.one()
+            return exp_truncated(_t * k, syms, order) if k else Polynomial.one()
 
     elif a_kind == "geometric":
-        lhs = _sum_to(order, lambda j: x ** j)
+        lhs = _sum_to(order, lambda j: _x ** j)
 
         def deriv_at_kt(k: int) -> Polynomial:
             # k-th derivative of 1/(1-x) at k*t is k!/(1-kt)^(k+1).
             return _sum_to(
-                order, lambda j: t ** j * (binomial(k + j, j) * factorial(k) * k ** j)
+                order, lambda j: _t ** j * (binomial(k + j, j) * factorial(k) * k ** j)
             )
 
     else:
         raise ValueError(f"unknown series kind {a_kind!r}")
 
-    rhs = Polynomial.one() * deriv_at_kt(0)  # k = 0 term: the value at 0
-    rhs = truncate_total_degree(rhs, syms, 0)
+    rhs = truncate_total_degree(deriv_at_kt(0), syms, 0)  # k = 0 term: the value at 0
     for k in range(1, order + 1):
-        head = x * (x - t * k) ** (k - 1)
+        head = _x * (_x - _t * k) ** (k - 1)
         term = mul_truncated(head, deriv_at_kt(k), syms, order) / math.factorial(k)
         if not truncate_total_degree(term, syms, k - 1).is_zero:
             raise RuntimeError(f"summand {k} contributes below total degree {k}")
@@ -265,8 +264,7 @@ def _charlier_egf(order: int, extra_exponent: Polynomial | int = 0) -> Truncated
 
 
 def _check_charlier_deriv(k: int, order: int) -> TruncatedSeries:
-    base = _charlier_egf(order + k)
-    route1 = base
+    route1 = _charlier_egf(order + k)
     for _ in range(k):
         route1 = route1.derivative()
     shrunk = substitute_series(
@@ -508,18 +506,16 @@ def _check_5_1(n: int, m: int) -> Polynomial:
 
 
 def _check_5_2(total_degree: int) -> Polynomial:
-    t = Polynomial.variable(T)
-    x = Polynomial.variable(X)
     syms = (T, X)
     lhs = _ZERO
     for n in range(total_degree + 1):
         for m in range(total_degree + 1 - n):
-            lhs = lhs + q_poly(n, m) * t ** n * x ** m / (
+            lhs = lhs + q_poly(n, m) * _t ** n * _x ** m / (
                 factorial(n) * factorial(m)
             )
-    rhs = exp_truncated((_lam + _mu - 1) * t, syms, total_degree)
-    rhs = mul_truncated(rhs, exp_truncated((_lam - 1) * x, syms, total_degree), syms, total_degree)
-    rhs = mul_truncated(rhs, geometric_truncated(t + x, syms, total_degree), syms, total_degree)
+    rhs = exp_truncated((_lam + _mu - 1) * _t, syms, total_degree)
+    rhs = mul_truncated(rhs, exp_truncated((_lam - 1) * _x, syms, total_degree), syms, total_degree)
+    rhs = mul_truncated(rhs, geometric_truncated(_t + _x, syms, total_degree), syms, total_degree)
     return lhs - rhs
 
 
@@ -528,15 +524,12 @@ _check_q_second = _sweep(
 
 
 def _check_q_diag(big_n: int) -> Polynomial:
-    t = Polynomial.variable(T)
-    lhs = binomial_convolution(big_n, lambda n: q_poly(big_n - n, n) * t ** (big_n - n))
+    lhs = binomial_convolution(big_n, lambda n: q_poly(big_n - n, n) * _t ** (big_n - n))
     # (t+1)^N f_N(λ + μt/(t+1)) via homogenization: f_N(a/b) b^N.
-    a = _lam * (t + 1) + _mu * t
-    b = t + 1
+    a = _lam * (_t + 1) + _mu * _t
+    b = _t + 1
     coeffs = lambda_factorial(big_n).coefficients_in(LAM)
-    rhs = _ZERO
-    for i, c in enumerate(coeffs):
-        rhs = rhs + c * a ** i * b ** (big_n - i)
+    rhs = _sum_to(big_n, lambda i: coeffs[i] * a ** i * b ** (big_n - i))
     return lhs - rhs
 
 
@@ -569,7 +562,7 @@ _check_thm_5_2 = _convolution(
 # the key order of the points it makes, and contributes the product of its
 # axes with the first axis varying slowest.  An axis is a literal tuple of
 # values or one of the helpers below, which alone read the override knobs
-# n_max, m_max and order (None keeps the default).
+# n_max, m_max and order (None keeps the default), each the one it names.
 _N, _M, _O = "n_max", "m_max", "order"
 
 
@@ -577,19 +570,25 @@ def _or(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
+def _axis(knob: str, values: Callable[[int | None, dict], Iterable[int]]):
+    """The axis values(knob's override, the point so far), which reads knob."""
+    values.knob = knob
+    return values
+
+
 def _upto(knob: str, default: int, lo: int = 0):
     """The axis lo..(knob or default)."""
-    return lambda knobs, point: range(lo, _or(knobs[knob], default) + 1)
+    return _axis(knob, lambda value, point: range(lo, _or(value, default) + 1))
 
 
 def _knob(knob: str, default: int):
     """The one-value axis (knob or default)."""
-    return lambda knobs, point: (_or(knobs[knob], default),)
+    return _axis(knob, lambda value, point: (_or(value, default),))
 
 
 def _m_hi(total: int):
     """m_max, or total - n: the check loops m up to it."""
-    return lambda knobs, point: (_or(knobs[_M], total - point["n"]),)
+    return _axis(_M, lambda value, point: (_or(value, total - point["n"]),))
 
 
 @dataclass(frozen=True)
@@ -611,7 +610,7 @@ class Identity:
                 points = [
                     {**p, param: v}
                     for p in points
-                    for v in (axis if isinstance(axis, tuple) else axis(knobs, p))
+                    for v in (axis if isinstance(axis, tuple) else axis(knobs[axis.knob], p))
                 ]
             out += points
         return out
@@ -787,9 +786,9 @@ def verify_many(
     by default the whole catalogue, in id order.
 
     The whole request is checked before anything runs: no ids, an unknown
-    id, an identity left with no points, a point beyond the caps, a sweep
-    over an empty range or a negative truncation order raises ValueError
-    at the call, so a rejected request yields no report at all.
+    id, an override no requested identity reads, an identity with no points,
+    a point beyond the caps, a sweep over an empty range or a negative
+    truncation order raises ValueError, so a rejected request yields nothing.
     """
     ids = catalogue_ids() if ids is None else tuple(ids)
     if not ids:
@@ -797,6 +796,12 @@ def verify_many(
     unknown = [i for i in ids if i not in CATALOGUE]
     if unknown:
         raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+    read = {axis.knob for i in ids for group in CATALOGUE[i].spec
+            for axis in group.values() if not isinstance(axis, tuple)}
+    unread = [f"{k}={v}" for k, v in zip((_N, _M, _O), (n_max, m_max, order))
+              if v is not None and k not in read]
+    if unread:
+        raise ValueError(f"no point of {', '.join(ids)} reads {', '.join(unread)}")
     points = {i: CATALOGUE[i].points(n_max, m_max, order) for i in ids}
     empty = [i for i in ids if not points[i]]
     if empty:

@@ -31,9 +31,11 @@ in one ring.  Values are immutable after construction and safe to share.
 
 Only ring arithmetic, substitution, formal derivatives, and evaluation are
 provided; there is deliberately no factorization or division of polynomials.
-The three helpers at the end serve the series layer too: the running powers
+The helpers at the end serve the series layer too: the running powers
 `powers`, the evaluation kernel `evaluate_at` behind substitution and series
-composition, and the term renderer `join_signed`.
+composition, the sum of products `dot` behind every truncated product, exp
+and inverse, and the term renderer `join_signed`; Polynomial.graded gives
+those kernels the parts of a polynomial by total degree.
 """
 
 from __future__ import annotations
@@ -108,13 +110,6 @@ def _decode(key: int) -> Monomial:
     return tuple(mono)
 
 
-def _degree_in(key: int, shifts: list[int]) -> int:
-    d = 0
-    for s in shifts:
-        d += (key >> s) & _MASK
-    return d
-
-
 def _scalar(c) -> Scalar:
     """c as a canonical coefficient: int if integral, else Fraction."""
     if type(c) is int:
@@ -138,7 +133,7 @@ def _canonical(sums: dict[int, Scalar]) -> dict[int, Scalar]:
 
 
 def _product(
-    rows: Iterable[tuple[int, Scalar, list[tuple[int, Scalar]]]],
+    rows: Iterable[tuple[int, Scalar, Iterable[tuple[int, Scalar]]]],
 ) -> Polynomial:
     """Sum of c1*c2 * m1*m2 over every row (m1, c1, right) and (m2, c2) in right."""
     out: dict[int, Scalar] = {}
@@ -255,6 +250,18 @@ class Polynomial:
         top = max(byp, default=0)
         return [Polynomial._raw(byp.get(j, {})) for j in range(top + 1)]
 
+    def graded(self, syms: Iterable[str], top: int) -> list[Polynomial]:
+        """The parts of degree 0..top in syms; the terms above top are dropped."""
+        if top < 0:  # nothing would be kept
+            raise ValueError("truncation order must be >= 0")
+        shifts = {_shift(s) for s in syms}
+        parts: list[dict[int, Scalar]] = [{} for _ in range(top + 1)]
+        for m, c in self._terms.items():
+            d = sum((m >> shift) & _MASK for shift in shifts)
+            if d <= top:
+                parts[d][m] = c
+        return [Polynomial._raw(part) for part in parts]
+
     # ---- ring arithmetic ----
 
     @staticmethod
@@ -308,29 +315,6 @@ class Polynomial:
         return _product((m1, c1, right) for m1, c1 in self._terms.items())
 
     __rmul__ = __mul__
-
-    def _mul_capped(
-        self, other: Polynomial, symset: frozenset[str], cap: int
-    ) -> Polynomial:
-        """self*other less every monomial whose degree in symset exceeds cap.
-
-        No such monomial is formed: each term of self pairs only with the
-        terms of other whose degree fits beside its own.
-        """
-        shifts = [_shift(s) for s in symset]
-        right = [(m, c, _degree_in(m, shifts)) for m, c in other._terms.items()]
-        return _product(
-            (m1, c1, [(m2, c2) for m2, c2, d2 in right if d1 + d2 <= cap])
-            for m1, c1 in self._terms.items()
-            if (d1 := _degree_in(m1, shifts)) <= cap
-        )
-
-    def _truncated(self, symset: frozenset[str], cap: int) -> Polynomial:
-        """self less every monomial whose degree in symset exceeds cap."""
-        shifts = [_shift(s) for s in symset]
-        return Polynomial._raw(
-            {m: c for m, c in self._terms.items() if _degree_in(m, shifts) <= cap}
-        )
 
     def __truediv__(self, other: Scalar) -> Polynomial:
         # Scalar division only; the coefficient field is Q.
@@ -449,6 +433,14 @@ def powers(base: Any) -> Iterator[Any]:
     while True:
         yield power
         power = power * base
+
+
+def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of p*q over the (p, q) pairs in one _product pass: no partial
+    product or partial sum is built as a Polynomial."""
+    return _product(
+        (m1, c1, q._terms.items()) for p, q in pairs for m1, c1 in p._terms.items()
+    )
 
 
 def evaluate_at(coeffs: Sequence[Polynomial], value: Any, total: Any) -> Any:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, islice, repeat
-from typing import Callable, Iterable, Sequence, Union
+from itertools import islice
+from typing import Callable, Sequence, Union
 
-from .polynomial import Polynomial, evaluate_at, join_signed, powers
+from .polynomial import Polynomial, dot, evaluate_at, join_signed, powers
 
 PolyLike = Union[Polynomial, int, Fraction]
 
@@ -31,6 +31,34 @@ def _as_poly(x: PolyLike) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
     return Polynomial.constant(x)
+
+
+# ---- kernels on coefficient sequences ----
+# c_0, c_1, ... grade a value by powers of the series variable or by total
+# degree in some symbols; each output coefficient is one dot.
+
+
+def _convolve(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> list[Polynomial]:
+    """The product: c_k = sum of a_i b_(k-i), up to the shorter length."""
+    n = min(len(a), len(b))
+    return [dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(n)]
+
+
+def _exp_recurrence(g: Sequence[Polynomial]) -> list[Polynomial]:
+    """h = exp(g) for g_0 = 0; from h' = g'h, k h_k = sum of j g_j h_(k-j)."""
+    jg = [c * j for j, c in enumerate(g)]
+    h = [Polynomial.one()]
+    for k in range(1, len(g)):
+        h.append(dot((jg[j], h[k - j]) for j in range(1, k + 1)) / k)
+    return h
+
+
+def _geometric_recurrence(g: Sequence[Polynomial]) -> list[Polynomial]:
+    """h = 1/(1 - g) for g_0 = 0: h_k = sum of g_j h_(k-j) over j >= 1."""
+    h = [Polynomial.one()]
+    for k in range(1, len(g)):
+        h.append(dot((g[j], h[k - j]) for j in range(1, k + 1)))
+    return h
 
 
 class TruncatedSeries:
@@ -67,9 +95,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, var: str, order: int) -> TruncatedSeries:
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        return cls._raw(var, (Polynomial.zero(),) * (order + 1))
+        return cls(var, [], order)
 
     @classmethod
     def one(cls, var: str, order: int) -> TruncatedSeries:
@@ -170,16 +196,8 @@ class TruncatedSeries:
             return TruncatedSeries._raw(self.var, tuple(a * other for a in self.coeffs))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common(other)
-        out = [Polynomial.zero()] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries._raw(self.var, tuple(out))
+        self._common(other)  # raises unless the variables agree
+        return TruncatedSeries._raw(self.var, tuple(_convolve(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -238,35 +256,18 @@ class TruncatedSeries:
         """exp of a series with zero constant term."""
         if not self.coeffs[0].is_zero:
             raise ValueError("series exp needs a zero constant term")
-        n = self.order
-        out = [Polynomial.one()] + [Polynomial.zero()] * n
-        # From h' = g'·h: n·h_n = sum_{j=1..n} j·g_j·h_{n-j}.
-        for i in range(1, n + 1):
-            acc = Polynomial.zero()
-            for j in range(1, i + 1):
-                g = self.coeffs[j]
-                if not g.is_zero:
-                    acc = acc + g * j * out[i - j]
-            out[i] = acc / i
-        return TruncatedSeries._raw(self.var, tuple(out))
+        return TruncatedSeries._raw(self.var, tuple(_exp_recurrence(self.coeffs)))
 
     def reciprocal(self) -> TruncatedSeries:
-        """Multiplicative inverse, by Newton iteration.
-
-        The constant term must be a nonzero rational; a zero constant term
-        has no inverse and raises.
-        """
+        """Multiplicative inverse 1/c0 * 1/(1 - g), g = -(self - c0)/c0, for a
+        nonzero rational constant term c0; a zero c0 has no inverse and raises."""
         c0 = self.coeffs[0]
         if c0.is_zero:
             raise ValueError("cannot invert a series with zero constant term")
-        c0val = c0.as_fraction()  # raises if the constant term is not scalar
-        r = TruncatedSeries.constant(Fraction(1) / c0val, self.var, self.order)
-        # Each pass doubles the number of correct coefficients.
-        correct = 1
-        while correct <= self.order:
-            r = r * (2 - self * r)
-            correct *= 2
-        return r
+        inv = 1 / c0.as_fraction()  # raises if the constant term is not scalar
+        g = [Polynomial.zero()] + [c * -inv for c in self.coeffs[1:]]
+        h = _geometric_recurrence(g)
+        return TruncatedSeries._raw(self.var, tuple(c * inv for c in h))
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """self(inner); inner must have zero constant term.
@@ -302,9 +303,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({str(self)})"
-
-    def coefficient_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
 
 
 # ---- named series and transforms ----
@@ -421,65 +419,47 @@ def substitute_series(
 
 
 # ---- total-degree-truncated polynomial arithmetic (bivariate layer) ----
-
-
-def _check_total_degree(total_degree: int) -> None:
-    # Below degree 0 every term is dropped, so a check would compare two
-    # empty polynomials and pass without testing anything.
-    if total_degree < 0:
-        raise ValueError("truncation order must be >= 0")
+# The series kernels on the parts by total degree in syms, summed; no part
+# above the cap is formed.  graded refuses a negative cap: below degree 0 a
+# check would compare two empty polynomials and pass without testing anything.
 
 
 def truncate_total_degree(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """Drop monomials whose combined degree in syms exceeds total_degree."""
-    _check_total_degree(total_degree)
-    return p._truncated(frozenset(syms), total_degree)
+    return sum(p.graded(syms, total_degree), Polynomial.zero())
 
 
 def mul_truncated(
     p: Polynomial, q: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
-    """p*q with every monomial of combined syms-degree > total_degree dropped.
-
-    A dropped monomial is never computed, so this costs only the pairs of
-    terms whose degrees fit under the cap together.
-    """
-    _check_total_degree(total_degree)
-    return p._mul_capped(q, frozenset(syms), total_degree)
+    """p*q with every monomial of combined syms-degree > total_degree dropped;
+    part k pairs only the parts of p and q whose degrees add up to k."""
+    parts = _convolve(p.graded(syms, total_degree), q.graded(syms, total_degree))
+    return sum(parts, Polynomial.zero())
 
 
-def _capped_power_sum(
-    name: str, p: Polynomial, factors: Iterable[Polynomial],
-    syms: tuple[str, ...], total_degree: int,
-) -> Polynomial:
-    """1 + f_1 + f_1 f_2 + ... + f_1 ... f_d for d = total_degree, where the
-    factors f_j are multiples of p and each product is capped at d.
-
-    Requires every monomial of p to have positive degree in syms: the term
-    of step j then starts at degree j, so stopping at d is exact.
-    """
-    _check_total_degree(total_degree)
-    if not truncate_total_degree(p, syms, 0).is_zero:
+def _power_series(kernel: Callable, name: str, p: Polynomial,
+                  syms: tuple[str, ...], total_degree: int) -> Polynomial:
+    """The sum of kernel(parts of p); the kernels need p to have no syms-free part."""
+    parts = p.graded(syms, total_degree)
+    if parts[0]:
         raise ValueError(f"{name} needs every term to involve the truncation symbols")
-    result = term = Polynomial.one()
-    for _, f in zip(range(total_degree), factors):
-        term = mul_truncated(term, f, syms, total_degree)
-        result = result + term
-    return result
+    return sum(kernel(parts), Polynomial.zero())
 
 
 def exp_truncated(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """exp(p) = sum p**j/j! to a total degree, for p with no syms-free part."""
-    factors = (p / j for j in count(1))
-    return _capped_power_sum("exp_truncated", p, factors, syms, total_degree)
+    return _power_series(_exp_recurrence, "exp_truncated", p, syms, total_degree)
 
 
 def geometric_truncated(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """1/(1-p) = sum p**j to a total degree; same valuation requirement as exp."""
-    return _capped_power_sum("geometric_truncated", p, repeat(p), syms, total_degree)
+    return _power_series(
+        _geometric_recurrence, "geometric_truncated", p, syms, total_degree
+    )

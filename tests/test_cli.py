@@ -152,6 +152,16 @@ def test_series_order_cap(capsys):
     assert "x^13" in out
 
 
+def test_series_default_order_without_env(capsys, monkeypatch):
+    monkeypatch.delenv("LAMBDAFACT_ORDER", raising=False)
+    code, out, _ = run(capsys, "series", "tree")
+    assert code == 0
+    assert out == (
+        "x + x^2 + 3/2 x^3 + 8/3 x^4 + 125/24 x^5 + 54/5 x^6 + 16807/720 x^7"
+        " + 16384/315 x^8 + O(x^9)\n"
+    )
+
+
 def test_series_env_default_order(capsys, monkeypatch):
     monkeypatch.setenv("LAMBDAFACT_ORDER", "2")
     code, out, _ = run(capsys, "series", "tree")
@@ -230,6 +240,20 @@ def test_bijection_invalid_sigma(capsys):
     code, _, err = run(capsys, "bijection", "2", "2", "--sigma", "1,1,3,5,5")
     assert code == 2
     assert "error" in err
+
+
+def test_bijection_sigma_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, "bijection", "1", "1", "--sigma", "1,1")
+    assert code == 2
+    assert out == ""
+    assert "sigma must list 3 image values" in err
+
+
+def test_table_q_needs_an_m_range(capsys):
+    code, out, err = run(capsys, "table", "q", "1")
+    assert code == 2
+    assert out == ""
+    assert "needs an m range" in err
 
 
 def test_bijection_cutoff_requires_unsafe(capsys):
@@ -311,6 +335,8 @@ def test_bijection_with_no_objects_is_an_error(capsys):
         ["q-second", "--n-max", "10"],
         ["thm1.1", "5.1", "--n-max", "11"],
         ["thm1.1", "3.2", "--order", "-1"],
+        ["thm1.1", "--order", "3", "--m-max", "2"],
+        ["5.2", "--n-max", "3"],
     ],
 )
 def test_verify_rejects_a_bad_request_before_any_output(capsys, argv):
@@ -318,6 +344,21 @@ def test_verify_rejects_a_bad_request_before_any_output(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_verify_rejects_an_override_that_no_identity_reads(capsys):
+    code, out, err = run(capsys, "verify", "thm1.1", "riordan", "--m-max", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no point of thm1.1, riordan reads m_max=2\n"
+
+
+@pytest.mark.parametrize("knob", ["--n-max", "--m-max", "--order"])
+def test_verify_all_takes_each_override(capsys, knob):
+    code, out, err = run(capsys, "verify", "all", knob, "1")
+    assert code == 0
+    assert err == ""
+    assert all(json.loads(line)["verdict"] == "pass" for line in out.splitlines())
 
 
 def test_a_defect_is_not_reported_as_a_rejected_request(monkeypatch):

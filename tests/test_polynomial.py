@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import lambdafact
 from lambdafact import polynomial
 from lambdafact.enumeration import permutations_with_fix
-from lambdafact.polynomial import MAX_EXPONENT, Polynomial, variables
+from lambdafact.polynomial import MAX_EXPONENT, Polynomial, dot, variables
 from lambdafact.symbols import LAM, MU, X
 
 lam, mu = variables(LAM, MU)
@@ -300,7 +300,7 @@ def test_product_exponent_overflow_raises():
         lam ** MAX_EXPONENT * (lam + 1)
     x = Polynomial.variable(X)
     with pytest.raises(ValueError, match="exponent above"):
-        (x ** MAX_EXPONENT)._mul_capped(x, frozenset({X}), 2 * MAX_EXPONENT)
+        dot([(x ** MAX_EXPONENT, x)])
     # Full fields side by side do not disturb each other.
     full = lam ** MAX_EXPONENT * mu ** MAX_EXPONENT
     assert (full.degree(LAM), full.degree(MU)) == (MAX_EXPONENT, MAX_EXPONENT)
@@ -409,8 +409,8 @@ def ref_degree_in(m, symset):
     return sum(e for s, e in m if s in symset)
 
 
-def ref_truncated(a, symset, cap):
-    return {m: c for m, c in a.items() if ref_degree_in(m, symset) <= cap}
+def ref_part(a, symset, d):
+    return {m: c for m, c in a.items() if ref_degree_in(m, symset) == d}
 
 
 @settings(max_examples=150, deadline=None)
@@ -440,8 +440,7 @@ def test_packed_kernel_matches_tuple_reference(case, cap):
         assert ref(a.derivative(sym)) == ref_derivative(ra, sym)
         assert ref(a.substitute(sym, b)) == ref_substitute(ra, sym, rb)
     symset = frozenset(pool[:2])
-    assert ref(a._mul_capped(b, symset, cap)) == ref_truncated(
-        ref_mul(ra, rb), symset, cap
-    )
-    assert ref(a._truncated(symset, cap)) == ref_truncated(ra, symset, cap)
+    parts = a.graded(pool[:2], cap)
+    assert [ref(part) for part in parts] == [ref_part(ra, symset, d) for d in range(cap + 1)]
+    assert ref(dot([(a, b), (b, b)])) == ref_add(ref_mul(ra, rb), ref_mul(rb, rb))
     assert str(a) == str(Polynomial(dict(a.terms())))
