@@ -278,13 +278,14 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for mono, c in other._terms.items():
-            s = out.get(mono, 0) + c
-            if type(s) is Fraction and s.denominator == 1:
-                s = s.numerator
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
+            if mono in out:  # only a key both sides hold needs an add
+                c = out[mono] + c
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                if not c:
+                    del out[mono]
+                    continue
+            out[mono] = c
         return Polynomial._raw(out)
 
     __radd__ = __add__

@@ -348,18 +348,24 @@ def egf_shift(
     return TruncatedSeries.egf(lambda n: a(n + k), var, order)
 
 
-def tree_function(order: int, var: str = "x") -> TruncatedSeries:
-    """The rooted-labeled-tree series y with y = var*exp(y).
-
-    Computed by fixed-point iteration (each pass fixes one more
-    coefficient) and cross-checked against the closed form n^(n-1)/n!;
-    a mismatch is a hard error.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+def tree_fixed_point(order: int, var: str = "x") -> TruncatedSeries:
+    """The solution y of y = var*exp(y) by fixed-point iteration, each pass
+    fixing one more coefficient; unchecked, for checks that test it."""
     y = TruncatedSeries.zero(var, order)
     for _ in range(order + 1):
         y = y.exp().shift(1)
+    return y
+
+
+def tree_function(order: int, var: str = "x") -> TruncatedSeries:
+    """The rooted-labeled-tree series y with y = var*exp(y).
+
+    Computed by tree_fixed_point and cross-checked against the closed form
+    n^(n-1)/n!; a mismatch is a hard error.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    y = tree_fixed_point(order, var)
     for n in range(1, order + 1):
         expected = Fraction(n ** (n - 1), math.factorial(n))
         if y.coeffs[n] != Polynomial.constant(expected):

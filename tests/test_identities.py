@@ -348,11 +348,7 @@ def test_unit_term_in_the_convolution_kernel_is_not_hidden(
 
 
 # The ids whose reports fail under a unit term in one shared kernel of the
-# polynomial layer, pinned from `lambdafact verify <id>` run id by id in
-# catalogue order, as `verify all` runs them.  An id whose check stops on a
-# failed self-check (a RuntimeError) counts as failing: under the dot
-# mutant the tree series cross-check of 2.1 and 2.2 and the degree check of
-# 3.2 raise, which would end a `verify all` stream at 2.1.
+# polynomial layer, pinned from `lambdafact verify all`.
 KERNEL_MUTANT_FAILURES = {
     # a unit term added to each result of evaluate_at, which serves
     # Polynomial.substitute, substitute_series and TruncatedSeries.compose
@@ -400,23 +396,20 @@ MAKE_MUTANT = {
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_MUTANT_FAILURES))
-def test_unit_term_in_a_shared_polynomial_kernel_fails_verify_all(kernel, monkeypatch):
+def test_unit_term_in_a_shared_polynomial_kernel_fails_verify_all(
+    kernel, monkeypatch, capsys
+):
     real = getattr(polynomial, kernel)
     mutant = MAKE_MUTANT[kernel](real)
     # Every module that imported the kernel holds its own binding.
     for module in [m for name, m in sys.modules.items() if name.startswith("lambdafact")]:
         if getattr(module, kernel, None) is real:
             monkeypatch.setattr(module, kernel, mutant)
-    failed = []
-    for identity_id in ids.catalogue_ids():
-        try:
-            code = main(["verify", identity_id])
-        except RuntimeError:
-            code = 1
-        assert code in (0, 1)
-        if code:
-            failed.append(identity_id)
-    assert tuple(failed) == KERNEL_MUTANT_FAILURES[kernel]
+    assert main(["verify", "all"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failed = {r["id"] for r in records if r["verdict"] == "fail"}
+    got = tuple(i for i in ids.catalogue_ids() if i in failed)
+    assert got == KERNEL_MUTANT_FAILURES[kernel]
 
 
 def test_binomial_convolution_kernel():
