@@ -18,9 +18,10 @@ Most checks are rows of one of three kinds:
 Only one side of a row goes through its kernel.  Were both sides to use it,
 a defect in the kernel could cancel in the residual and the row would still
 pass.  Sums over k on the right of a series identity are truncated at the
-series order; this is exact because term k is x^k times a series, and
-`abel_sum` applies that shift itself.  The registry is one table of
-(id, summary, check, point spec) rows.
+series order; this is exact because term k is x^k times a series, so term
+k is built only to order N-k and `shifted_sum` (behind `abel_sum`) applies
+the shift itself.  The registry is one table of (id, summary, check, point
+spec) rows.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from ..series import (
     geometric,
     geometric_truncated,
     mul_truncated,
+    shifted_sum,
     substitute_series,
     tree_fixed_point,
     truncate_total_degree,
@@ -211,37 +213,38 @@ _check_3_1 = _convolution(
 
 
 def _check_3_2(a_kind: str, order: int) -> Polynomial:
-    """The derivative-resummation form, in the ring truncated by total degree."""
+    """The derivative-resummation form, to a total degree in x and t."""
     syms = (X, T)
 
     if a_kind == "exp":
         lhs = _sum_to(order, lambda j: _x ** j / math.factorial(j))
 
         def deriv_at_kt(k: int) -> Polynomial:
-            # k-th derivative of exp evaluated at k*t.
-            return exp_truncated(_t * k, syms, order) if k else Polynomial.one()
+            # k-th derivative of exp evaluated at k*t, to total degree order - k.
+            return exp_truncated(_t * k, syms, order - k)
 
     elif a_kind == "geometric":
         lhs = _sum_to(order, lambda j: _x ** j)
 
         def deriv_at_kt(k: int) -> Polynomial:
-            # k-th derivative of 1/(1-x) at k*t is k!/(1-kt)^(k+1).
-            return _sum_to(
-                order, lambda j: _t ** j * (binomial(k + j, j) * factorial(k) * k ** j)
-            )
+            # k-th derivative of 1/(1-x) at k*t, k!/(1-kt)^(k+1), to degree order - k.
+            return _sum_to(order - k, lambda j: _t ** j * (
+                binomial(k + j, j) * factorial(k) * k ** j))
 
     else:
         raise ValueError(f"unknown series kind {a_kind!r}")
 
-    rhs = truncate_total_degree(deriv_at_kt(0), syms, 0)  # k = 0 term: the value at 0
+    # Summand k is head * A^(k)(kt)/k!, head homogeneous of degree k: with
+    # A^(k)(kt) to degree order - k it is exact to degree order, untruncated.
+    rhs = deriv_at_kt(0)  # k = 0 term: the value at 0
     for k in range(1, order + 1):
         head = _x * (_x - _t * k) ** (k - 1)
-        term = mul_truncated(head, deriv_at_kt(k), syms, order) / math.factorial(k)
+        term = head * deriv_at_kt(k) / math.factorial(k)
         low = truncate_total_degree(term, syms, k - 1)
         if not low.is_zero:  # summand k starts at degree k; a lower part is the residual
             return low
         rhs = rhs + term
-    return truncate_total_degree(lhs - rhs, syms, order)
+    return lhs - rhs
 
 
 def _check_3_3(n: int) -> Polynomial:
@@ -341,7 +344,7 @@ def _transform(rows: dict) -> Callable[..., TruncatedSeries]:
             raise ValueError(f"unknown variant {variant!r}")
         lam, lhs, closed = rows[variant]
         left = TruncatedSeries.ogf(lambda n: lhs(n, m), X, order)
-        return left - abel_sum(lam, lambda k: closed(k, m, order), order)
+        return left - abel_sum(lam, lambda k: closed(k, m, order - k), order)
 
     return check
 
@@ -369,11 +372,6 @@ _check_3_9 = _transform({
 })
 
 
-def _sum_k_terms(term: Callable[[int], TruncatedSeries], order: int) -> TruncatedSeries:
-    """Sum term(k) for k = 0..order; each term k is shifted to start at x^k."""
-    return sum((term(k) for k in range(order + 1)), TruncatedSeries.zero(X, order))
-
-
 def _check_gessel(variant: str, order: int) -> TruncatedSeries:
     if variant == "bilinear":
         def pair(n: int) -> Polynomial:
@@ -384,21 +382,17 @@ def _check_gessel(variant: str, order: int) -> TruncatedSeries:
 
         def term(k: int) -> TruncatedSeries:
             pre = rising_factorial(_alpha, k) * rising_factorial(_beta, k) / math.factorial(k)
-            left = binomial_power(-_v, -(_alpha + k), order)
-            right = binomial_power(-_u, -(_beta + k), order)
-            return (left * right).shift(k) * pre
+            left = binomial_power(-_v, -(_alpha + k), order - k)
+            return left * binomial_power(-_u, -(_beta + k), order - k) * pre
 
-        rhs = exp_series(_u * _v, X, order) * _sum_k_terms(term, order)
+        rhs = exp_series(_u * _v, X, order) * shifted_sum(term, order)
         return lhs - rhs
 
     if variant == "derangement":
         lhs = TruncatedSeries.egf(
             lambda n: Polynomial.constant(derangement(n) ** 2), X, order)
-
-        def term(k: int) -> TruncatedSeries:
-            return binomial_power(1, -(2 * k + 2), order).shift(k) * factorial(k)
-
-        rhs = exp_series(1, X, order) * _sum_k_terms(term, order)
+        rhs = exp_series(1, X, order) * shifted_sum(
+            lambda k: binomial_power(1, -(2 * k + 2), order - k) * factorial(k), order)
         return lhs - rhs
 
     raise ValueError(f"unknown variant {variant!r}")
@@ -406,11 +400,8 @@ def _check_gessel(variant: str, order: int) -> TruncatedSeries:
 
 def _check_chz(order: int) -> TruncatedSeries:
     lhs = TruncatedSeries.ogf(lambda n: _f_at(n, _mu), X, order)
-
-    def term(k: int) -> TruncatedSeries:
-        return binomial_power(-(_mu - 1), -(k + 1), order).shift(k) * factorial(k)
-
-    return lhs - _sum_k_terms(term, order)
+    return lhs - shifted_sum(
+        lambda k: binomial_power(-(_mu - 1), -(k + 1), order - k) * factorial(k), order)
 
 
 # ---------------------------------------------------------------------------

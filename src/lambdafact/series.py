@@ -8,7 +8,9 @@ carries both exponential and ordinary generating functions; the egf/ogf
 constructors divide or not at the boundary.
 
 All operations are exact; order bookkeeping follows the rule that a binary
-operation is valid to the smaller of the two truncation orders.
+operation is valid to the smaller of the two truncation orders.  shift(k),
+times var**k, raises the order by k, so a sum of var**k times term k to order
+N forms term k only to order N-k and no coefficient that it would discard.
 
 Also here: the rooted-tree series y = x*exp(y), symbolic-exponent binomial
 series, the shifted-derivative transform used by the Abel-type expansion,
@@ -223,16 +225,12 @@ class TruncatedSeries:
     # ---- structural operations ----
 
     def shift(self, k: int) -> TruncatedSeries:
-        """Multiply by var**k, keeping the truncation order."""
+        """Multiply by var**k exactly: the truncation order rises by k."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
         if k == 0:
             return self
-        if k > self.order:
-            return TruncatedSeries.zero(self.var, self.order)
-        zero = Polynomial.zero()
-        coeffs = (zero,) * k + self.coeffs[: self.order + 1 - k]
-        return TruncatedSeries._raw(self.var, coeffs)
+        return TruncatedSeries._raw(self.var, (Polynomial.zero(),) * k + self.coeffs)
 
     def rescale(self, c: PolyLike) -> TruncatedSeries:
         """Substitute var := c*var for a coefficient-like c."""
@@ -349,10 +347,12 @@ def egf_shift(
 
 
 def tree_fixed_point(order: int, var: str = "x") -> TruncatedSeries:
-    """The solution y of y = var*exp(y) by fixed-point iteration, each pass
-    fixing one more coefficient; unchecked, for checks that test it."""
-    y = TruncatedSeries.zero(var, order)
-    for _ in range(order + 1):
+    """The solution y of y = var*exp(y), unchecked, for checks that test it;
+    pass i lifts y to order i-1 to var*exp(y) to order i."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    y = TruncatedSeries.zero(var, 0)
+    for _ in range(order):
         y = y.exp().shift(1)
     return y
 
@@ -363,8 +363,6 @@ def tree_function(order: int, var: str = "x") -> TruncatedSeries:
     Computed by tree_fixed_point and cross-checked against the closed form
     n^(n-1)/n!; a mismatch is a hard error.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     y = tree_fixed_point(order, var)
     for n in range(1, order + 1):
         expected = Fraction(n ** (n - 1), math.factorial(n))
@@ -373,6 +371,20 @@ def tree_function(order: int, var: str = "x") -> TruncatedSeries:
                 f"tree series fixed point disagrees with n^(n-1)/n! at n={n}"
             )
     return y
+
+
+def shifted_sum(term: Callable, order: int, var: str = "x") -> TruncatedSeries:
+    """The sum over k = 0..order of var**k * term(k), exact to the order since
+    no term k reaches below var**k.  Term k is needed only to order - k; one
+    that falls short raises, as the sum would keep its smaller order and
+    leave the top coefficients unchecked."""
+    total = TruncatedSeries.zero(var, order)
+    for k in range(order + 1):
+        t = term(k)
+        if t.order < order - k:
+            raise ValueError(f"term {k} has order {t.order}, below {order - k}")
+        total = total + t.shift(k)
+    return total
 
 
 def abel_sum(
@@ -384,16 +396,12 @@ def abel_sum(
     """The right side of Theorem 1.2: sum over k of (lam+k-1)**k/k! * var**k * D_k.
 
     D_k = shifted_derivative(k) stands for A^(k)(-k*var), the k-th derivative
-    of an EGF A taken at -k*var.  Term k is var**k times a series, so it
-    never reaches below var**k, and truncating the k-sum at the series order
-    is exact.
+    of an EGF A taken at -k*var, and is needed only to order - k (see
+    shifted_sum, which raises on a D_k that falls short).
     """
     lam = _as_poly(lam)
-    total = TruncatedSeries.zero(var, order)
-    for k in range(order + 1):
-        prefactor = (lam + (k - 1)) ** k / math.factorial(k)
-        total = total + shifted_derivative(k).shift(k) * prefactor
-    return total
+    return shifted_sum(lambda k: shifted_derivative(k) * (
+        (lam + (k - 1)) ** k / math.factorial(k)), order, var)
 
 
 def abel_rhs(
@@ -402,12 +410,10 @@ def abel_rhs(
     order: int,
     var: str = "x",
 ) -> TruncatedSeries:
-    """sum over k of (k+lam-1)**k * var**k * A_k(-k*var) / k!.
-
-    A_k denotes the k-th derivative of the EGF of the sequence a.
-    """
+    """abel_sum with D_k = A_k(-k*var), A_k the k-th derivative of the EGF of
+    the sequence a: the sum over k of (k+lam-1)**k * var**k * A_k(-k*var) / k!."""
     return abel_sum(
-        lam, lambda k: egf_shift(a, k, order, var).rescale(-k), order, var
+        lam, lambda k: egf_shift(a, k, order - k, var).rescale(-k), order, var
     )
 
 

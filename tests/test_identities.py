@@ -266,8 +266,8 @@ def _perturb(monkeypatch, identity_id, unit):
     )
 
 
-def _assert_every_report_fails(identity_id, capsys):
-    reports = list(ids.verify_many([identity_id]))
+def _assert_every_report_fails(identity_id, capsys, order=None):
+    reports = list(ids.verify_many([identity_id], order=order))
     assert reports
     for report in reports:
         assert not report.verdict
@@ -275,7 +275,8 @@ def _assert_every_report_fails(identity_id, capsys):
         payload = report.to_json()
         assert payload["verdict"] == "fail"
         assert payload["residual"] != "0"
-    assert main(["verify", identity_id]) == 1
+    knob = [] if order is None else ["--order", str(order)]
+    assert main(["verify", identity_id, *knob]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(reports)
     assert all(json.loads(line)["verdict"] == "fail" for line in lines)
@@ -312,8 +313,7 @@ def test_truncating_one_degree_too_low_is_caught(monkeypatch, capsys):
 TRANSFORM_IDS = ("3.4", "3.5", "3.6", "3.7", "3.7.1", "bell-transform", "3.8", "3.9")
 
 
-@pytest.mark.parametrize("identity_id", TRANSFORM_IDS)
-def test_unit_term_in_the_transform_kernel_is_not_hidden(identity_id, monkeypatch, capsys):
+def _unit_term_in_the_transform_kernel(monkeypatch):
     real = catalogue.abel_sum
 
     def perturbed(lam, shifted_derivative, order, var=X):
@@ -321,7 +321,35 @@ def test_unit_term_in_the_transform_kernel_is_not_hidden(identity_id, monkeypatc
         return real(lam, shifted_derivative, order, var) + unit
 
     monkeypatch.setattr(catalogue, "abel_sum", perturbed)
+
+
+@pytest.mark.parametrize("identity_id", TRANSFORM_IDS)
+def test_unit_term_in_the_transform_kernel_is_not_hidden(identity_id, monkeypatch, capsys):
+    _unit_term_in_the_transform_kernel(monkeypatch)
     _assert_every_report_fails(identity_id, capsys)
+
+
+@pytest.mark.parametrize("identity_id", TRANSFORM_IDS)
+def test_unit_term_in_the_transform_kernel_is_not_hidden_at_order_2(
+    identity_id, monkeypatch, capsys
+):
+    # At order 2 the last term of the sum is built at order 0.
+    _unit_term_in_the_transform_kernel(monkeypatch)
+    _assert_every_report_fails(identity_id, capsys, order=2)
+
+
+# The checks whose sums over k build term k only to order N-k (3.2: to total
+# degree N-k); at --order 0, 1 and 2 the last term is built at order 0.
+SHIFTED_SUM_IDS = TRANSFORM_IDS + ("thm1.2", "gessel", "chz", "3.2")
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("identity_id", SHIFTED_SUM_IDS)
+def test_shifted_sums_pass_at_the_lowest_orders(identity_id, order, capsys):
+    assert main(["verify", identity_id, "--order", str(order)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records
+    assert all(r["verdict"] == "pass" and r["params"]["order"] == order for r in records)
 
 
 # The fifteen convolution rows of Theorem 1.1 and section 4, then the other

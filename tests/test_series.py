@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdafact.enumeration import set_partitions
+from lambdafact.identities import catalogue
 from lambdafact.polynomial import Polynomial, variables
-from lambdafact.sequences import factorial, lambda_factorial
+from lambdafact.sequences import ABEL_FAMILIES, factorial, lambda_factorial, rising_factorial
 from lambdafact.series import (
     TruncatedSeries,
     abel_rhs,
@@ -21,11 +22,13 @@ from lambdafact.series import (
     geometric,
     geometric_truncated,
     mul_truncated,
+    shifted_sum,
     substitute_series,
+    tree_fixed_point,
     tree_function,
     truncate_total_degree,
 )
-from lambdafact.symbols import ALPHA, LAM, T, U, X
+from lambdafact.symbols import ALPHA, BETA, LAM, MU, T, U, V, X
 
 lam, alpha, u = variables(LAM, ALPHA, U)
 
@@ -212,6 +215,96 @@ def test_abel_sum_shifts_term_k_by_x_to_the_k():
     ]
 
 
+def _assert_matches_the_full_order_route(got_at, term):
+    # got_at(N) forms term k only to order N-k; the route it replaces forms
+    # term(k, N) at the full order, shifts it and cuts it back to order N.
+    for order in range(7):
+        want = sum((term(k, order).shift(k).truncate(order) for k in range(order + 1)),
+                   TruncatedSeries.zero(X, order))
+        got = got_at(order)
+        assert got.order == want.order == order
+        assert got.coeffs == want.coeffs
+
+
+def _abel_term(lam_value, d):
+    # Term k of Theorem 1.2, (λ+k-1)^k/k! D_k, for D_k = d(k, order).
+    lam_value = Polynomial.constant(lam_value) if isinstance(lam_value, int) else lam_value
+    return lambda k, o: d(k, o) * ((lam_value + (k - 1)) ** k / math.factorial(k))
+
+
+@pytest.mark.parametrize("family", sorted(ABEL_FAMILIES))
+@pytest.mark.parametrize("lam_value", [lam, 1, 0])
+def test_abel_rhs_at_order_n_minus_k_matches_the_full_order_route(family, lam_value):
+    a = ABEL_FAMILIES[family]
+    _assert_matches_the_full_order_route(
+        lambda o: abel_rhs(a, lam_value, o),
+        _abel_term(lam_value, lambda k, o: egf_shift(a, k, o).rescale(-k)))
+
+
+# Each transform closed form closed(k, m, order) of A^(k)(-kx) with its λ.
+CLOSED_FORMS = {
+    "charlier": (lam, catalogue._charlier_closed),
+    "f-0": (0, catalogue._f_closed(0)),
+    "f-mu": (1, catalogue._f_closed(catalogue._mu)),
+    "factorial": (lam, catalogue._factorial_closed),
+    "bell-u": (lam, catalogue._bell_closed(u)),
+    "bell-1": (1, catalogue._bell_closed(1)),
+    "hermite-u": (lam, catalogue._hermite_closed(u)),
+    "hermite-1": (1, catalogue._hermite_closed(1)),
+    "hermite-0": (1, catalogue._hermite_closed(0)),
+}
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_forms_at_order_n_minus_k_match_the_full_order_route(name, m):
+    lam_value, closed = CLOSED_FORMS[name]
+    _assert_matches_the_full_order_route(
+        lambda o: abel_sum(lam_value, lambda k: closed(k, m, o - k), o),
+        _abel_term(lam_value, lambda k, o: closed(k, m, o)))
+
+
+@pytest.mark.parametrize("name", ["gessel-bilinear", "gessel-derangement", "chz"])
+def test_gessel_and_chz_terms_at_order_n_minus_k_match_the_full_order_route(name):
+    beta, v, mu = variables(BETA, V, MU)
+    term = {
+        "gessel-bilinear": lambda k, o: (
+            binomial_power(-v, -(alpha + k), o) * binomial_power(-u, -(beta + k), o)
+            * (rising_factorial(alpha, k) * rising_factorial(beta, k) / math.factorial(k))),
+        "gessel-derangement": lambda k, o: binomial_power(1, -(2 * k + 2), o) * factorial(k),
+        "chz": lambda k, o: binomial_power(-(mu - 1), -(k + 1), o) * factorial(k),
+    }[name]
+    _assert_matches_the_full_order_route(
+        lambda o: shifted_sum(lambda k: term(k, o - k), o), term)
+
+
+@pytest.mark.parametrize("short", [0, 1, 3])
+def test_a_term_short_of_order_n_minus_k_is_an_error(short):
+    # The sum keeps the smaller order, so a short term would silently cut the
+    # coefficients that get checked; it names the term instead.
+    order = 4
+
+    def term(k):
+        return TruncatedSeries.one(X, order - k - (k == short))
+
+    with pytest.raises(ValueError, match=f"term {short} has order"):
+        shifted_sum(term, order)
+    with pytest.raises(ValueError, match=f"term {short} has order"):
+        abel_sum(lam, term, order)
+
+
+def test_tree_fixed_point_lifts_to_exactly_the_order():
+    for n in range(13):
+        want = TruncatedSeries.zero(X, n)
+        for _ in range(n + 1):  # the full-order iteration it replaces
+            want = want.exp().shift(1).truncate(n)
+        got = tree_fixed_point(n)
+        assert got.order == n
+        assert got.coeffs == want.coeffs
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        tree_fixed_point(-1)
+
+
 def test_reciprocal():
     g = geometric(X, 6)
     assert (1 - TruncatedSeries.identity(X, 6)).reciprocal() == g
@@ -240,7 +333,13 @@ def test_shift():
     shifted = e.shift(2)
     assert shifted.coeffs[:3] == (Polynomial.zero(), Polynomial.zero(), Polynomial.one())
     assert e.shift(0) is e
-    assert e.shift(9).is_zero  # pushed entirely past the truncation order
+    # Multiplying by x^9 is exact: the order rises by 9, and nothing of e is
+    # lost; truncated back to e's order, all of it lies past the truncation.
+    far = e.shift(9)
+    assert far.order == 13
+    assert far.coeffs[:9] == (Polynomial.zero(),) * 9
+    assert far.coeffs[9:] == e.coeffs
+    assert far.truncate(4).is_zero
     with pytest.raises(ValueError):
         e.shift(-1)
 
