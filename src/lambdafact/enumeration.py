@@ -58,18 +58,6 @@ class Endofunction:
 
 
 @dataclass(frozen=True)
-class DigraphDecomposition:
-    """Cycle vertices of a functional digraph plus the hanging forest.
-
-    `parent[v-1]` is sigma(v) for vertices off the cycles and 0 for cycle
-    vertices, which are exactly the roots of the forest.
-    """
-
-    cycle_vertices: frozenset[int]
-    parent: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ColoredForestPermutation:
     """A rooted forest, a permutation of its roots, and colored fixed points.
 
@@ -198,14 +186,6 @@ def _cycle_vertices(f: Sequence[int]) -> set[int]:
     return cycles
 
 
-def digraph_decompose(sigma: Endofunction) -> DigraphDecomposition:
-    """Split a functional digraph into its cycle vertices and hanging forest."""
-    image = sigma.image
-    cycles = _cycle_vertices(image)
-    parent = tuple(0 if v in cycles else w for v, w in enumerate(image, start=1))
-    return DigraphDecomposition(cycle_vertices=frozenset(cycles), parent=parent)
-
-
 # ---- rooted forests ----
 
 
@@ -302,6 +282,7 @@ def _head_to_tau(head: Sequence[int], n: int) -> tuple[tuple[int, ...], dict[int
 def _tau_to_head(
     tau: Sequence[int], colors: Mapping[int, int], n: int, lam: int
 ) -> tuple[int, ...]:
+    """Invert the three rewriting rules: sigma's first n+1 image values."""
     head = []
     for i, t in enumerate(tau, start=1):
         if t == i:
@@ -328,14 +309,6 @@ def sigma_to_tau(
     """
     _validate_m_star(sigma, n, lam)
     return _head_to_tau(sigma.image[: n + 1], n)
-
-
-def tau_to_sigma(
-    tau: Sequence[int], colors: Mapping[int, int], n: int, lam: int
-) -> Endofunction:
-    """Invert the three rewriting rules and restore the fixed tail."""
-    head = _tau_to_head(tau[: n + 1], colors, n, lam)
-    return Endofunction(head + _fixed_tail(n, lam))
 
 
 def _head_to_pair(head: Sequence[int], n: int) -> tuple[tuple[int, ...], Pairs, Pairs]:
@@ -452,12 +425,12 @@ def permanent_check(n: int) -> int:
 
 def endofunction_to_dot(sigma: Endofunction, name: str = "endofunction") -> str:
     """Graphviz text for a functional digraph; cycle edges are drawn bold."""
-    decomp = digraph_decompose(sigma)
+    cycles = _cycle_vertices(sigma.image)
     lines = [f"digraph {name} {{"]
     for v in range(1, sigma.n + 1):
         lines.append(f"  {v};")
     for v in range(1, sigma.n + 1):
-        style = " [style=bold]" if v in decomp.cycle_vertices else ""
+        style = " [style=bold]" if v in cycles else ""
         lines.append(f"  {v} -> {sigma(v)}{style};")
     lines.append("}")
     return "\n".join(lines)

@@ -17,14 +17,15 @@ result and an overflow raises ValueError.  Keys depend on the order of first
 sight, so they never leave the process: terms(), str() and pickling decode
 them to tuples.
 
-A coefficient is stored as a plain int whenever it is integral and as a
-Fraction only when its denominator exceeds 1.  Most family polynomials have
-integer coefficients, and int arithmetic skips the gcd that every Fraction
-operation runs.  Every operation that can turn a Fraction integral
-normalises its result, so the representation stays canonical: equality is a
-dict comparison and printing is deterministic.  Any other scalar type is a
-TypeError.  Values leave the ring as Fraction: evaluate and as_fraction
-always return one.
+Coefficients are fraction-free, as in FLINT's fmpq_poly: int numerators
+over one positive denominator, coprime to their gcd, and zero over 1.  The
+form is canonical, so equality compares numerators and denominator.  The
+kernels add and multiply only ints, the one normaliser _normal drops zero
+numerators and cancels the gcd, and arithmetic among integral polynomials
+(denominator 1) makes no gcd or lcm call.  Scalars are ints and Fractions;
+any other type is a TypeError.  terms() yields an int for an integral
+coefficient and a Fraction otherwise; evaluate and as_fraction always
+return a Fraction.
 
 Symbols are open-ended strings, which lets any number of parameters coexist
 in one ring.  Values are immutable after construction and safe to share.
@@ -44,13 +45,13 @@ import threading
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
+from math import gcd, lcm
 from operator import index, or_
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[tuple[str, int], ...]
 
-# Coefficients live in Q: an int when integral, else a Fraction in lowest
-# terms with a positive denominator.
+# A scalar of Q at the boundary: an int or a Fraction.
 Scalar = Union[int, Fraction]
 
 # ---- packed monomial keys ----
@@ -111,32 +112,31 @@ def _decode(key: int) -> Monomial:
 
 
 def _scalar(c) -> Scalar:
-    """c as a canonical coefficient: int if integral, else Fraction."""
-    if type(c) is int:
+    """c itself if it is an int or a Fraction; any other type is a TypeError."""
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
     raise TypeError(
         f"coefficient must be an int or a Fraction, not {type(c).__name__}"
     )
 
 
-def _canonical(sums: dict[int, Scalar]) -> dict[int, Scalar]:
-    """Drop zero sums and store integral Fractions as int."""
-    return {
-        m: (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-        for m, c in sums.items()
-        if c
-    }
+def _normal(terms: dict[int, int], den: int) -> Polynomial:
+    """terms/den in canonical form: drop zero numerators, cancel gcd(den, content)."""
+    terms = {m: c for m, c in terms.items() if c}
+    if den > 1:
+        g = gcd(den, *terms.values())
+        if g > 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    return Polynomial._raw(terms, den)
 
 
 def _product(
-    rows: Iterable[tuple[int, Scalar, Iterable[tuple[int, Scalar]]]],
+    rows: Iterable[tuple[int, int, Iterable[tuple[int, int]]]], den: int
 ) -> Polynomial:
-    """Sum of c1*c2 * m1*m2 over every row (m1, c1, right) and (m2, c2) in right."""
-    out: dict[int, Scalar] = {}
+    """Sum of c1*c2/den * m1*m2 over every row (m1, c1, right) and (m2, c2) in
+    right, where the c are int numerators."""
+    out: dict[int, int] = {}
     get = out.get
     for m1, c1, right in rows:
         for m2, c2 in right:
@@ -144,31 +144,34 @@ def _product(
             out[m] = get(m, 0) + c1 * c2
     if reduce(or_, out, 0) & _guard:
         raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
-    return Polynomial._raw(_canonical(out))
+    return _normal(out, den)
 
 
 class Polynomial:
     """Immutable element of Q[symbols] in canonical form."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         data: dict[int, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = _scalar(coeff)
-                if not c:
-                    continue
+        for mono, coeff in (terms or {}).items():
+            c = _scalar(coeff)
+            if c:
                 key = _encode(mono)
                 data[key] = data.get(key, 0) + c
-        self._terms = _canonical(data)
+        den = lcm(*(c.denominator for c in data.values()))
+        p = _normal(
+            {m: c.numerator * (den // c.denominator) for m, c in data.items()}, den
+        )
+        self._terms, self._den = p._terms, p._den
 
     @classmethod
-    def _raw(cls, terms: dict[int, Scalar]) -> Polynomial:
-        # Internal fast path: terms must already be canonical (packed keys,
-        # zero-free, integral coefficients stored as int).
+    def _raw(cls, terms: dict[int, int], den: int) -> Polynomial:
+        # Internal fast path: terms/den must already be canonical (packed
+        # keys, nonzero int numerators, den >= 1 coprime to their content).
         p = object.__new__(cls)
         p._terms = terms
+        p._den = den
         return p
 
     # ---- constructors ----
@@ -186,7 +189,7 @@ class Polynomial:
         c = _scalar(c)
         if not c:
             return _ZERO
-        return cls._raw({0: c})
+        return cls._raw({0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
@@ -197,7 +200,7 @@ class Polynomial:
         shift = _SHIFT.get(name)
         if shift is None:
             shift = _shift(name)
-        return cls._raw({1 << shift: 1})
+        return cls._raw({1 << shift: 1}, 1)
 
     # ---- inspection ----
 
@@ -206,8 +209,13 @@ class Polynomial:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
-        """(monomial, coefficient) pairs, each monomial decoded to a tuple."""
-        return ((_decode(m), c) for m, c in self._terms.items())
+        """(monomial, coefficient) pairs, each monomial decoded to a tuple and
+        each coefficient an int when integral, else a Fraction."""
+        den = self._den
+        return (
+            (_decode(m), Fraction(c, den) if c % den else c // den)
+            for m, c in self._terms.items()
+        )
 
     def symbols(self) -> frozenset[str]:
         return frozenset(s for s, _ in _decode(reduce(or_, self._terms, 0)))
@@ -224,43 +232,39 @@ class Polynomial:
         return max((e for e, _, _ in self._split(sym)), default=0)
 
     def total_degree(self) -> int:
-        return max(
-            (sum(e for _, e in mono) for mono, _ in self.terms()), default=0
-        )
+        return max((sum(e for _, e in _decode(m)) for m in self._terms), default=0)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; raises if symbols remain."""
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and 0 in self._terms:
-            return Fraction(self._terms[0])
+        if self._terms.keys() <= {0}:
+            return Fraction(self._terms.get(0, 0), self._den)
         raise ValueError(f"polynomial is not constant: {self}")
 
     def coefficient(self, sym: str, power: int) -> Polynomial:
         """Coefficient of sym**power, a polynomial in the other symbols."""
-        return Polynomial._raw(
-            {rest: c for e, rest, c in self._split(sym) if e == power}
+        return _normal(
+            {rest: c for e, rest, c in self._split(sym) if e == power}, self._den
         )
 
     def coefficients_in(self, sym: str) -> list[Polynomial]:
         """Split as sum of coefficients_in(sym)[j] * sym**j."""
-        byp: dict[int, dict[int, Scalar]] = {}
+        byp: dict[int, dict[int, int]] = {}
         for e, rest, c in self._split(sym):
             byp.setdefault(e, {})[rest] = c
         top = max(byp, default=0)
-        return [Polynomial._raw(byp.get(j, {})) for j in range(top + 1)]
+        return [_normal(byp.get(j, {}), self._den) for j in range(top + 1)]
 
     def graded(self, syms: Iterable[str], top: int) -> list[Polynomial]:
         """The parts of degree 0..top in syms; the terms above top are dropped."""
         if top < 0:  # nothing would be kept
             raise ValueError("truncation order must be >= 0")
         shifts = {_shift(s) for s in syms}
-        parts: list[dict[int, Scalar]] = [{} for _ in range(top + 1)]
+        parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
         for m, c in self._terms.items():
             d = sum((m >> shift) & _MASK for shift in shifts)
             if d <= top:
                 parts[d][m] = c
-        return [Polynomial._raw(part) for part in parts]
+        return [_normal(part, self._den) for part in parts]
 
     # ---- ring arithmetic ----
 
@@ -276,22 +280,29 @@ class Polynomial:
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        den = self._den
+        if den != other._den:  # bring both sides to the lcm
+            den = lcm(den, other._den)
+            fa, fb = den // self._den, den // other._den
+            out = {m: c * fa for m, c in self._terms.items()}
+            get = out.get
+            for mono, c in other._terms.items():
+                out[mono] = get(mono, 0) + c * fb
+            return _normal(out, den)
         out = dict(self._terms)
         for mono, c in other._terms.items():
             if mono in out:  # only a key both sides hold needs an add
-                c = out[mono] + c
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator
+                c += out[mono]
                 if not c:
                     del out[mono]
                     continue
             out[mono] = c
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, 1) if den == 1 else _normal(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw({m: -c for m, c in self._terms.items()})
+        return Polynomial._raw({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
         other = Polynomial._coerce(other)
@@ -300,20 +311,26 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> Polynomial:
-        return Polynomial._coerce(other) + (-self)
+        return (-self).__add__(other)
+
+    def _scale(self, num: int, den: int) -> Polynomial:
+        """self * num/den for ints num != 0 and den >= 1."""
+        terms = {m: c * num for m, c in self._terms.items()}
+        den *= self._den
+        return Polynomial._raw(terms, 1) if den == 1 else _normal(terms, den)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            c = _scalar(other)
-            if not c:
+            if not other:
                 return _ZERO
-            return Polynomial._raw(
-                _canonical({m: v * c for m, v in self._terms.items()})
-            )
+            return self._scale(other.numerator, other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         right = list(other._terms.items())
-        return _product((m1, c1, right) for m1, c1 in self._terms.items())
+        return _product(
+            ((m1, c1, right) for m1, c1 in self._terms.items()),
+            self._den * other._den,
+        )
 
     __rmul__ = __mul__
 
@@ -321,7 +338,10 @@ class Polynomial:
         # Scalar division only; the coefficient field is Q.
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * (1 / Fraction(other))
+        num, den = other.numerator, other.denominator
+        if not num:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._scale(den, num) if num > 0 else self._scale(-den, -num)
 
     def __pow__(self, k: int) -> Polynomial:
         if not isinstance(k, int):
@@ -346,10 +366,13 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A constant hashes like its value, as == compares it with one.
+        if self._terms.keys() <= {0}:
+            return hash(self.as_fraction())
+        return hash((frozenset(self._terms.items()), self._den))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -363,10 +386,9 @@ class Polynomial:
     def derivative(self, sym: str) -> Polynomial:
         """Formal partial derivative with respect to sym."""
         unit = 1 << _shift(sym)
-        return Polynomial._raw(
-            _canonical(
-                {rest + (e - 1) * unit: c * e for e, rest, c in self._split(sym) if e}
-            )
+        return _normal(
+            {rest + (e - 1) * unit: c * e for e, rest, c in self._split(sym) if e},
+            self._den,
         )
 
     def substitute(self, sym: str, value: Polynomial | Scalar) -> Polynomial:
@@ -410,8 +432,8 @@ class Polynomial:
 
 
 _F0 = Fraction(0)
-_ZERO = Polynomial._raw({})
-_ONE = Polynomial._raw({0: 1})
+_ZERO = Polynomial._raw({}, 1)
+_ONE = Polynomial._raw({0: 1}, 1)
 
 
 def variables(*names: str) -> tuple[Polynomial, ...]:
@@ -438,10 +460,18 @@ def powers(base: Any) -> Iterator[Any]:
 
 def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
     """The sum of p*q over the (p, q) pairs in one _product pass: no partial
-    product or partial sum is built as a Polynomial."""
-    return _product(
-        (m1, c1, q._terms.items()) for p, q in pairs for m1, c1 in p._terms.items()
-    )
+    product or partial sum is built as a Polynomial.  Unless every pair is
+    integral, each term of p is brought to the lcm of the pairs' denominators
+    by one int multiply."""
+    pairs = [(p._terms.items(), q._terms.items(), p._den * q._den) for p, q in pairs]
+    den = max((d for *_, d in pairs), default=1)
+    if den == 1:
+        rows = ((m1, c1, right) for left, right, _ in pairs for m1, c1 in left)
+    else:
+        den = lcm(*(d for *_, d in pairs))
+        pairs = [(left, right, den // d) for left, right, d in pairs]
+        rows = ((m1, c1 * f, right) for left, right, f in pairs for m1, c1 in left)
+    return _product(rows, den)
 
 
 def evaluate_at(coeffs: Sequence[Polynomial], value: Any, total: Any) -> Any:

@@ -47,34 +47,31 @@ def test_endofunction_validation():
         en.Endofunction((1, 4, 2))
 
 
-def test_digraph_decompose_examples():
-    d = en.digraph_decompose(en.Endofunction((2, 1, 2)))
-    assert d.cycle_vertices == frozenset({1, 2})
-    assert d.parent == (0, 0, 2)
-
-    ident = en.Endofunction((1, 2, 3, 4))
-    d = en.digraph_decompose(ident)
-    assert d.cycle_vertices == frozenset({1, 2, 3, 4})
-    assert d.parent == (0, 0, 0, 0)
-
-    const = en.Endofunction((1, 1, 1))
-    d = en.digraph_decompose(const)
-    assert d.cycle_vertices == frozenset({1})
-    assert d.parent == (0, 1, 1)
+def test_cycle_vertices_examples():
+    assert en._cycle_vertices((2, 1, 2)) == {1, 2}
+    assert en._cycle_vertices((1, 2, 3, 4)) == {1, 2, 3, 4}
+    assert en._cycle_vertices((1, 1, 1)) == {1}
+    # A parent map: 0 marks a root and ends the path, so a forest has none.
+    assert en._cycle_vertices((0, 1, 2)) == set()
+    assert en._cycle_vertices((0, 3, 2)) == {2, 3}
 
 
-def test_digraph_decompose_properties():
+def bold_sources(dot):
+    return {int(line.split()[0]) for line in dot.splitlines() if "[style=bold]" in line}
+
+
+def test_cycle_vertices_and_dot_properties():
     for sigma in en.endofunctions(4):
-        d = en.digraph_decompose(sigma)
-        cyc = d.cycle_vertices
+        cyc = en._cycle_vertices(sigma.image)
         assert {sigma(v) for v in cyc} == cyc  # restriction is a permutation
-        for v in range(1, 5):
+        for v in range(1, 5):  # every vertex reaches a cycle
             steps = 0
             w = v
             while w not in cyc:
-                w = d.parent[w - 1]
+                w = sigma(w)
                 steps += 1
                 assert steps <= 4
+        assert bold_sources(en.endofunction_to_dot(sigma)) == cyc
 
 
 def test_forest_counts():
@@ -120,8 +117,7 @@ def test_rewrite_rules_one_by_one():
     tau, colors = en.sigma_to_tau(sigma, 2, 2)
     assert tau == (3, 1, 3)  # 1 -> n+1 = 3; 2 -> 1 copied; 3 -> itself
     assert colors == {3: 1}
-    back = en.tau_to_sigma(tau, colors, 2, 2)
-    assert back.image == sigma.image
+    assert en._tau_to_head(tau, colors, 2, 2) + en._fixed_tail(2, 2) == sigma.image
 
 
 def test_spec_single_object_examples():

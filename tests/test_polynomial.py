@@ -1,11 +1,13 @@
 """Unit and property tests for the exact polynomial ring."""
 
+import operator
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,39 @@ def test_equality_and_hash():
     assert hash(lam + 1 - 1) == hash(lam)
 
 
+@settings(max_examples=120)
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.fractions()))
+def test_constants_hash_like_their_value(c):
+    for p in (Polynomial.constant(c), Polynomial({(): c}), lam + c - lam):
+        assert p == c
+        assert hash(p) == hash(c)
+        assert c in {p}
+        assert p in {c}
+        assert len({p, c}) == 1
+
+
+def test_equal_values_from_different_routes_are_equal_and_hash_alike():
+    routes = [
+        (lam / 2 + lam / 2, lam),
+        ((lam / 6) * 3, lam / 2),
+        (Polynomial({((LAM, 1),): Fraction(1, 2)}), lam * Fraction(1, 2)),
+        (dot([(lam / 2, mu / 3), (lam / 3, mu / 2)]), lam * mu / 3),
+        ((lam * mu / 4).derivative(MU) * 2, lam / 2),
+    ]
+    for p, q in routes:
+        assert p == q
+        assert hash(p) == hash(q)
+        assert str(p) == str(q)
+
+
+@pytest.mark.parametrize("op, sign", [
+    (operator.sub, "-"), (operator.add, "+"), (operator.mul, "*"),
+])
+def test_unsupported_left_operand_names_both_types(op, sign):
+    with pytest.raises(TypeError, match=rf"for \{sign}: 'float' and 'Polynomial'"):
+        op(0.5, lam)
+
+
 SYMS = (LAM, MU, "u")
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -142,8 +177,8 @@ def test_pow_matches_repeated_multiplication(p, k):
     assert p ** k == expected
 
 
-# ---- int-first coefficients: differential tests against a Fraction-only
-# reference kept here, independent of the kernel ----
+# ---- numerators over one denominator: differential tests against a
+# Fraction-only reference kept here, independent of the kernel ----
 
 mixed_coeffs = st.one_of(
     st.integers(-6, 6),
@@ -204,6 +239,14 @@ def ref_derivative(a, sym):
 
 
 def assert_canonical(p):
+    # Inside: nonzero int numerators over one int denominator >= 1 that is
+    # coprime to their content, and zero over denominator 1.
+    assert type(p._den) is int and p._den >= 1
+    assert all(type(c) is int and c for c in p._terms.values())
+    assert gcd(p._den, *p._terms.values()) == 1
+    if not p._terms:
+        assert p._den == 1
+    # At the boundary: an int when integral, else a Fraction.
     for _, c in p.terms():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
@@ -214,10 +257,11 @@ def assert_canonical(p):
 def test_results_are_canonical(a, b, k):
     results = [a, b, a + b, a - b, -a, a * b, a * k, k * a, a + k, k - a,
                a.derivative(LAM), a.coefficient(LAM, 1), a.substitute(MU, b),
-               Polynomial.constant(k), a ** 2]
+               Polynomial.constant(k), a ** 2, dot([(a, b), (b / 3, a)])]
     if k:
         results.append(a / k)
     results.extend(a.coefficients_in(MU))
+    results.extend(a.graded((LAM, MU), 3))
     for p in results:
         assert_canonical(p)
 
@@ -444,3 +488,65 @@ def test_packed_kernel_matches_tuple_reference(case, cap):
     assert [ref(part) for part in parts] == [ref_part(ra, symset, d) for d in range(cap + 1)]
     assert ref(dot([(a, b), (b, b)])) == ref_add(ref_mul(ra, rb), ref_mul(rb, rb))
     assert str(a) == str(Polynomial(dict(a.terms())))
+
+
+# ---- fraction-free coefficients: differential tests on fractional inputs ----
+
+# Polynomials over different denominators, so that a sum or a dot must bring
+# its sides to a common one, and polynomials with integral coefficients only.
+frac_polys = st.tuples(mixed_polys, st.sampled_from([1, 2, 3, 4, 6, 9])).map(
+    lambda t: t[0] / t[1]
+)
+int_polys = st.lists(st.tuples(monomials, st.integers(-6, 6)), max_size=5).map(
+    lambda items: Polynomial({tuple(sorted(m.items())): c for m, c in items})
+)
+
+
+def ref_dot(pairs):
+    out = {}
+    for p, q in pairs:
+        out = ref_add(out, ref_mul(ref(p), ref(q)))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(frac_polys, frac_polys), max_size=4))
+def test_dot_matches_fraction_reference(pairs):
+    got = dot(pairs)
+    assert ref(got) == ref_dot(pairs)
+    assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(int_polys, int_polys), max_size=4))
+def test_dot_of_integral_pairs_matches_fraction_reference(pairs):
+    got = dot(pairs)
+    assert ref(got) == ref_dot(pairs)
+    assert got._den == 1
+    assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frac_polys, frac_polys, st.integers(0, 6))
+def test_slices_and_calculus_on_fractional_inputs_match_fraction_reference(a, b, cap):
+    ra, rb = ref(a), ref(b)
+    results = []
+    for sym in SYMS:
+        for k in range(4):
+            results.append(a.coefficient(sym, k))
+            assert ref(results[-1]) == ref_coefficient(ra, sym, k)
+        split = a.coefficients_in(sym)
+        assert [ref(part) for part in split] == [
+            ref_coefficient(ra, sym, k) for k in range(a.degree(sym) + 1)
+        ]
+        results.extend(split)
+        results.append(a.derivative(sym))
+        assert ref(results[-1]) == ref_derivative(ra, sym)
+        results.append(a.substitute(sym, b))
+        assert ref(results[-1]) == ref_substitute(ra, sym, rb)
+    parts = a.graded(SYMS[:2], cap)
+    assert [ref(part) for part in parts] == [
+        ref_part(ra, frozenset(SYMS[:2]), d) for d in range(cap + 1)
+    ]
+    for p in results + parts:
+        assert_canonical(p)
