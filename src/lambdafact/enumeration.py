@@ -221,10 +221,6 @@ def forests(m: int) -> Iterator[tuple[int, ...]]:
             yield parent
 
 
-def forest_root_count(parent: Sequence[int]) -> int:
-    return sum(1 for p in parent if p == 0)
-
-
 # ---- the colored bijection ----
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from ..polynomial import Polynomial, powers
+from ..polynomial import Polynomial, dot, powers
 from ..series import (
     TruncatedSeries,
     abel_rhs,
@@ -499,12 +499,11 @@ def _check_5_1(n: int, m: int) -> Polynomial:
 
 def _check_5_2(total_degree: int) -> Polynomial:
     syms = (T, X)
-    lhs = _ZERO
-    for n in range(total_degree + 1):
-        for m in range(total_degree + 1 - n):
-            lhs = lhs + q_poly(n, m) * _t ** n * _x ** m / (
-                factorial(n) * factorial(m)
-            )
+    lhs = dot(
+        (q_poly(n, m) / (factorial(n) * factorial(m)), _t ** n * _x ** m)
+        for n in range(total_degree + 1)
+        for m in range(total_degree + 1 - n)
+    )
     rhs = exp_truncated((_lam + _mu - 1) * _t, syms, total_degree)
     rhs = mul_truncated(rhs, exp_truncated((_lam - 1) * _x, syms, total_degree), syms, total_degree)
     rhs = mul_truncated(rhs, geometric_truncated(_t + _x, syms, total_degree), syms, total_degree)

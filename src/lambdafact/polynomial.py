@@ -23,9 +23,15 @@ form is canonical, so equality compares numerators and denominator.  The
 kernels add and multiply only ints, the one normaliser _normal drops zero
 numerators and cancels the gcd, and arithmetic among integral polynomials
 (denominator 1) makes no gcd or lcm call.  Scalars are ints and Fractions;
-any other type is a TypeError.  terms() yields an int for an integral
-coefficient and a Fraction otherwise; evaluate and as_fraction always
-return a Fraction.
+any other type is a TypeError, also as a binding of evaluate.  terms()
+yields an int for an integral coefficient and a Fraction otherwise;
+evaluate and as_fraction always return a Fraction.
+
+Each operation pays only for the terms it combines: a zero side of a sum,
+a product or a dot pair, and a single-term side of a product (a constant,
+say), skip the general kernel _product, which only products of two
+multi-term operands reach.  Tests check each path against a Fraction-only
+reference.
 
 Symbols are open-ended strings, which lets any number of parameters coexist
 in one ring.  Values are immutable after construction and safe to share.
@@ -122,13 +128,21 @@ def _scalar(c) -> Scalar:
 
 def _normal(terms: dict[int, int], den: int) -> Polynomial:
     """terms/den in canonical form: drop zero numerators, cancel gcd(den, content)."""
-    terms = {m: c for m, c in terms.items() if c}
+    if 0 in terms.values():
+        terms = {m: c for m, c in terms.items() if c}
     if den > 1:
         g = gcd(den, *terms.values())
         if g > 1:
             den //= g
             terms = {m: c // g for m, c in terms.items()}
     return Polynomial._raw(terms, den)
+
+
+def _guarded(out: dict[int, int]) -> dict[int, int]:
+    """out itself, unless a key of it has a guard bit set: an exponent overflowed."""
+    if reduce(or_, out, 0) & _guard:
+        raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+    return out
 
 
 def _product(
@@ -142,9 +156,7 @@ def _product(
         for m2, c2 in right:
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
-    if reduce(or_, out, 0) & _guard:
-        raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
-    return _normal(out, den)
+    return _normal(_guarded(out), den)
 
 
 class Polynomial:
@@ -220,6 +232,11 @@ class Polynomial:
     def symbols(self) -> frozenset[str]:
         return frozenset(s for s, _ in _decode(reduce(or_, self._terms, 0)))
 
+    def mentions(self, sym: str) -> bool:
+        """Whether sym occurs in some term: one test of its field, no decoding."""
+        shift = _SHIFT.get(sym)
+        return shift is not None and (reduce(or_, self._terms, 0) >> shift) & _MASK > 0
+
     def _split(self, sym: str) -> Iterator[tuple[int, int, Scalar]]:
         """(exponent of sym, key without sym, coefficient) for every term."""
         shift = _shift(sym)
@@ -280,6 +297,10 @@ class Polynomial:
         other = Polynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         den = self._den
         if den != other._den:  # bring both sides to the lcm
             den = lcm(den, other._den)
@@ -314,23 +335,29 @@ class Polynomial:
         return (-self).__add__(other)
 
     def _scale(self, num: int, den: int) -> Polynomial:
-        """self * num/den for ints num != 0 and den >= 1."""
+        """self * num/den for ints num and den >= 1."""
         terms = {m: c * num for m, c in self._terms.items()}
         den *= self._den
-        return Polynomial._raw(terms, 1) if den == 1 else _normal(terms, den)
+        return Polynomial._raw(terms, 1) if den == 1 and num else _normal(terms, den)
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
-            return self._scale(other.numerator, other.denominator)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        right = list(other._terms.items())
-        return _product(
-            ((m1, c1, right) for m1, c1 in self._terms.items()),
-            self._den * other._den,
-        )
+        if type(other) is not Polynomial:  # isinstance of the ABC Fraction is slow
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other.numerator, other.denominator)
+            if not isinstance(other, Polynomial):
+                return NotImplemented
+        left, right, den = self._terms, other._terms, self._den * other._den
+        if len(left) > 1 < len(right):
+            right = list(right.items())
+            return _product(((m1, c1, right) for m1, c1 in left.items()), den)
+        if not left or not right:
+            return _ZERO
+        if len(left) == 1:  # the single term on the right
+            left, right = right, left
+        # Shifted keys stay apart and scaled numerators stay nonzero.
+        ((m2, c2),) = right.items()
+        out = _guarded({m1 + m2: c1 * c2 for m1, c1 in left.items()})
+        return Polynomial._raw(out, 1) if den == 1 else _normal(out, den)
 
     __rmul__ = __mul__
 
@@ -353,7 +380,7 @@ class Polynomial:
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is _ONE else result * base
             k >>= 1
             if k:
                 base = base * base
@@ -406,7 +433,7 @@ class Polynomial:
             for s, e in mono:
                 if s not in bindings:
                     raise ValueError(f"no binding for symbol {s!r}")
-                term *= Fraction(bindings[s]) ** e
+                term *= _scalar(bindings[s]) ** e
             total += term
         return total
 
@@ -463,7 +490,10 @@ def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
     product or partial sum is built as a Polynomial.  Unless every pair is
     integral, each term of p is brought to the lcm of the pairs' denominators
     by one int multiply."""
-    pairs = [(p._terms.items(), q._terms.items(), p._den * q._den) for p, q in pairs]
+    pairs = [
+        (p._terms.items(), q._terms.items(), p._den * q._den)
+        for p, q in pairs if p._terms and q._terms
+    ]
     den = max((d for *_, d in pairs), default=1)
     if den == 1:
         rows = ((m1, c1, right) for left, right, _ in pairs for m1, c1 in left)

@@ -74,7 +74,7 @@ class TruncatedSeries:
         cs = [_as_poly(c) for c in coeffs[: order + 1]]
         cs.extend([Polynomial.zero()] * (order + 1 - len(cs)))
         for i, c in enumerate(cs):
-            if var in c.symbols():
+            if c.mentions(var):
                 raise ValueError(
                     f"coefficient of {var}^{i} mentions the series variable: {c}"
                 )
@@ -191,7 +191,7 @@ class TruncatedSeries:
             c = Fraction(other)
             return TruncatedSeries._raw(self.var, tuple(a * c for a in self.coeffs))
         if isinstance(other, Polynomial):
-            if self.var in other.symbols():
+            if other.mentions(self.var):
                 raise ValueError(
                     f"a polynomial factor mentions the series variable {self.var!r}: {other}"
                 )
@@ -235,7 +235,7 @@ class TruncatedSeries:
     def rescale(self, c: PolyLike) -> TruncatedSeries:
         """Substitute var := c*var for a coefficient-like c."""
         c = _as_poly(c)
-        if self.var in c.symbols():
+        if c.mentions(self.var):
             raise ValueError("rescale factor must not contain the series variable")
         return TruncatedSeries._raw(
             self.var, tuple(a * power for a, power in zip(self.coeffs, powers(c)))
@@ -327,7 +327,7 @@ def binomial_power(
     c = _as_poly(c)
     e = _as_poly(e)
     for p in (c, e):
-        if var in p.symbols():
+        if p.mentions(var):
             raise ValueError("binomial_power arguments must not contain the series variable")
     coeffs = [Polynomial.one()]
     falling = Polynomial.one()

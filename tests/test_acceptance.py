@@ -132,7 +132,7 @@ def test_criterion_05_forest_counts():
         total = 0
         for forest in en.forests(n + 1):
             total += 1
-            k = en.forest_root_count(forest) - 1
+            k = forest.count(0) - 1
             counts[k] = counts.get(k, 0) + 1
         if total != (n + 2) ** n:
             failures.append(("total", n, total))

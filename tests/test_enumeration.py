@@ -79,7 +79,7 @@ def test_forest_counts():
     # Forests on [3]: (2+2)^2 with the two-component stratum C(2,1)*3.
     all3 = list(en.forests(3))
     assert len(all3) == 16
-    assert sum(1 for f in all3 if en.forest_root_count(f) == 2) == 6
+    assert sum(1 for f in all3 if f.count(0) == 2) == 6
 
 
 def test_is_forest_rejects_cycles():

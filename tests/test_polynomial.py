@@ -363,6 +363,8 @@ def test_non_rational_scalars_are_rejected(bad):
         lam + bad
     with pytest.raises(TypeError):
         lam.substitute(LAM, bad)
+    with pytest.raises(TypeError):
+        lam.evaluate({LAM: bad})
 
 
 def test_pickle_rebuilds_from_monomials_in_another_process():
@@ -473,7 +475,9 @@ def test_packed_kernel_matches_tuple_reference(case, cap):
     assert a.total_degree() == max(
         (ref_degree_in(m, pool) for m in ra), default=0
     )
+    assert not a.mentions("never seen")
     for sym in pool:
+        assert a.mentions(sym) == (sym in a.symbols()) == any(ref_exp(m, sym) for m in ra)
         assert a.degree(sym) == max((ref_exp(m, sym) for m in ra), default=0)
         for k in range(4):
             assert ref(a.coefficient(sym, k)) == ref_coefficient(ra, sym, k)
@@ -550,3 +554,61 @@ def test_slices_and_calculus_on_fractional_inputs_match_fraction_reference(a, b,
     ]
     for p in results + parts:
         assert_canonical(p)
+
+
+# ---- fast paths: differential tests by operand shape ----
+
+# A zero side, a nonzero constant and a single non-constant term skip the
+# general product; general operands (two or more terms) do not.  Each shape
+# comes with int and with fractional coefficients.
+single_terms = st.tuples(
+    st.dictionaries(st.sampled_from(SYMS), st.integers(1, 3), min_size=1, max_size=2),
+    mixed_coeffs.filter(bool),
+).map(lambda t: Polynomial({tuple(sorted(t[0].items())): t[1]}))
+general_polys = st.lists(
+    st.tuples(monomials, mixed_coeffs.filter(bool)), min_size=2, max_size=5
+).map(lambda items: Polynomial({tuple(sorted(m.items())): c for m, c in items}))
+shaped = st.one_of(
+    st.just(Polynomial.zero()),
+    mixed_coeffs.filter(bool).map(Polynomial.constant),
+    single_terms,
+    general_polys,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped, shaped)
+def test_fast_paths_match_fraction_reference(a, b):
+    ra, rb = ref(a), ref(b)
+    results = [(a * b, ref_mul(ra, rb)), (b * a, ref_mul(rb, ra)),
+               (a + b, ref_add(ra, rb)), (b + a, ref_add(rb, ra)),
+               (a - b, ref_add(ra, {m: -c for m, c in rb.items()}))]
+    expected = {(): Fraction(1)}
+    for k in range(5):
+        results.append((a ** k, expected))
+        expected = ref_mul(expected, ra)
+    for p, r in results:
+        assert ref(p) == r
+        assert_canonical(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(shaped, shaped), max_size=4),
+       st.lists(st.tuples(frac_polys, frac_polys), max_size=3), st.randoms())
+def test_dot_with_zero_sides_matches_fraction_reference(shaped_pairs, frac_pairs, rnd):
+    zero = Polynomial.zero()
+    pairs = shaped_pairs + frac_pairs + [(zero, p) for p, _ in frac_pairs] + [
+        (q, zero) for _, q in frac_pairs]
+    rnd.shuffle(pairs)
+    got = dot(pairs)
+    assert ref(got) == ref_dot(pairs)
+    assert_canonical(got)
+
+
+def test_single_term_product_exponent_overflow_raises():
+    top = lam ** MAX_EXPONENT
+    for single, other in ((top, lam), (lam, top), (top, lam * mu / 3)):
+        with pytest.raises(ValueError, match="exponent above"):
+            single * other
+        with pytest.raises(ValueError, match="exponent above"):
+            other * single

@@ -370,6 +370,12 @@ def test_a_polynomial_factor_in_the_series_variable_is_an_error():
             s * bad
         with pytest.raises(ValueError):
             s / bad
+        with pytest.raises(ValueError, match="series variable"):
+            s.rescale(bad)
+        with pytest.raises(ValueError, match="series variable"):
+            binomial_power(bad, 2, 3)
+        with pytest.raises(ValueError, match="series variable"):
+            binomial_power(2, bad, 3)
     assert s / Polynomial.constant(2) == s * Fraction(1, 2)
     with pytest.raises(ValueError):
         s / lam
