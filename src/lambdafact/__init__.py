@@ -14,16 +14,14 @@ The package provides, over exact rational arithmetic:
   series transforms and the bijection demo.
 """
 
-from .polynomial import Polynomial, variables
-from .series import TruncatedSeries, abel_rhs, binomial_power, egf_shift, tree_function
+from .polynomial import Polynomial
+from .series import TruncatedSeries, abel_rhs, binomial_power, tree_function
 
 __all__ = [
     "Polynomial",
-    "variables",
     "TruncatedSeries",
     "abel_rhs",
     "binomial_power",
-    "egf_shift",
     "tree_function",
 ]
 

@@ -38,8 +38,6 @@ _ONE_INDEX = {
 }
 TABLE_FAMILIES = (*_ONE_INDEX, "stirling2", "q")
 
-ABEL_FAMILIES = tuple(sequences.ABEL_FAMILIES)
-
 
 def _default_order() -> int:
     raw = os.environ.get("LAMBDAFACT_ORDER", "")
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--order", type=int, default=None)
     p_series.add_argument("--lambda", dest="lam", default="sym",
                           help="integer value or 'sym' (default)")
-    p_series.add_argument("--a", choices=ABEL_FAMILIES, default="ones",
+    p_series.add_argument("--a", choices=tuple(sequences.ABEL_FAMILIES), default="ones",
                           help="sequence family for abel-rhs")
     p_series.add_argument("--format", choices=("text", "json"), default="text")
     p_series.add_argument("--unsafe", action="store_true",

@@ -739,13 +739,6 @@ def catalogue_ids() -> tuple[str, ...]:
     return tuple(CATALOGUE)
 
 
-def _lookup(identity_id: str) -> Identity:
-    entry = CATALOGUE.get(identity_id)
-    if entry is None:
-        raise KeyError(f"unknown identity {identity_id!r}")
-    return entry
-
-
 def _check_caps(params: dict) -> None:
     for key, value in params.items():
         cap = _PARAM_CAPS.get(key)
@@ -755,7 +748,9 @@ def _check_caps(params: dict) -> None:
 
 def verify(identity_id: str, **params) -> IdentityReport:
     """Check one identity at one parameter point; exact, zero tolerance."""
-    entry = _lookup(identity_id)
+    entry = CATALOGUE.get(identity_id)
+    if entry is None:
+        raise KeyError(f"unknown identity {identity_id!r}")
     _check_caps(params)
     start = time.perf_counter()
     residual = entry.check(**params)

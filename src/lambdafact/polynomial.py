@@ -33,8 +33,9 @@ say), skip the general kernel _product, which only products of two
 multi-term operands reach.  Tests check each path against a Fraction-only
 reference.
 
-Symbols are open-ended strings, which lets any number of parameters coexist
-in one ring.  Values are immutable after construction and safe to share.
+Symbols are nonempty strings, any number of which coexist in one ring; a
+name of another type, or the empty name, is a ValueError before it takes a
+slot.  Values are immutable after construction and safe to share.
 
 Only ring arithmetic, substitution, formal derivatives, and evaluation are
 provided; there is deliberately no factorization or division of polynomials.
@@ -77,6 +78,8 @@ def _shift(sym: str) -> int:
     """Bit offset of sym's field, handing out the next slot on first sight."""
     shift = _SHIFT.get(sym)
     if shift is None:
+        if not isinstance(sym, str) or not sym:
+            raise ValueError(f"symbol name must be a nonempty string, got {sym!r}")
         global _guard
         with _slot_lock:
             shift = _SHIFT.get(sym)
@@ -99,8 +102,7 @@ def _encode(mono: Monomial) -> int:
     for s, e in exps.items():
         if e > MAX_EXPONENT:
             raise ValueError(f"exponent {e} of {s!r} exceeds {MAX_EXPONENT}")
-        if e:
-            key |= e << _shift(s)
+        key |= e << _shift(s)  # also for e = 0, so that every name is checked
     return key
 
 
@@ -205,8 +207,6 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
-        if not name:
-            raise ValueError("symbol name must be a nonempty string")
         # Family routes build their variables on every uncached call, so
         # the common case skips the call into _shift.
         shift = _SHIFT.get(name)
@@ -244,24 +244,11 @@ class Polynomial:
             e = (m >> shift) & _MASK
             yield e, m - (e << shift), c
 
-    def degree(self, sym: str) -> int:
-        """Highest power of sym; 0 if sym does not occur (also for 0)."""
-        return max((e for e, _, _ in self._split(sym)), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in _decode(m)) for m in self._terms), default=0)
-
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; raises if symbols remain."""
         if self._terms.keys() <= {0}:
             return Fraction(self._terms.get(0, 0), self._den)
         raise ValueError(f"polynomial is not constant: {self}")
-
-    def coefficient(self, sym: str, power: int) -> Polynomial:
-        """Coefficient of sym**power, a polynomial in the other symbols."""
-        return _normal(
-            {rest: c for e, rest, c in self._split(sym) if e == power}, self._den
-        )
 
     def coefficients_in(self, sym: str) -> list[Polynomial]:
         """Split as sum of coefficients_in(sym)[j] * sym**j."""
@@ -461,11 +448,6 @@ class Polynomial:
 _F0 = Fraction(0)
 _ZERO = Polynomial._raw({}, 1)
 _ONE = Polynomial._raw({0: 1}, 1)
-
-
-def variables(*names: str) -> tuple[Polynomial, ...]:
-    """Convenience: variables("x", "y") -> (x, y) as polynomials."""
-    return tuple(Polynomial.variable(n) for n in names)
 
 
 # ---- kernels shared with the series layer ----

@@ -14,7 +14,6 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from . import enumeration
 from .polynomial import Polynomial, Scalar, powers
 from .symbols import ALPHA, LAM, MU, U
 
@@ -77,7 +76,6 @@ def derangement(n: int) -> int:
 
 
 LAMBDA_FACTORIAL_ROUTES = (
-    "definition-enumeration",
     "binomial-1.0b",
     "derangement-1.0e",
     "recurrence-1.0c",
@@ -105,9 +103,9 @@ def _lambda_factorial_recurrence(n: int) -> Polynomial:
 def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
     """The polynomial f_n = sum over permutations of [n] of λ^(fixed points).
 
-    Routes: direct enumeration (n <= 8), the k!-binomial expansion, the
-    derangement-number expansion, and the first-order recurrence.  All
-    routes agree; tests enforce it.
+    Routes: the k!-binomial expansion, the derangement-number expansion,
+    and the first-order recurrence.  All routes agree with each other and,
+    for n <= 8, with enumeration.oracle_polynomials; tests enforce it.
     """
     if n < 0:
         raise ValueError("lambda_factorial needs n >= 0")
@@ -125,11 +123,6 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
             (lam ** (n - k) * (binomial(n, k) * derangement(k)) for k in range(n + 1)),
             Polynomial.zero(),
         )
-    if route == "definition-enumeration":
-        acc = Polynomial.zero()
-        for _, fix in enumeration.permutations_with_fix(n):
-            acc = acc + lam ** fix
-        return acc
     raise ValueError(f"unknown route {route!r}; expected one of {LAMBDA_FACTORIAL_ROUTES}")
 
 

@@ -69,6 +69,8 @@ class TruncatedSeries:
     __slots__ = ("var", "order", "coeffs")
 
     def __init__(self, var: str, coeffs: Sequence[PolyLike], order: int):
+        if not isinstance(var, str) or not var:
+            raise ValueError(f"series variable must be a nonempty string, got {var!r}")
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         cs = [_as_poly(c) for c in coeffs[: order + 1]]
@@ -100,17 +102,8 @@ class TruncatedSeries:
         return cls(var, [], order)
 
     @classmethod
-    def one(cls, var: str, order: int) -> TruncatedSeries:
-        return cls.constant(1, var, order)
-
-    @classmethod
     def constant(cls, c: PolyLike, var: str, order: int) -> TruncatedSeries:
         return cls(var, [c], order)
-
-    @classmethod
-    def identity(cls, var: str, order: int) -> TruncatedSeries:
-        """The series var itself."""
-        return cls(var, [0, 1], order)
 
     @classmethod
     def egf(
@@ -203,13 +196,12 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: TruncatedSeries | PolyLike) -> TruncatedSeries:
-        if isinstance(other, (Polynomial, int, Fraction)):
-            # as_fraction raises unless the divisor is a rational constant.
-            return self * (1 / _as_poly(other).as_fraction())
-        if not isinstance(other, TruncatedSeries):
+    def __truediv__(self, other: PolyLike) -> TruncatedSeries:
+        # Division by a rational constant only (as_fraction raises on any
+        # other polynomial); a series divisor goes through reciprocal.
+        if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
-        return self * other.reciprocal()
+        return self * (1 / _as_poly(other).as_fraction())
 
     def __eq__(self, other: object) -> bool:
         # Compares up to the smaller truncation order.
@@ -337,15 +329,6 @@ def binomial_power(
     return TruncatedSeries(var, coeffs, order)
 
 
-def egf_shift(
-    a: Callable[[int], PolyLike], k: int, order: int, var: str = "x"
-) -> TruncatedSeries:
-    """EGF of the shifted sequence n -> a(n+k); the k-th derivative of the EGF of a."""
-    if k < 0:
-        raise ValueError("shift must be nonnegative")
-    return TruncatedSeries.egf(lambda n: a(n + k), var, order)
-
-
 def tree_fixed_point(order: int, var: str = "x") -> TruncatedSeries:
     """The solution y of y = var*exp(y), unchecked, for checks that test it;
     pass i lifts y to order i-1 to var*exp(y) to order i."""
@@ -411,10 +394,10 @@ def abel_rhs(
     var: str = "x",
 ) -> TruncatedSeries:
     """abel_sum with D_k = A_k(-k*var), A_k the k-th derivative of the EGF of
-    the sequence a: the sum over k of (k+lam-1)**k * var**k * A_k(-k*var) / k!."""
-    return abel_sum(
-        lam, lambda k: egf_shift(a, k, order - k, var).rescale(-k), order, var
-    )
+    the sequence a: the sum over k of (k+lam-1)**k * var**k * A_k(-k*var) / k!.
+    A_k is the EGF of the shifted sequence n -> a(n+k)."""
+    return abel_sum(lam, lambda k: TruncatedSeries.egf(
+        lambda n: a(n + k), var, order - k).rescale(-k), order, var)
 
 
 def substitute_series(

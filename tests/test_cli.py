@@ -368,3 +368,38 @@ def test_a_defect_is_not_reported_as_a_rejected_request(monkeypatch):
     monkeypatch.setattr(lambdafact.identities, "verify_many", defect)
     with pytest.raises(KeyError):
         main(["verify", "thm1.1"])
+
+
+# ---- behaviour contract: the stdout of table, series and bijection ----
+
+# Written before the deletions of the surface that only tests reached, by
+# running each of GOLDEN_CLI_RUNS through `main` and storing its stdout.  The
+# census is left out: it prints its own elapsed time.
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
+
+GOLDEN_CLI_RUNS = (
+    [["series", what, "--order", str(order)]
+     for what in ("tree", "egf-f") for order in range(11)]
+    + [["series", "abel-rhs", "--a", a, "--lambda", lam, "--order", "8",
+        "--format", fmt]
+       for a in sorted(sequences.ABEL_FAMILIES) for lam in ("sym", "0", "1", "3")
+       for fmt in ("text", "json")]
+    + [["table", family, *indices, "--format", fmt]
+       for family, *indices in (
+           *[(f, "0..12") for f in ("factorial", "derangement", "lambda-factorial",
+                                    "charlier", "bell", "hermite")],
+           ("stirling2", "0..8"),
+           ("q", "0..5", "0..5"),
+       )
+       for fmt in ("csv", "json")]
+    + [["bijection", "1", "1", "--sigma", "1,1,3", "--dot"]]
+)
+
+
+def test_cli_stdout_matches_golden(capsys):
+    golden = json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))
+    assert [record["argv"] for record in golden] == GOLDEN_CLI_RUNS
+    for record in golden:
+        code, out, err = run(capsys, *record["argv"])
+        assert (code, err) == (0, ""), record["argv"]
+        assert out == record["stdout"], record["argv"]

@@ -17,12 +17,12 @@ from lambdafact import polynomial
 from lambdafact.cli import main
 from lambdafact.enumeration import permutations_with_fix
 from lambdafact.identities import catalogue
-from lambdafact.polynomial import Polynomial, variables
+from lambdafact.polynomial import Polynomial
 from lambdafact.sequences import derangement, factorial, lambda_factorial
 from lambdafact.series import TruncatedSeries, truncate_total_degree
 from lambdafact.symbols import LAM, UMBRA, X
 
-lam, D = variables(LAM, UMBRA)
+lam, D = map(Polynomial.variable, (LAM, UMBRA))
 
 
 def enum_f(n):
@@ -158,7 +158,7 @@ def test_abel_k0_boundary_convention():
     # At n = 0 the sum is the k = 0 term alone, whose leading factor is 1.
     assert ids.verify("3.1", n=0).verdict
     # Hand expansion at n = 2: b^2 + 2a(b+t) + a(a-2t) = (a+b)^2.
-    a, b, t = variables("a", "b", "t")
+    a, b, t = map(Polynomial.variable, ("a", "b", "t"))
     rhs = b ** 2 + (b + t) * a * 2 + (a - t * 2) * a
     assert rhs == (a + b) ** 2
 

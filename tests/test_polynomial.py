@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import lambdafact
 from lambdafact import polynomial
 from lambdafact.enumeration import permutations_with_fix
-from lambdafact.polynomial import MAX_EXPONENT, Polynomial, dot, variables
+from lambdafact.polynomial import MAX_EXPONENT, Polynomial, dot
 from lambdafact.symbols import LAM, MU, X
 
-lam, mu = variables(LAM, MU)
+lam, mu = map(Polynomial.variable, (LAM, MU))
 
 
 def enum_f(n):
@@ -256,10 +256,11 @@ def assert_canonical(p):
 @given(mixed_polys, mixed_polys, scalars)
 def test_results_are_canonical(a, b, k):
     results = [a, b, a + b, a - b, -a, a * b, a * k, k * a, a + k, k - a,
-               a.derivative(LAM), a.coefficient(LAM, 1), a.substitute(MU, b),
+               a.derivative(LAM), a.substitute(MU, b),
                Polynomial.constant(k), a ** 2, dot([(a, b), (b / 3, a)])]
     if k:
         results.append(a / k)
+    results.extend(a.coefficients_in(LAM))
     results.extend(a.coefficients_in(MU))
     results.extend(a.graded((LAM, MU), 3))
     for p in results:
@@ -277,7 +278,7 @@ def test_ring_results_match_fraction_reference(a, b, k):
     if k:
         assert ref(a / k) == ref_clean({m: c / rk for m, c in ra.items()})
     assert ref(a.derivative(LAM)) == ref_derivative(ra, LAM)
-    assert ref(a.coefficient(LAM, 0)) == ref_clean(
+    assert ref(a.coefficients_in(LAM)[0]) == ref_clean(
         {m: c for m, c in ra.items() if LAM not in dict(m)}
     )
 
@@ -319,6 +320,25 @@ def test_boundary_values_are_fractions(p, a, b, c):
 # ---- packed monomial keys ----
 
 
+@pytest.mark.parametrize("bad", ["", 5, ("x",)])
+def test_a_symbol_name_is_a_nonempty_string_and_takes_no_slot_otherwise(bad):
+    slots = len(polynomial._NAMES)
+    with pytest.raises(ValueError, match="nonempty string"):
+        Polynomial({((bad, 1),): 1})
+    with pytest.raises(ValueError, match="nonempty string"):
+        Polynomial({((LAM, 1), (bad, 2)): 3})
+    with pytest.raises(ValueError, match="nonempty string"):
+        Polynomial({((LAM, 1), (bad, 0)): 3})
+    with pytest.raises(ValueError, match="nonempty string"):
+        Polynomial.variable(bad)
+    with pytest.raises(ValueError, match="nonempty string"):
+        lam.derivative(bad)
+    with pytest.raises(ValueError, match="nonempty string"):
+        lam.coefficients_in(bad)
+    assert len(polynomial._NAMES) == slots
+    assert str(lam * mu + 1) == "λμ + 1"
+
+
 def test_negative_exponent_is_rejected():
     with pytest.raises(ValueError, match="negative exponent"):
         Polynomial({((LAM, -1),): 1})
@@ -328,7 +348,7 @@ def test_negative_exponent_is_rejected():
 
 def test_exponent_at_the_guard_bit_is_rejected():
     top = Polynomial({((LAM, MAX_EXPONENT),): 1})
-    assert top.degree(LAM) == MAX_EXPONENT
+    assert list(top.terms()) == [(((LAM, MAX_EXPONENT),), 1)]
     for mono in (((LAM, 2 ** (polynomial._W - 1)),),
                  ((LAM, 2 ** polynomial._W),),
                  ((LAM, MAX_EXPONENT), (LAM, 1))):
@@ -347,8 +367,10 @@ def test_product_exponent_overflow_raises():
         dot([(x ** MAX_EXPONENT, x)])
     # Full fields side by side do not disturb each other.
     full = lam ** MAX_EXPONENT * mu ** MAX_EXPONENT
-    assert (full.degree(LAM), full.degree(MU)) == (MAX_EXPONENT, MAX_EXPONENT)
-    assert full.derivative(MU).degree(LAM) == MAX_EXPONENT
+    assert list(full.terms()) == [(((LAM, MAX_EXPONENT), (MU, MAX_EXPONENT)), 1)]
+    assert list(full.derivative(MU).terms()) == [
+        (((LAM, MAX_EXPONENT), (MU, MAX_EXPONENT - 1)), MAX_EXPONENT)
+    ]
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, 2j, "1/2", None])
@@ -370,17 +392,17 @@ def test_non_rational_scalars_are_rejected(bad):
 def test_pickle_rebuilds_from_monomials_in_another_process():
     # Fresh symbols, first seen here in the order a, b, c and in the child
     # process in the order c, b, a, so their packed keys differ.
-    a, b, c = variables("pk_a", "pk_b", "pk_c")
+    a, b, c = map(Polynomial.variable, ("pk_a", "pk_b", "pk_c"))
     p = (a + 2 * b) ** 3 * c - Fraction(1, 3) * lam * b + mu ** 2
     assert polynomial._SHIFT["pk_a"] < polynomial._SHIFT["pk_c"]
     child = textwrap.dedent("""
         import pickle, sys
         from fractions import Fraction
         from lambdafact import polynomial
-        from lambdafact.polynomial import variables
+        from lambdafact.polynomial import Polynomial
         from lambdafact.symbols import LAM, MU
-        c, b, a = variables("pk_c", "pk_b", "pk_a")
-        lam, mu = variables(LAM, MU)
+        c, b, a = map(Polynomial.variable, ("pk_c", "pk_b", "pk_a"))
+        lam, mu = map(Polynomial.variable, (LAM, MU))
         assert polynomial._SHIFT["pk_a"] > polynomial._SHIFT["pk_c"]
         q = pickle.loads(sys.stdin.buffer.read())
         assert q == (a + 2 * b) ** 3 * c - Fraction(1, 3) * lam * b + mu ** 2
@@ -472,17 +494,17 @@ def test_packed_kernel_matches_tuple_reference(case, cap):
             assert all(e >= 1 for _, e in mono)
     assert ref(a * b) == ref_mul(ra, rb)
     assert ref(a + b) == ref_add(ra, rb)
-    assert a.total_degree() == max(
-        (ref_degree_in(m, pool) for m in ra), default=0
-    )
+    # Graded by every symbol, a has no part above its total degree and a
+    # nonzero part at it.
+    top = max((ref_degree_in(m, pool) for m in ra), default=0)
+    whole = a.graded(pool, top)
+    assert sum(whole, Polynomial.zero()) == a
+    assert whole[top] or a.is_zero
     assert not a.mentions("never seen")
     for sym in pool:
         assert a.mentions(sym) == (sym in a.symbols()) == any(ref_exp(m, sym) for m in ra)
-        assert a.degree(sym) == max((ref_exp(m, sym) for m in ra), default=0)
-        for k in range(4):
-            assert ref(a.coefficient(sym, k)) == ref_coefficient(ra, sym, k)
         split = a.coefficients_in(sym)
-        assert len(split) == a.degree(sym) + 1
+        assert len(split) == max((ref_exp(m, sym) for m in ra), default=0) + 1
         for k, part in enumerate(split):
             assert ref(part) == ref_coefficient(ra, sym, k)
         assert ref(a.derivative(sym)) == ref_derivative(ra, sym)
@@ -536,12 +558,10 @@ def test_slices_and_calculus_on_fractional_inputs_match_fraction_reference(a, b,
     ra, rb = ref(a), ref(b)
     results = []
     for sym in SYMS:
-        for k in range(4):
-            results.append(a.coefficient(sym, k))
-            assert ref(results[-1]) == ref_coefficient(ra, sym, k)
         split = a.coefficients_in(sym)
+        degree = max((ref_exp(m, sym) for m in ra), default=0)
         assert [ref(part) for part in split] == [
-            ref_coefficient(ra, sym, k) for k in range(a.degree(sym) + 1)
+            ref_coefficient(ra, sym, k) for k in range(degree + 1)
         ]
         results.extend(split)
         results.append(a.derivative(sym))

@@ -13,10 +13,10 @@ import test_acceptance
 from lambdafact import enumeration, sequences as seq
 from lambdafact.cli import main
 from lambdafact.identities import catalogue, verify_many
-from lambdafact.polynomial import Polynomial, variables
+from lambdafact.polynomial import Polynomial
 from lambdafact.symbols import ALPHA, LAM, MU, U
 
-lam, mu, alpha, u = variables(LAM, MU, ALPHA, U)
+lam, mu, alpha, u = map(Polynomial.variable, (LAM, MU, ALPHA, U))
 
 
 def test_factorial_and_binomial():
@@ -327,17 +327,15 @@ def test_lambda_factorial_small_values():
 
 
 def test_lambda_factorial_routes_agree():
-    for n in range(9):
+    for n in range(21):
         results = {
             route: seq.lambda_factorial(n, route)
             for route in seq.LAMBDA_FACTORIAL_ROUTES
         }
+        if n <= 8:  # the enumeration cutoff
+            results["enumeration"] = enumeration.oracle_polynomials(n).lambda_factorial
         first = next(iter(results.values()))
         assert all(p == first for p in results.values()), (n, results)
-    for n in range(9, 21):
-        formula_routes = [r for r in seq.LAMBDA_FACTORIAL_ROUTES if r != "definition-enumeration"]
-        results = [seq.lambda_factorial(n, r) for r in formula_routes]
-        assert all(p == results[0] for p in results), n
 
 
 def test_lambda_factorial_specializations():
@@ -349,7 +347,7 @@ def test_lambda_factorial_specializations():
 
 def test_lambda_factorial_enumeration_cutoff():
     with pytest.raises(ValueError, match="enumeration"):
-        seq.lambda_factorial(9, "definition-enumeration")
+        enumeration.oracle_polynomials(9)
     with pytest.raises(ValueError, match="route"):
         seq.lambda_factorial(3, "nonsense")
 

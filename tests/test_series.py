@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from lambdafact.enumeration import set_partitions
 from lambdafact.identities import catalogue
-from lambdafact.polynomial import Polynomial, variables
+from lambdafact.polynomial import Polynomial
 from lambdafact.sequences import ABEL_FAMILIES, factorial, lambda_factorial, rising_factorial
 from lambdafact.series import (
     TruncatedSeries,
     abel_rhs,
     abel_sum,
     binomial_power,
-    egf_shift,
     exp_series,
     exp_truncated,
     geometric,
@@ -30,7 +29,7 @@ from lambdafact.series import (
 )
 from lambdafact.symbols import ALPHA, BETA, LAM, MU, T, U, V, X
 
-lam, alpha, u = variables(LAM, ALPHA, U)
+lam, alpha, u = map(Polynomial.variable, (LAM, ALPHA, U))
 
 
 def test_mul_telescopes():
@@ -56,6 +55,14 @@ def test_variable_mismatch_raises():
         TruncatedSeries(X, [1], 2) + TruncatedSeries(T, [1], 2)
 
 
+@pytest.mark.parametrize("bad", ["", 5, None])
+def test_the_series_variable_is_a_nonempty_string(bad):
+    with pytest.raises(ValueError, match="series variable must be a nonempty string"):
+        TruncatedSeries(bad, [1, 2], 2)
+    with pytest.raises(ValueError, match="series variable must be a nonempty string"):
+        TruncatedSeries.zero(bad, 2)
+
+
 def test_coefficients_must_not_mention_var():
     with pytest.raises(ValueError):
         TruncatedSeries(X, [Polynomial.variable(X)], 1)
@@ -77,10 +84,10 @@ def test_series_in_different_variables_are_unequal():
 
 def test_compose_identity_substitution():
     outer = geometric(T, 5)
-    inner = TruncatedSeries.identity(T, 5)
+    inner = TruncatedSeries(T, [0, 1], 5)
     assert outer.compose(inner) == outer
     # Renaming substitution across variables: 1/(1-t) at t := x.
-    relabeled = outer.compose(TruncatedSeries.identity(X, 5))
+    relabeled = outer.compose(TruncatedSeries(X, [0, 1], 5))
     assert relabeled == geometric(X, 5)
 
 
@@ -111,8 +118,8 @@ def test_egf_of_f_composed_with_tree():
 
 
 def test_exp_basics():
-    assert TruncatedSeries.zero(X, 5).exp() == TruncatedSeries.one(X, 5)
-    e = TruncatedSeries.identity(X, 6).exp()
+    assert TruncatedSeries.zero(X, 5).exp() == TruncatedSeries.constant(1, X, 5)
+    e = TruncatedSeries(X, [0, 1], 6).exp()
     assert [c.as_fraction() for c in e.coeffs] == [
         Fraction(1, math.factorial(n)) for n in range(7)
     ]
@@ -158,12 +165,19 @@ def test_rescale():
 
 
 def test_egf_shift():
-    s = egf_shift(lambda n: factorial(n), 1, 6)
+    # The EGF of the shifted sequence n -> a(n+k) is the k-th derivative of
+    # the EGF of a: the A_k that abel_rhs takes at -k*x.
+    s = TruncatedSeries.egf(lambda n: factorial(n + 1), X, 6)
     assert [c.as_fraction() for c in s.coeffs] == list(range(1, 8))
-    base = TruncatedSeries.egf(lambda n: Polynomial.constant(factorial(n)), X, 6)
-    assert egf_shift(lambda n: factorial(n), 0, 6) == base
-    again = egf_shift(lambda n: 1, 3, 6)
-    assert again == exp_series(1, X, 6)
+    assert TruncatedSeries.egf(lambda n: 1, X, 6) == exp_series(1, X, 6)
+    for a in (lambda n: 1, factorial, lambda_factorial):
+        for k in range(4):
+            shifted = TruncatedSeries.egf(lambda n: a(n + k), X, 6)
+            derived = TruncatedSeries.egf(a, X, 6 + k)
+            for _ in range(k):
+                derived = derived.derivative()
+            assert shifted.order == derived.order == 6
+            assert shifted.coeffs == derived.coeffs
 
 
 def test_tree_function_values():
@@ -209,7 +223,7 @@ def test_abel_sum_of_a_closed_form_matches_the_egf_of_f():
 def test_abel_sum_shifts_term_k_by_x_to_the_k():
     # Term k alone is x^k (k-1)^k/k! at λ = 0; truncation keeps k <= order.
     order = 4
-    s = abel_sum(0, lambda k: TruncatedSeries.one(X, order), order)
+    s = abel_sum(0, lambda k: TruncatedSeries.constant(1, X, order), order)
     assert [c.as_fraction() for c in s.coeffs] == [
         Fraction((k - 1) ** k, math.factorial(k)) for k in range(order + 1)
     ]
@@ -238,7 +252,8 @@ def test_abel_rhs_at_order_n_minus_k_matches_the_full_order_route(family, lam_va
     a = ABEL_FAMILIES[family]
     _assert_matches_the_full_order_route(
         lambda o: abel_rhs(a, lam_value, o),
-        _abel_term(lam_value, lambda k, o: egf_shift(a, k, o).rescale(-k)))
+        _abel_term(lam_value, lambda k, o: TruncatedSeries.egf(
+            lambda n: a(n + k), X, o).rescale(-k)))
 
 
 # Each transform closed form closed(k, m, order) of A^(k)(-kx) with its λ.
@@ -266,7 +281,7 @@ def test_closed_forms_at_order_n_minus_k_match_the_full_order_route(name, m):
 
 @pytest.mark.parametrize("name", ["gessel-bilinear", "gessel-derangement", "chz"])
 def test_gessel_and_chz_terms_at_order_n_minus_k_match_the_full_order_route(name):
-    beta, v, mu = variables(BETA, V, MU)
+    beta, v, mu = map(Polynomial.variable, (BETA, V, MU))
     term = {
         "gessel-bilinear": lambda k, o: (
             binomial_power(-v, -(alpha + k), o) * binomial_power(-u, -(beta + k), o)
@@ -285,7 +300,7 @@ def test_a_term_short_of_order_n_minus_k_is_an_error(short):
     order = 4
 
     def term(k):
-        return TruncatedSeries.one(X, order - k - (k == short))
+        return TruncatedSeries.constant(1, X, order - k - (k == short))
 
     with pytest.raises(ValueError, match=f"term {short} has order"):
         shifted_sum(term, order)
@@ -307,16 +322,20 @@ def test_tree_fixed_point_lifts_to_exactly_the_order():
 
 def test_reciprocal():
     g = geometric(X, 6)
-    assert (1 - TruncatedSeries.identity(X, 6)).reciprocal() == g
-    assert (g * g.reciprocal()) == TruncatedSeries.one(X, 6)
+    assert (1 - TruncatedSeries(X, [0, 1], 6)).reciprocal() == g
+    assert (g * g.reciprocal()) == TruncatedSeries.constant(1, X, 6)
     with pytest.raises(ValueError, match="constant"):
         TruncatedSeries(X, [0, 1], 3).reciprocal()
 
 
 def test_division():
-    one = TruncatedSeries.one(X, 5)
+    one = TruncatedSeries.constant(1, X, 5)
     e = exp_series(1, X, 5)
-    assert one / e == exp_series(-1, X, 5)
+    assert one * e.reciprocal() == e.reciprocal() == exp_series(-1, X, 5)
+    assert e / 2 == e * Fraction(1, 2)
+    # Only a scalar divides: a series divisor goes through reciprocal.
+    with pytest.raises(TypeError):
+        one / e
 
 
 def test_substitute_series():
@@ -383,14 +402,14 @@ def test_a_polynomial_factor_in_the_series_variable_is_an_error():
     # a polynomial whose coefficients in the substituted symbol mention it.
     for coeffs in ([x], [0, lam, x]):
         with pytest.raises(ValueError, match="series variable"):
-            TruncatedSeries(T, coeffs, 3).compose(TruncatedSeries.identity(X, 3))
+            TruncatedSeries(T, coeffs, 3).compose(TruncatedSeries(X, [0, 1], 3))
     for p in (x, u * x + u ** 2):
         with pytest.raises(ValueError, match="series variable"):
             substitute_series(p, U, s)
 
 
 def test_bivariate_truncated_product():
-    t, x = variables(T, X)
+    t, x = map(Polynomial.variable, (T, X))
     expansion = geometric_truncated(t + x, (T, X), 2)
     assert expansion == 1 + t + x + t ** 2 + 2 * t * x + x ** 2
     p = t * x + t ** 3 + 5
@@ -418,7 +437,7 @@ zero_head = st.lists(small_poly, min_size=0, max_size=4).map(
 @settings(max_examples=40, deadline=None)
 @given(zero_head)
 def test_exp_inverse_property(g):
-    assert g.exp() * (-g).exp() == TruncatedSeries.one(X, 5)
+    assert g.exp() * (-g).exp() == TruncatedSeries.constant(1, X, 5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -471,7 +490,7 @@ def test_truncate_total_degree_keeps_exactly_the_low_terms(p, d):
 
 
 def test_mul_truncated_single_symbol_cap():
-    t, x = variables(T, X)
+    t, x = map(Polynomial.variable, (T, X))
     p = (1 + t + x * lam) ** 3
     assert mul_truncated(p, p, (T,), 2) == truncate_total_degree(p * p, (T,), 2)
     assert mul_truncated(p, p, (T, X), 0) == Polynomial.one()
