@@ -42,12 +42,10 @@ from ..series import (
     exp_series,
     exp_truncated,
     geometric,
-    geometric_truncated,
     mul_truncated,
     shifted_sum,
     substitute_series,
     tree_fixed_point,
-    truncate_total_degree,
 )
 from ..sequences import (
     ABEL_FAMILIES as _A_FAMILIES,
@@ -234,16 +232,12 @@ def _check_3_2(a_kind: str, order: int) -> Polynomial:
     else:
         raise ValueError(f"unknown series kind {a_kind!r}")
 
-    # Summand k is head * A^(k)(kt)/k!, head homogeneous of degree k: with
-    # A^(k)(kt) to degree order - k it is exact to degree order, untruncated.
+    # Summand k is x(x - kt)^(k-1) A^(k)(kt)/k!, the head homogeneous of
+    # degree k: with A^(k)(kt) to degree order - k it is exact to degree
+    # order, untruncated, and a part below degree k stays in the residual.
     rhs = deriv_at_kt(0)  # k = 0 term: the value at 0
     for k in range(1, order + 1):
-        head = _x * (_x - _t * k) ** (k - 1)
-        term = head * deriv_at_kt(k) / math.factorial(k)
-        low = truncate_total_degree(term, syms, k - 1)
-        if not low.is_zero:  # summand k starts at degree k; a lower part is the residual
-            return low
-        rhs = rhs + term
+        rhs = rhs + _x * (_x - _t * k) ** (k - 1) * deriv_at_kt(k) / math.factorial(k)
     return lhs - rhs
 
 
@@ -504,10 +498,10 @@ def _check_5_2(total_degree: int) -> Polynomial:
         for n in range(total_degree + 1)
         for m in range(total_degree + 1 - n)
     )
-    rhs = exp_truncated((_lam + _mu - 1) * _t, syms, total_degree)
-    rhs = mul_truncated(rhs, exp_truncated((_lam - 1) * _x, syms, total_degree), syms, total_degree)
-    rhs = mul_truncated(rhs, geometric_truncated(_t + _x, syms, total_degree), syms, total_degree)
-    return lhs - rhs
+    # exp((λ+μ-1)t + (λ-1)x) / (1 - t - x), the geometric factor to the cap.
+    growth = exp_truncated((_lam + _mu - 1) * _t + (_lam - 1) * _x, syms, total_degree)
+    geometric = _sum_to(total_degree, lambda j: (_t + _x) ** j)
+    return lhs - mul_truncated(growth, geometric, syms, total_degree)
 
 
 _check_q_second = _sweep(

@@ -17,7 +17,8 @@ class IdentityReport:
 
     The verdict is pass exactly when the residual (left side minus right
     side) is identically zero; arithmetic is exact, so there is no
-    tolerance.
+    tolerance.  A series residual must also reach the point's order, as a
+    side built short would leave the top coefficients unchecked.
     """
 
     identity: str
@@ -28,7 +29,9 @@ class IdentityReport:
     verdict: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "verdict", self.residual.is_zero)
+        short = isinstance(self.residual, TruncatedSeries) and (
+            self.order is not None and self.residual.order < self.order)
+        object.__setattr__(self, "verdict", self.residual.is_zero and not short)
 
     def to_json(self) -> dict[str, Any]:
         return {

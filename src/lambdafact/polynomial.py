@@ -39,11 +39,11 @@ slot.  Values are immutable after construction and safe to share.
 
 Only ring arithmetic, substitution, formal derivatives, and evaluation are
 provided; there is deliberately no factorization or division of polynomials.
-The helpers at the end serve the series layer too: the running powers
-`powers`, the evaluation kernel `evaluate_at` behind substitution and series
-composition, the sum of products `dot` behind every truncated product, exp
-and inverse, and the term renderer `join_signed`; Polynomial.graded gives
-those kernels the parts of a polynomial by total degree.
+The helpers at the end serve the series layer too: the coercion `as_poly`,
+the running powers `powers`, the evaluation kernel `evaluate_at` behind
+substitution and series composition, the sum of products `dot` behind every
+truncated product, exp and inverse, and the term renderer `join_signed`;
+Polynomial.graded gives those kernels the parts by total degree.
 """
 
 from __future__ import annotations
@@ -407,8 +407,7 @@ class Polynomial:
 
     def substitute(self, sym: str, value: Polynomial | Scalar) -> Polynomial:
         """Replace every occurrence of sym with value, fully expanded."""
-        if not isinstance(value, Polynomial):
-            value = Polynomial.constant(value)
+        value = as_poly(value)
         coeffs = self.coefficients_in(sym)
         return evaluate_at(coeffs, value, coeffs[0])
 
@@ -451,6 +450,11 @@ _ONE = Polynomial._raw({0: 1}, 1)
 
 
 # ---- kernels shared with the series layer ----
+
+
+def as_poly(x: Polynomial | Scalar) -> Polynomial:
+    """x if it is a Polynomial, else the constant x; a float is a TypeError."""
+    return x if isinstance(x, Polynomial) else Polynomial.constant(x)
 
 
 def powers(base: Any) -> Iterator[Any]:

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .polynomial import Polynomial, Scalar, powers
+from .polynomial import Polynomial, Scalar, as_poly, powers
 from .symbols import ALPHA, LAM, MU, U
 
 
@@ -130,7 +130,7 @@ def rising_factorial(base: Polynomial | Scalar, k: int) -> Polynomial:
     """base * (base+1) * ... * (base+k-1); the empty product is 1."""
     if k < 0:
         raise ValueError("rising_factorial needs k >= 0")
-    base = base if isinstance(base, Polynomial) else Polynomial.constant(base)
+    base = as_poly(base)
     out = Polynomial.one()
     for j in range(k):
         out = out * (base + j)
@@ -265,6 +265,15 @@ def _q_recurrence(n: int, m: int) -> Polynomial:
     return cols[m][n]
 
 
+@lru_cache(maxsize=None)
+def _q_definition(n: int, m: int) -> Polynomial:
+    """The definition route of q_poly, cached: the catalogue asks for most
+    (n, m) many times over, and the other routes once per point."""
+    mu = Polynomial.variable(MU)
+    return sum((lambda_factorial(k + m) * mu ** (n - k) * binomial(n, k)
+                for k in range(n + 1)), Polynomial.zero())
+
+
 def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:
     """The bivariate family Q_{n,m} in λ and μ.
 
@@ -276,12 +285,9 @@ def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:
         raise ValueError("q_poly needs n, m >= 0")
     if route == "recurrence-5.1":
         return _q_recurrence(n, m)
-    mu = Polynomial.variable(MU)
     if route == "definition-sum":
-        acc = Polynomial.zero()
-        for k in range(n + 1):
-            acc = acc + lambda_factorial(k + m) * mu ** (n - k) * binomial(n, k)
-        return acc
+        return _q_definition(n, m)
+    mu = Polynomial.variable(MU)
     lam = Polynomial.variable(LAM)
     if route == "explicit-double-sum":
         acc = Polynomial.zero()

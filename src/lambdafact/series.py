@@ -14,7 +14,8 @@ N forms term k only to order N-k and no coefficient that it would discard.
 
 Also here: the rooted-tree series y = x*exp(y), symbolic-exponent binomial
 series, the shifted-derivative transform used by the Abel-type expansion,
-and total-degree-truncated arithmetic on bivariate polynomials.
+and the two total-degree-truncated kernels on bivariate polynomials,
+mul_truncated and exp_truncated.
 """
 
 from __future__ import annotations
@@ -24,15 +25,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Sequence, Union
 
-from .polynomial import Polynomial, dot, evaluate_at, join_signed, powers
+from .polynomial import Polynomial, as_poly, dot, evaluate_at, join_signed, powers
 
 PolyLike = Union[Polynomial, int, Fraction]
-
-
-def _as_poly(x: PolyLike) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    return Polynomial.constant(x)
 
 
 # ---- kernels on coefficient sequences ----
@@ -55,14 +50,6 @@ def _exp_recurrence(g: Sequence[Polynomial]) -> list[Polynomial]:
     return h
 
 
-def _geometric_recurrence(g: Sequence[Polynomial]) -> list[Polynomial]:
-    """h = 1/(1 - g) for g_0 = 0: h_k = sum of g_j h_(k-j) over j >= 1."""
-    h = [Polynomial.one()]
-    for k in range(1, len(g)):
-        h.append(dot((g[j], h[k - j]) for j in range(1, k + 1)))
-    return h
-
-
 class TruncatedSeries:
     """Immutable series truncated at a fixed order in one variable."""
 
@@ -73,7 +60,7 @@ class TruncatedSeries:
             raise ValueError(f"series variable must be a nonempty string, got {var!r}")
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [_as_poly(c) for c in coeffs[: order + 1]]
+        cs = [as_poly(c) for c in coeffs[: order + 1]]
         cs.extend([Polynomial.zero()] * (order + 1 - len(cs)))
         for i, c in enumerate(cs):
             if c.mentions(var):
@@ -112,7 +99,7 @@ class TruncatedSeries:
         """Series with c_n = a(n)/n!."""
         return cls(
             var,
-            [_as_poly(a(n)) / math.factorial(n) for n in range(order + 1)],
+            [as_poly(a(n)) / math.factorial(n) for n in range(order + 1)],
             order,
         )
 
@@ -201,7 +188,7 @@ class TruncatedSeries:
         # other polynomial); a series divisor goes through reciprocal.
         if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
-        return self * (1 / _as_poly(other).as_fraction())
+        return self * (1 / as_poly(other).as_fraction())
 
     def __eq__(self, other: object) -> bool:
         # Compares up to the smaller truncation order.
@@ -226,7 +213,7 @@ class TruncatedSeries:
 
     def rescale(self, c: PolyLike) -> TruncatedSeries:
         """Substitute var := c*var for a coefficient-like c."""
-        c = _as_poly(c)
+        c = as_poly(c)
         if c.mentions(self.var):
             raise ValueError("rescale factor must not contain the series variable")
         return TruncatedSeries._raw(
@@ -255,8 +242,10 @@ class TruncatedSeries:
         if c0.is_zero:
             raise ValueError("cannot invert a series with zero constant term")
         inv = 1 / c0.as_fraction()  # raises if the constant term is not scalar
-        g = [Polynomial.zero()] + [c * -inv for c in self.coeffs[1:]]
-        h = _geometric_recurrence(g)
+        g = [c * -inv for c in self.coeffs]
+        h = [Polynomial.one()]  # 1/(1 - g): h_k = sum of g_j h_(k-j) over j >= 1
+        for k in range(1, len(g)):
+            h.append(dot((g[j], h[k - j]) for j in range(1, k + 1)))
         return TruncatedSeries._raw(self.var, tuple(c * inv for c in h))
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
@@ -316,8 +305,8 @@ def binomial_power(
     Coefficient of var**j is e(e-1)...(e-j+1)/j! * c**j.  Both c and e may
     be polynomials in parameters, but neither may contain var.
     """
-    c = _as_poly(c)
-    e = _as_poly(e)
+    c = as_poly(c)
+    e = as_poly(e)
     for p in (c, e):
         if p.mentions(var):
             raise ValueError("binomial_power arguments must not contain the series variable")
@@ -382,7 +371,7 @@ def abel_sum(
     of an EGF A taken at -k*var, and is needed only to order - k (see
     shifted_sum, which raises on a D_k that falls short).
     """
-    lam = _as_poly(lam)
+    lam = as_poly(lam)
     return shifted_sum(lambda k: shifted_derivative(k) * (
         (lam + (k - 1)) ** k / math.factorial(k)), order, var)
 
@@ -414,16 +403,10 @@ def substitute_series(
 
 
 # ---- total-degree-truncated polynomial arithmetic (bivariate layer) ----
-# The series kernels on the parts by total degree in syms, summed; no part
-# above the cap is formed.  graded refuses a negative cap: below degree 0 a
-# check would compare two empty polynomials and pass without testing anything.
-
-
-def truncate_total_degree(
-    p: Polynomial, syms: tuple[str, ...], total_degree: int
-) -> Polynomial:
-    """Drop monomials whose combined degree in syms exceeds total_degree."""
-    return sum(p.graded(syms, total_degree), Polynomial.zero())
+# Two kernels, the product and exp, on the parts by total degree in syms,
+# summed; no part above the cap is formed.  graded refuses a negative cap:
+# below degree 0 a check would compare two empty polynomials and pass without
+# testing anything.
 
 
 def mul_truncated(
@@ -435,26 +418,11 @@ def mul_truncated(
     return sum(parts, Polynomial.zero())
 
 
-def _power_series(kernel: Callable, name: str, p: Polynomial,
-                  syms: tuple[str, ...], total_degree: int) -> Polynomial:
-    """The sum of kernel(parts of p); the kernels need p to have no syms-free part."""
-    parts = p.graded(syms, total_degree)
-    if parts[0]:
-        raise ValueError(f"{name} needs every term to involve the truncation symbols")
-    return sum(kernel(parts), Polynomial.zero())
-
-
 def exp_truncated(
     p: Polynomial, syms: tuple[str, ...], total_degree: int
 ) -> Polynomial:
     """exp(p) = sum p**j/j! to a total degree, for p with no syms-free part."""
-    return _power_series(_exp_recurrence, "exp_truncated", p, syms, total_degree)
-
-
-def geometric_truncated(
-    p: Polynomial, syms: tuple[str, ...], total_degree: int
-) -> Polynomial:
-    """1/(1-p) = sum p**j to a total degree; same valuation requirement as exp."""
-    return _power_series(
-        _geometric_recurrence, "geometric_truncated", p, syms, total_degree
-    )
+    parts = p.graded(syms, total_degree)
+    if parts[0]:
+        raise ValueError("exp_truncated needs every term to involve the truncation symbols")
+    return sum(_exp_recurrence(parts), Polynomial.zero())

@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdafact import identities as ids
-from lambdafact import polynomial
+from lambdafact import polynomial, sequences
 from lambdafact.cli import main
 from lambdafact.enumeration import permutations_with_fix
 from lambdafact.identities import catalogue
 from lambdafact.polynomial import Polynomial
 from lambdafact.sequences import derangement, factorial, lambda_factorial
-from lambdafact.series import TruncatedSeries, truncate_total_degree
+from lambdafact.series import TruncatedSeries
 from lambdafact.symbols import LAM, UMBRA, X
+from test_series import low_terms
 
 lam, D = map(Polynomial.variable, (LAM, UMBRA))
 
@@ -215,6 +216,17 @@ def test_verify_all_stream_matches_golden():
     assert stream == golden
 
 
+def test_the_definition_route_of_q_runs_once_per_point_of_a_pass():
+    """The catalogue asks for Q_{n,m} by definition 639 times per pass, at
+    66 distinct (n, m); the route's body runs once for each."""
+    list(ids.verify_many())  # warms every other cache
+    route = sequences._q_definition
+    route.cache_clear()
+    list(ids.verify_many())
+    info = route.cache_info()
+    assert (info.misses, info.hits + info.misses) == (66, 639)
+
+
 # The points() output of every identity at six override sets (n_max, m_max,
 # order), key order included; written from the registry before it became a
 # table, by dumping `CATALOGUE[i].points(*limits)` for every id.
@@ -302,9 +314,7 @@ def test_truncating_one_degree_too_low_is_caught(monkeypatch, capsys):
     real = catalogue.mul_truncated
 
     def off_by_one(p, q, syms, total_degree):
-        return truncate_total_degree(
-            real(p, q, syms, total_degree), syms, total_degree - 1
-        )
+        return low_terms(real(p, q, syms, total_degree), syms, total_degree - 1)
 
     monkeypatch.setattr(catalogue, "mul_truncated", off_by_one)
     _assert_every_report_fails("5.2", capsys)
@@ -350,6 +360,38 @@ def test_shifted_sums_pass_at_the_lowest_orders(identity_id, order, capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert records
     assert all(r["verdict"] == "pass" and r["params"]["order"] == order for r in records)
+
+
+# A right side built one order short: the residual keeps the smaller order of
+# its sides, so it comes out zero to order N-1 and its top coefficient is
+# never compared.  The report must fail it.
+SHORT_SIDES = {"thm1.2": "abel_rhs", "charlier-deriv": "exp_series", "gessel": "exp_series"}
+
+
+@pytest.mark.parametrize("identity_id", sorted(SHORT_SIDES))
+def test_a_series_residual_short_of_its_order_fails(identity_id, monkeypatch, capsys):
+    real = getattr(catalogue, SHORT_SIDES[identity_id])
+    signature = inspect.signature(real)
+
+    def one_order_short(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.arguments["order"] -= 1
+        return real(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(catalogue, SHORT_SIDES[identity_id], one_order_short)
+    reports = list(ids.verify_many([identity_id]))
+    assert reports
+    for report in reports:
+        assert report.residual.is_zero
+        assert report.residual.order == report.order - 1
+        assert not report.verdict
+        payload = report.to_json()
+        assert payload["verdict"] == "fail"
+        assert payload["residual"] == f"0 + O(x^{report.order})"
+    assert main(["verify", identity_id]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == len(reports)
+    assert all(json.loads(line)["verdict"] == "fail" for line in lines)
 
 
 # The fifteen convolution rows of Theorem 1.1 and section 4, then the other

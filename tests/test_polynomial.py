@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import lambdafact
 from lambdafact import polynomial
 from lambdafact.enumeration import permutations_with_fix
-from lambdafact.polynomial import MAX_EXPONENT, Polynomial, dot
+from lambdafact.polynomial import MAX_EXPONENT, Polynomial, as_poly, dot
+from lambdafact.sequences import rising_factorial
+from lambdafact.series import binomial_power
 from lambdafact.symbols import LAM, MU, X
 
 lam, mu = map(Polynomial.variable, (LAM, MU))
@@ -133,6 +135,18 @@ def test_equal_values_from_different_routes_are_equal_and_hash_alike():
 def test_unsupported_left_operand_names_both_types(op, sign):
     with pytest.raises(TypeError, match=rf"for \{sign}: 'float' and 'Polynomial'"):
         op(0.5, lam)
+
+
+def test_a_float_is_never_coerced_to_a_polynomial():
+    for coerce in (
+        as_poly,
+        lambda v: lam.substitute(LAM, v),
+        lambda v: rising_factorial(v, 2),
+        lambda v: binomial_power(v, 2, 3),
+    ):
+        with pytest.raises(TypeError, match="not float"):
+            coerce(0.5)
+        assert coerce(Fraction(1, 2)) == coerce(Polynomial.constant(Fraction(1, 2)))
 
 
 SYMS = (LAM, MU, "u")

@@ -19,13 +19,11 @@ from lambdafact.series import (
     exp_series,
     exp_truncated,
     geometric,
-    geometric_truncated,
     mul_truncated,
     shifted_sum,
     substitute_series,
     tree_fixed_point,
     tree_function,
-    truncate_total_degree,
 )
 from lambdafact.symbols import ALPHA, BETA, LAM, MU, T, U, V, X
 
@@ -408,17 +406,32 @@ def test_a_polynomial_factor_in_the_series_variable_is_an_error():
             substitute_series(p, U, s)
 
 
+def low_terms(p, syms, d):
+    """The terms of p of total degree at most d in syms, read off term by term:
+    the reference for the total-degree kernels."""
+    return Polynomial(
+        {mono: c for mono, c in p.terms() if sum(e for s, e in mono if s in syms) <= d}
+    )
+
+
 def test_bivariate_truncated_product():
     t, x = map(Polynomial.variable, (T, X))
-    expansion = geometric_truncated(t + x, (T, X), 2)
-    assert expansion == 1 + t + x + t ** 2 + 2 * t * x + x ** 2
+    # 1/(1 - t - x) as check 5.2 builds it: the geometric sum up to the cap.
+    geometric = sum(((t + x) ** j for j in range(4)), Polynomial.zero())
+    assert low_terms(geometric, (T, X), 2) == 1 + t + x + t ** 2 + 2 * t * x + x ** 2
+    assert mul_truncated(geometric, 1 - t - x, (T, X), 3) == Polynomial.one()
     p = t * x + t ** 3 + 5
-    assert truncate_total_degree(p, (T, X), 0) == Polynomial.constant(5)
+    assert low_terms(p, (T, X), 0) == Polynomial.constant(5)
     prod = mul_truncated(t + 1, x + 1, (T, X), 1)
     assert prod == t + x + 1
 
 
-@pytest.mark.parametrize("kernel", [exp_truncated, geometric_truncated])
+def square_truncated(p, syms, total_degree):
+    return mul_truncated(p, p, syms, total_degree)
+
+
+@pytest.mark.parametrize("kernel", [exp_truncated, square_truncated],
+                         ids=["exp_truncated", "mul_truncated"])
 @pytest.mark.parametrize("total_degree", [-1, -2])
 def test_capped_power_sums_reject_a_negative_order(kernel, total_degree):
     t = Polynomial.variable(T)
@@ -472,7 +485,7 @@ td_polys = st.lists(st.tuples(td_monomials, td_coeffs), max_size=6).map(
 @given(td_polys, td_polys, st.integers(0, 6))
 def test_mul_truncated_matches_truncated_full_product(p, q, d):
     got = mul_truncated(p, q, (T, X), d)
-    assert got == truncate_total_degree(p * q, (T, X), d)
+    assert got == low_terms(p * q, (T, X), d)
     for _, c in got.terms():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
@@ -480,17 +493,20 @@ def test_mul_truncated_matches_truncated_full_product(p, q, d):
 
 @settings(max_examples=60, deadline=None)
 @given(td_polys, st.integers(0, 6))
-def test_truncate_total_degree_keeps_exactly_the_low_terms(p, d):
-    kept = dict(truncate_total_degree(p, (T, X), d).terms())
+def test_graded_parts_keep_exactly_the_low_terms(p, d):
+    parts = p.graded((T, X), d)
+    kept = dict(sum(parts, Polynomial.zero()).terms())
+    assert kept == dict(low_terms(p, (T, X), d).terms())
     for mono, c in p.terms():
         deg = sum(e for s, e in mono if s in (T, X))
         assert (mono in kept) == (deg <= d)
         if deg <= d:
             assert kept[mono] == c
+            assert dict(parts[deg].terms())[mono] == c
 
 
 def test_mul_truncated_single_symbol_cap():
     t, x = map(Polynomial.variable, (T, X))
     p = (1 + t + x * lam) ** 3
-    assert mul_truncated(p, p, (T,), 2) == truncate_total_degree(p * p, (T,), 2)
+    assert mul_truncated(p, p, (T,), 2) == low_terms(p * p, (T,), 2)
     assert mul_truncated(p, p, (T, X), 0) == Polynomial.one()
