@@ -448,16 +448,14 @@ def _check_remark_mu(n: int) -> Polynomial:
     return _rhs_4_4(n).substitute(MU, n + 1) - (_lam + n) ** (n + 1)
 
 
-def _check_stirling_difference(n: int, m_max: int) -> Polynomial:
-    def residual(m: int) -> Polynomial:
-        lhs = binomial_convolution(n, lambda k: (_lam + k) ** m * (-1) ** (n - k))
-        rhs = _ZERO
-        for k in range(n, m + 1):
-            coeff = (-1) ** k * stirling2(m, k)
-            rhs = rhs + rising_factorial(-k, n) * rising_factorial(-_lam, k - n) * coeff
-        return lhs - rhs
-
-    return _first_nonzero(residual(m) for m in range(m_max + 1))
+@_sweep
+def _check_stirling_difference(n: int, m: int) -> Polynomial:
+    lhs = binomial_convolution(n, lambda k: (_lam + k) ** m * (-1) ** (n - k))
+    rhs = _ZERO
+    for k in range(n, m + 1):
+        coeff = (-1) ** k * stirling2(m, k)
+        rhs = rhs + rising_factorial(-k, n) * rising_factorial(-_lam, k - n) * coeff
+    return lhs - rhs
 
 
 _COR_N_FACTORIAL = {
@@ -491,32 +489,33 @@ def _check_5_1(n: int, m: int) -> Polynomial:
     return q_poly(n, m, "recurrence-5.1") - rhs
 
 
-def _check_5_2(total_degree: int) -> Polynomial:
+def _check_5_2(order: int) -> Polynomial:
+    """The generating function to the total degree order in t and x."""
     syms = (T, X)
     lhs = dot(
         (q_poly(n, m) / (factorial(n) * factorial(m)), _t ** n * _x ** m)
-        for n in range(total_degree + 1)
-        for m in range(total_degree + 1 - n)
+        for n in range(order + 1)
+        for m in range(order + 1 - n)
     )
     # exp((λ+μ-1)t + (λ-1)x) / (1 - t - x), the geometric factor to the cap.
-    growth = exp_truncated((_lam + _mu - 1) * _t + (_lam - 1) * _x, syms, total_degree)
-    geometric = _sum_to(total_degree, lambda j: (_t + _x) ** j)
-    return lhs - mul_truncated(growth, geometric, syms, total_degree)
+    growth = exp_truncated((_lam + _mu - 1) * _t + (_lam - 1) * _x, syms, order)
+    geometric = _sum_to(order, lambda j: (_t + _x) ** j)
+    return lhs - mul_truncated(growth, geometric, syms, order)
 
 
 _check_q_second = _sweep(
     lambda n, m: q_poly(n + 1, m) - q_poly(n, m + 1) - _mu * q_poly(n, m))
 
 
-def _check_q_diag(big_n: int) -> Polynomial:
-    lhs = binomial_convolution(big_n, lambda n: q_poly(big_n - n, n) * _t ** (big_n - n))
-    # (t+1)^N f_N(λ + μt/(t+1)) via homogenization: f_N(a/b) b^N.
+def _check_q_diag(n: int) -> Polynomial:
+    lhs = binomial_convolution(n, lambda k: q_poly(n - k, k) * _t ** (n - k))
+    # (t+1)^n f_n(λ + μt/(t+1)) via homogenization: f_n(a/b) b^n.
     a = _lam * (_t + 1) + _mu * _t
     b = _t + 1
-    coeffs = lambda_factorial(big_n).coefficients_in(LAM)
+    coeffs = lambda_factorial(n).coefficients_in(LAM)
     rhs = _ZERO
     for i, c in enumerate(coeffs):
-        rhs = rhs + c * a ** i * b ** (big_n - i)
+        rhs = rhs + c * a ** i * b ** (n - i)
     return lhs - rhs
 
 
@@ -549,7 +548,7 @@ _check_thm_5_2 = _convolution(
 # the key order of the points it makes, and contributes the product of its
 # axes with the first axis varying slowest.  An axis is a literal tuple of
 # values or one of the helpers below, which alone read the override knobs
-# n_max, m_max and order (None keeps the default), each the one it names.
+# (None keeps the default): n_max sets n, m_max m or m_hi, order sets order.
 _N, _M, _O = "n_max", "m_max", "order"
 
 
@@ -700,18 +699,18 @@ _ROWS = (
     ("remark-mu", "specialization of the free parameter recovers thm1.1",
      _check_remark_mu, ({"n": _upto(_N, 10)},)),
     ("stirling-difference", "general finite difference via Stirling numbers",
-     _check_stirling_difference, ({"n": _upto(_N, 6), "m_max": _knob(_M, 8)},)),
+     _check_stirling_difference, ({"n": _upto(_N, 6), "m_hi": _knob(_M, 8)},)),
     ("cor-n-factorial", "convolutions of shifted f collapsing to factorials",
      _check_cor_n_factorial,
      ({"n": _upto(_N, 12), "variant": ("plain", "convolved")},)),
     ("5.1", "two-index recurrence for Q",
      _check_5_1, _Q10),
     ("5.2", "bivariate exponential generating function of Q",
-     _check_5_2, ({"total_degree": _knob(_O, 10)},)),
+     _check_5_2, ({"order": _knob(_O, 10)},)),
     ("q-second", "index-trading recurrence for Q",
      _check_q_second, ({"n": _upto(_N, 9), "m_hi": _m_hi(9)},)),
     ("q-diag", "diagonal substitution identity for Q",
-     _check_q_diag, ({"big_n": _upto(_N, 8)},)),
+     _check_q_diag, ({"n": _upto(_N, 8)},)),
     ("q-explicit", "explicit double-sum formula for Q",
      _check_q_explicit, _Q10),
     ("5.3", "umbral reduction of Q in its second index",
@@ -725,8 +724,7 @@ _ROWS = (
 CATALOGUE: dict[str, Identity] = {row[0]: Identity(*row) for row in _ROWS}
 
 
-_PARAM_CAPS = {"n": 40, "m": 12, "m_hi": 12, "m_max": 12, "order": 20,
-               "total_degree": 16, "big_n": 16, "k": 12}
+_PARAM_CAPS = {"n": 40, "m": 12, "m_hi": 12, "order": 20, "k": 12}
 
 
 def catalogue_ids() -> tuple[str, ...]:
@@ -789,10 +787,10 @@ def verify_many(
     if empty:
         raise ValueError(f"no parameter points to check for: {', '.join(empty)}")
     request = [(i, point) for i in ids for point in points[i]]
-    for _, point in request:
+    for _, point in reversed(request):  # last first: a cap error names the top value
         _check_caps(point)
-        if min(point.get("m_hi", 0), point.get("m_max", 0)) < 0:
+        if point.get("m_hi", 0) < 0:
             raise ValueError(_EMPTY_SWEEP)
-        if min(point.get("order", 0), point.get("total_degree", 0)) < 0:
+        if point.get("order", 0) < 0:
             raise ValueError("truncation order must be >= 0")
     return (verify(identity_id, **point) for identity_id, point in request)

@@ -1,6 +1,6 @@
 """Canonical symbol names shared across the package.
 
-Symbols are plain strings; any string is a valid symbol.  These are the
+Symbols are plain strings; a symbol is a nonempty string.  These are the
 conventional names used by the built-in families and the CLI.
 """
 

@@ -7,17 +7,19 @@ per-criterion lines.
 
 import random
 import time
+from collections import Counter
+from functools import cache
 
 from lambdafact import enumeration as en
 from lambdafact import identities as ids
 from lambdafact import sequences as seq
 from lambdafact.polynomial import Polynomial
 from lambdafact.series import tree_function
-from lambdafact.symbols import LAM, MU
+from lambdafact.symbols import ALPHA, LAM, MU, U
 
 _SUITE_START = time.perf_counter()
 
-lam, mu = map(Polynomial.variable, (LAM, MU))
+lam, mu, alpha, u = map(Polynomial.variable, (LAM, MU, ALPHA, U))
 
 
 def _report(num, description, failures):
@@ -58,6 +60,59 @@ def test_criterion_01_route_agreement():
     _report(1, f"route agreement (f: n<=20, Q: n+m<=10) in {elapsed:.1f}s", failures)
 
 
+def _cycles(p):
+    """The number of cycles of a permutation given as a 1-based image tuple."""
+    seen, count = set(), 0
+    for i in p:
+        if i not in seen:
+            count += 1
+            while i not in seen:
+                seen.add(i)
+                i = p[i - 1]
+    return count
+
+
+@cache
+def permutation_statistics(size):
+    """One pass over S_size: the number of permutations with each (fixed
+    points, cycles), and with each set of fixed points as a bit mask."""
+    by_cycles, by_fixed_set = Counter(), Counter()
+    for p, fix in en.permutations_with_fix(size):
+        by_cycles[fix, _cycles(p)] += 1
+        by_fixed_set[sum(1 << i for i, v in enumerate(p) if v == i + 1)] += 1
+    return by_cycles, by_fixed_set
+
+
+def charlier_oracle(n):
+    """The sum over S_n of (α+u)^fix α^(cycles - fix)."""
+    by_cycles, _ = permutation_statistics(n)
+    return sum(((alpha + u) ** fix * alpha ** (cyc - fix) * count
+                for (fix, cyc), count in by_cycles.items()), Polynomial.zero())
+
+
+def q_oracle(n, m):
+    """The sum over S_(n+m) of (λ+μ)^(fixed points in [1..n]) times
+    λ^(fixed points in [n+1..n+m])."""
+    _, by_fixed_set = permutation_statistics(n + m)
+    low = (1 << n) - 1
+    return sum(((lam + mu) ** (mask & low).bit_count() * lam ** (mask >> n).bit_count()
+                * count for mask, count in by_fixed_set.items()), Polynomial.zero())
+
+
+def family_oracle_failures():
+    """Charlier for n <= 8 and every Q route for n + m <= 8 against the
+    permutation oracles."""
+    failures = []
+    for n in range(9):
+        if seq.charlier(n) != charlier_oracle(n):
+            failures.append(("charlier", n))
+        for m in range(9 - n):
+            oracle = q_oracle(n, m)
+            failures += [("q_poly", n, m, route) for route in seq.Q_POLY_ROUTES
+                         if seq.q_poly(n, m, route) != oracle]
+    return failures
+
+
 def test_criterion_02_oracle_agreement():
     failures = []
     for n in range(9):
@@ -73,7 +128,9 @@ def test_criterion_02_oracle_agreement():
     for n in range(11):
         if en.permanent_check(n) != seq.derangement(n):
             failures.append(("permanent", n))
-    _report(2, "enumeration oracles equal formula routes; permanent counts derangements", failures)
+    failures += family_oracle_failures()
+    _report(2, "enumeration oracles equal formula routes, Charlier and every Q route "
+               "included; permanent counts derangements", failures)
 
 
 def test_criterion_03_unified_convolution_identity():

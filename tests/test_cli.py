@@ -337,6 +337,7 @@ def test_bijection_with_no_objects_is_an_error(capsys):
         ["thm1.1", "3.2", "--order", "-1"],
         ["thm1.1", "--order", "3", "--m-max", "2"],
         ["5.2", "--n-max", "3"],
+        ["2.1", "--n-max", "5000"],
     ],
 )
 def test_verify_rejects_a_bad_request_before_any_output(capsys, argv):
@@ -344,6 +345,12 @@ def test_verify_rejects_a_bad_request_before_any_output(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_verify_reports_the_order_it_truncates_5_2_at(capsys):
+    code, out, err = run(capsys, "verify", "5.2", "--order", "3")
+    assert (code, err) == (0, "")
+    assert '"id": "5.2", "params": {"order": 3}, "order": 3,' in out
 
 
 def test_verify_rejects_an_override_that_no_identity_reads(capsys):

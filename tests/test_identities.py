@@ -147,9 +147,9 @@ def test_selected_identities_at_small_parameters():
         ("3.4", {"order": 4}),
         ("gessel", {"variant": "bilinear", "order": 4}),
         ("4.4", {"n": 5}),
-        ("stirling-difference", {"n": 3, "m_max": 5}),
+        ("stirling-difference", {"n": 3, "m_hi": 5}),
         ("5.3", {"n": 3, "m_hi": 3}),
-        ("q-diag", {"big_n": 4}),
+        ("q-diag", {"n": 4}),
     ]:
         report = ids.verify(identity, **params)
         assert report.verdict, (identity, params, str(report.residual)[:120])
@@ -245,6 +245,16 @@ def test_points_match_golden():
             assert [list(p.items()) for p in got] == points, (identity_id, limits)
 
 
+def test_each_knob_sets_one_parameter_name():
+    """n_max sets n, m_max sets m or m_hi, and order sets order, in every spec."""
+    names = {catalogue._N: {"n"}, catalogue._M: {"m", "m_hi"}, catalogue._O: {"order"}}
+    for entry in catalogue.CATALOGUE.values():
+        for group in entry.spec:
+            for param, axis in group.items():
+                if not isinstance(axis, tuple):
+                    assert param in names[axis.knob], (entry.id, param, axis.knob)
+
+
 def test_every_point_binds_to_its_check():
     for limits in [(None, None, None), (2, 1, 3), (12, 4, 9)]:
         for entry in catalogue.CATALOGUE.values():
@@ -263,7 +273,7 @@ UNIT_TERMS = {
         X, [0] * params["order"] + [1], params["order"]
     ),
     # total-degree residual: a unit monomial at the degree cap
-    "5.2": lambda params: Polynomial.variable(X) ** params["total_degree"],
+    "5.2": lambda params: Polynomial.variable(X) ** params["order"],
 }
 
 
@@ -531,6 +541,8 @@ def test_empty_sweep_is_an_error_not_a_pass():
         (["5.2", "3.4"], {"n_max": 4}, "no point of 5.2, 3.4 reads n_max=4"),
         (["3.4", "chz"], {"n_max": 3, "m_max": 1, "order": 0},
          "no point of 3.4, chz reads n_max=3, m_max=1"),
+        (["2.1"], {"n_max": 5000}, "n=5000 beyond the supported cap 40"),
+        (["5.2"], {"order": 21}, "order=21 beyond the supported cap 20"),
     ],
 )
 def test_verify_many_rejects_a_bad_request_before_any_report(wanted, knobs, message):

@@ -308,6 +308,24 @@ def test_unit_term_in_the_running_rising_factorial_fails(
     _fails_from(identity_id, first_bad, capsys)
 
 
+# ---- mutation tests: a unit term in a family must fail its permutation oracle ----
+
+
+def test_a_unit_term_in_charlier_fails_the_permutation_oracle(monkeypatch):
+    real = seq.charlier
+    monkeypatch.setattr(seq, "charlier", lambda n: real(n) + 1)
+    assert test_acceptance.family_oracle_failures() == [("charlier", n) for n in range(9)]
+
+
+def test_a_unit_term_in_the_definition_of_q_fails_the_permutation_oracle(monkeypatch):
+    # q_poly reads the module's _q_definition at each call, so the wrapper
+    # adds the term to every definition-sum value, cached or not.
+    real = seq._q_definition
+    monkeypatch.setattr(seq, "_q_definition", lambda n, m: real(n, m) + 1)
+    assert test_acceptance.family_oracle_failures() == [
+        ("q_poly", n, m, "definition-sum") for n in range(9) for m in range(9 - n)]
+
+
 def test_stirling2_matches_its_closed_forms():
     for n in range(1, 60):
         assert seq.stirling2(n, 2) == 2 ** (n - 1) - 1
