@@ -2,11 +2,10 @@
 transforms, and the colored-forest bijection demo.
 
 Output is deterministic for fixed inputs.  JSON is the machine format, CSV
-the tabular convenience, DOT the graph format.  The default truncation
-order comes from the LAMBDAFACT_ORDER environment variable (8 if unset; a
-value that is not a nonnegative integer is an error); requests beyond the
-safety cutoffs need --unsafe.  A rejected request is reported as
-`error: ...` on standard error with exit status 2.  If the reader closes
+the tabular convenience, DOT the graph format.  A series is printed to
+--order, 8 by default; requests beyond the safety cutoffs need --unsafe.
+A rejected request, an option its mode does not read included, is reported
+as `error: ...` on standard error with exit status 2.  If the reader closes
 standard output early, the command stops quietly with exit status 141.
 """
 
@@ -20,7 +19,7 @@ import time
 
 from . import enumeration, identities, sequences, series
 from .polynomial import Polynomial
-from .symbols import LAM, T, X
+from .symbols import LAM, T
 
 SERIES_ORDER_CAP = 12
 TABLE_INDEX_CAP = 50
@@ -39,15 +38,6 @@ _ONE_INDEX = {
 TABLE_FAMILIES = (*_ONE_INDEX, "stirling2", "q")
 
 
-def _default_order() -> int:
-    raw = os.environ.get("LAMBDAFACT_ORDER", "")
-    if not raw:
-        return 8
-    if not raw.isdecimal():
-        raise ValueError(f"LAMBDAFACT_ORDER must be a nonnegative integer, got {raw!r}")
-    return int(raw)
-
-
 def _parse_range(spec: str) -> range:
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
@@ -64,6 +54,13 @@ def _check_cap(what: str, value: int, cap: int, unsafe: bool) -> None:
         raise ValueError(
             f"{what} {value} beyond the default cap {cap}; pass --unsafe to override"
         )
+
+
+def _reject_unread(mode: str, options: dict) -> None:
+    """A request that sets an option its mode does not read drops part of itself."""
+    unread = [name for name, value in options.items() if value is not None]
+    if unread:
+        raise ValueError(f"{mode} does not read {', '.join(unread)}")
 
 
 def _table_rows(family: str, ns: range, ms: range | None):
@@ -116,15 +113,19 @@ def _cmd_verify(args) -> int:
 
 
 def _series_payload(args) -> series.TruncatedSeries:
-    order = args.order if args.order is not None else _default_order()
-    _check_cap("order", order, SERIES_ORDER_CAP, args.unsafe)
+    _check_cap("order", args.order, SERIES_ORDER_CAP, args.unsafe)
     if args.what == "tree":
-        return series.tree_function(order)
-    lam = (Polynomial.variable(LAM) if args.lam == "sym"
-           else Polynomial.constant(int(args.lam)))
+        _reject_unread("series tree", {"--lambda": args.lam, "--a": args.a})
+        return series.tree_function(args.order)
+    try:
+        lam = (Polynomial.variable(LAM) if args.lam in (None, "sym")
+               else Polynomial.constant(int(args.lam)))
+    except ValueError:
+        raise ValueError(f"--lambda must be an integer or 'sym', got {args.lam!r}") from None
     if args.what == "egf-f":
-        return series.exp_series(lam - 1, T, order) * series.geometric(T, order)
-    return series.abel_rhs(sequences.ABEL_FAMILIES[args.a], lam, order, X)
+        _reject_unread("series egf-f", {"--a": args.a})
+        return series.exp_series(lam - 1, T, args.order) * series.geometric(T, args.order)
+    return series.abel_rhs(sequences.ABEL_FAMILIES[args.a or "ones"], lam, args.order)
 
 
 def _cmd_series(args) -> int:
@@ -174,6 +175,7 @@ def _cmd_bijection(args) -> int:
             print(enumeration.pair_to_dot(pair, name="pair"))
         return 0 if status == "OK" else 1
 
+    _reject_unread("bijection without --sigma", {"--dot": args.dot})
     # Under --unsafe the enumeration's own cutoff is the limit.
     count = (n + lam) ** (n + 1)
     _check_cap("object count", count, BIJECTION_DEFAULT_CAP, args.unsafe)
@@ -228,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="print a named series")
     p_series.add_argument("what", choices=("tree", "egf-f", "abel-rhs"))
-    p_series.add_argument("--order", type=int, default=None)
-    p_series.add_argument("--lambda", dest="lam", default="sym",
-                          help="integer value or 'sym' (default)")
-    p_series.add_argument("--a", choices=tuple(sequences.ABEL_FAMILIES), default="ones",
-                          help="sequence family for abel-rhs")
+    p_series.add_argument("--order", type=int, default=8)
+    p_series.add_argument("--lambda", dest="lam", default=None,
+                          help="integer value or 'sym' (default); egf-f and abel-rhs")
+    p_series.add_argument("--a", choices=tuple(sequences.ABEL_FAMILIES), default=None,
+                          help="sequence family for abel-rhs ('ones' by default)")
     p_series.add_argument("--format", choices=("text", "json"), default="text")
     p_series.add_argument("--unsafe", action="store_true",
                           help="allow orders beyond the default cap")
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("lam", type=int, metavar="lambda")
     p_bij.add_argument("--sigma", default=None,
                        help="comma-separated image of one endofunction")
-    p_bij.add_argument("--dot", action="store_true", help="also print DOT graphs")
+    p_bij.add_argument("--dot", action="store_true", default=None,
+                       help="also print DOT graphs of --sigma")
     p_bij.add_argument("--unsafe", action="store_true",
                        help="raise the exhaustive-run cutoff")
     p_bij.set_defaults(func=_cmd_bijection)

@@ -546,35 +546,21 @@ _check_thm_5_2 = _convolution(
 
 # A point spec is a tuple of groups.  Each group maps parameter -> axis, in
 # the key order of the points it makes, and contributes the product of its
-# axes with the first axis varying slowest.  An axis is a literal tuple of
-# values or one of the helpers below, which alone read the override knobs
-# (None keeps the default): n_max sets n, m_max m or m_hi, order sets order.
-_N, _M, _O = "n_max", "m_max", "order"
+# axes with the first axis varying slowest.  A tuple axis is literal.  A
+# range, an int or a function of the point so far is a default, which the
+# override knob of its parameter replaces: the top of a range, or the value.
+_KNOB = {"n": "n_max", "m": "m_max", "m_hi": "m_max", "order": "order"}
 
 
-def _or(value: int | None, default: int) -> int:
-    return default if value is None else value
-
-
-def _axis(knob: str, values: Callable[[int | None, dict], Iterable[int]]):
-    """The axis values(knob's override, the point so far), which reads knob."""
-    values.knob = knob
-    return values
-
-
-def _upto(knob: str, default: int, lo: int = 0):
-    """The axis lo..(knob or default)."""
-    return _axis(knob, lambda value, point: range(lo, _or(value, default) + 1))
-
-
-def _knob(knob: str, default: int):
-    """The one-value axis (knob or default)."""
-    return _axis(knob, lambda value, point: (_or(value, default),))
-
-
-def _m_hi(total: int):
-    """m_max, or total - n: the check loops m up to it."""
-    return _axis(_M, lambda value, point: (_or(value, total - point["n"]),))
+def _values(param: str, axis, knobs: dict, point: dict) -> Iterable:
+    if isinstance(axis, tuple):
+        return axis
+    value = knobs[_KNOB[param]]
+    if isinstance(axis, range):
+        return range(axis.start, axis.stop if value is None else value + 1)
+    if value is not None:
+        return (value,)
+    return (axis(point) if callable(axis) else axis,)
 
 
 @dataclass(frozen=True)
@@ -588,129 +574,119 @@ class Identity:
         self, n_max: int | None, m_max: int | None, order: int | None
     ) -> list[dict]:
         """The parameter points of the spec under the override knobs."""
-        knobs = {_N: n_max, _M: m_max, _O: order}
+        knobs = {"n_max": n_max, "m_max": m_max, "order": order}
         out: list[dict] = []
         for group in self.spec:
             points: list[dict] = [{}]
             for param, axis in group.items():
-                points = [
-                    {**p, param: v}
-                    for p in points
-                    for v in (axis if isinstance(axis, tuple) else axis(knobs[axis.knob], p))
-                ]
+                points = [{**p, param: v} for p in points
+                          for v in _values(param, axis, knobs, p)]
             out += points
         return out
 
 
 # Specs shared by several rows: m = 0..3 at order 6, and the Q triangle
 # n + m <= 10.
-_M_ORDER = ({"m": _upto(_M, 3), "order": _knob(_O, 6)},)
-_Q10 = ({"n": _upto(_N, 10), "m_hi": _m_hi(10)},)
+_M_ORDER = ({"m": range(4), "order": 6},)
+_Q10 = ({"n": range(11), "m_hi": lambda p: 10 - p["n"]},)
 
 _ROWS = (
     ("1.0a", "binomial shift of the argument of f",
-     _check_1_0a, ({"n": _upto(_N, 15)},)),
+     _check_1_0a, ({"n": range(16)},)),
     ("1.0b", "f as a factorial-kernel binomial sum",
-     _check_1_0b, ({"n": _upto(_N, 20)},)),
+     _check_1_0b, ({"n": range(21)},)),
     ("1.0c", "first-order recurrence for f",
-     _check_1_0c, ({"n": _upto(_N, 20, lo=1)},)),
+     _check_1_0c, ({"n": range(1, 21)},)),
     ("1.0d", "derivative of f lowers the index",
-     _check_1_0d, ({"n": _upto(_N, 12, lo=1)},)),
+     _check_1_0d, ({"n": range(1, 13)},)),
     ("1.0e", "f as a derangement-kernel binomial sum",
-     _check_1_0e, ({"n": _upto(_N, 15)},)),
+     _check_1_0e, ({"n": range(16)},)),
     ("charlier-spec", "f is a Charlier polynomial at unit first argument",
-     _check_charlier_spec, ({"n": _upto(_N, 10)},)),
+     _check_charlier_spec, ({"n": range(11)},)),
     ("charlier-recurrence", "three-term contiguous recurrence for Charlier polynomials",
-     _check_charlier_recurrence, ({"n": _upto(_N, 10)},)),
+     _check_charlier_recurrence, ({"n": range(11)},)),
     ("riordan", "factorial convolution with tree counts",
-     _check_riordan, ({"n": _upto(_N, 12)},)),
+     _check_riordan, ({"n": range(13)},)),
     ("sunxu", "derangement convolution with tree counts",
-     _check_sunxu, ({"n": _upto(_N, 12)},)),
+     _check_sunxu, ({"n": range(13)},)),
     ("thm1.1", "unified convolution of shifted f with tree counts",
-     _check_thm11, ({"n": _upto(_N, 15)},)),
+     _check_thm11, ({"n": range(16)},)),
     ("2.1", "coefficients of powers of the tree series",
-     _check_2_1, ({"n": _upto(_N, 8, lo=1)},)),
+     _check_2_1, ({"n": range(1, 9)},)),
     ("2.2", "exponential of the tree series over its complement",
-     _check_2_2, ({"n": _upto(_N, 8)},)),
+     _check_2_2, ({"n": range(9)},)),
     ("2.3", "exponential generating function of f",
-     _check_2_3, ({"n": _upto(_N, 10)},)),
+     _check_2_3, ({"n": range(11)},)),
     ("2.3a", "tree-count convolution equivalent to thm1.1",
-     _check_2_3a, ({"n": _upto(_N, 12, lo=1)},)),
+     _check_2_3a, ({"n": range(1, 13)},)),
     ("2.4", "umbral closed form of f",
-     _check_2_4, ({"n": _upto(_N, 10)},)),
+     _check_2_4, ({"n": range(11)},)),
     ("3.1", "one-parameter extension of the binomial theorem",
-     _check_3_1, ({"n": _upto(_N, 8)},)),
+     _check_3_1, ({"n": range(9)},)),
     ("3.2", "resummation of a generating function by shifted derivatives",
-     _check_3_2, ({"a_kind": ("exp", "geometric"), "order": _knob(_O, 8)},)),
+     _check_3_2, ({"a_kind": ("exp", "geometric"), "order": 8},)),
     ("3.3", "umbral form of the tree-count convolution",
-     _check_3_3, ({"n": _upto(_N, 10)},)),
+     _check_3_3, ({"n": range(11)},)),
     ("thm1.2", "series transform pairing f with shifted derivatives",
-     _check_thm12, (
-         {"family": tuple(_A_FAMILIES), "order": _knob(_O, 8)},
-         {"family": ("factorial",), "variant": ("ogf-lambda-1",),
-          "order": _knob(_O, 10)},
-     )),
+     _check_thm12, ({"family": tuple(_A_FAMILIES), "order": 8},
+                    {"family": ("factorial",), "variant": ("ogf-lambda-1",), "order": 10})),
     ("charlier-deriv",
      "closed form for derivatives of the Charlier generating function",
-     _check_charlier_deriv, ({"k": tuple(range(6)), "order": _knob(_O, 6)},)),
+     _check_charlier_deriv, ({"k": tuple(range(6)), "order": 6},)),
     ("3.4", "Charlier transform of f",
-     _check_3_4, ({"order": _knob(_O, 6)},)),
+     _check_3_4, ({"order": 6},)),
     ("3.5", "shifted Charlier transform of f",
      _check_3_4, _M_ORDER),
     ("3.6", "bilinear derangement series",
      _check_3_6, _M_ORDER),
     ("3.7", "ordinary generating functions for shifted f and derangements",
-     _check_3_7, ({"m": _upto(_M, 3), "variant": ("f-ogf", "derangement-ogf"),
-                   "order": _knob(_O, 6)},)),
+     _check_3_7, ({"m": range(4), "variant": ("f-ogf", "derangement-ogf"), "order": 6},)),
     ("3.7.1", "ordinary generating functions for shifted factorials and for f",
-     _check_3_7_1, (
-         {"variant": ("shifted-factorial",), "m": _upto(_M, 3), "order": _knob(_O, 8)},
-         {"variant": ("f-ogf",), "m": (0,), "order": _knob(_O, 8)},
-     )),
+     _check_3_7_1, ({"variant": ("shifted-factorial",), "m": range(4), "order": 8},
+                    {"variant": ("f-ogf",), "m": (0,), "order": 8})),
     ("gessel", "bilinear Charlier generating function and its derangement case",
-     _check_gessel, ({"variant": ("bilinear",), "order": _knob(_O, 5)},
-                     {"variant": ("derangement",), "order": _knob(_O, 8)})),
+     _check_gessel, ({"variant": ("bilinear",), "order": 5},
+                     {"variant": ("derangement",), "order": 8})),
     ("chz", "ordinary generating function of f by a rational kernel",
-     _check_chz, ({"order": _knob(_O, 8)},)),
+     _check_chz, ({"order": 8},)),
     ("bell-transform", "Bell-polynomial transform of f",
      _check_bell_transform, _M_ORDER),
     ("3.8", "ordinary generating function for shifted Bell numbers",
      _check_3_8, _M_ORDER),
     ("3.9", "Hermite transform of f and involution/matching generating functions",
-     _check_3_9, ({"m": _upto(_M, 3),
-                   "variant": ("bilinear", "involution-ogf", "matching-ogf"),
-                   "order": _knob(_O, 6)},)),
+     _check_3_9, ({"m": range(4), "variant": ("bilinear", "involution-ogf", "matching-ogf"),
+                   "order": 6},)),
     ("4.1", "weighted binomial convolution of f collapses",
-     _check_4_1, ({"n": _upto(_N, 12)},)),
+     _check_4_1, ({"n": range(13)},)),
     ("4.2", "convolution of f with shifted f",
-     _check_4_2, ({"n": _upto(_N, 12)},)),
+     _check_4_2, ({"n": range(13)},)),
     ("cor-selfdual", "self-dual convolution of f summing to (n+1)^(n+1)",
-     _check_cor_selfdual, ({"n": _upto(_N, 10)},)),
+     _check_cor_selfdual, ({"n": range(11)},)),
     ("4.3", "explicit two-parameter expansion of f",
-     _check_4_3, ({"n": _upto(_N, 12)},)),
+     _check_4_3, ({"n": range(13)},)),
     ("difference", "n-th finite difference of the n-th power",
-     _check_difference, ({"n": _upto(_N, 12)},)),
+     _check_difference, ({"n": range(13)},)),
     ("4.3a", "alternating closed form for derangement numbers",
-     _check_4_3a, ({"n": _upto(_N, 12)}, {"n": _upto(_N, 12), "at": (-1,)})),
+     _check_4_3a, ({"n": range(13)}, {"n": range(13), "at": (-1,)})),
     ("4.4", "shifted convolution against a free parameter",
-     _check_4_4, ({"n": _upto(_N, 10)},)),
+     _check_4_4, ({"n": range(11)},)),
     ("4.5", "doubly shifted convolution of f",
-     _check_4_5, ({"n": _upto(_N, 10)},)),
+     _check_4_5, ({"n": range(11)},)),
     ("remark-mu", "specialization of the free parameter recovers thm1.1",
-     _check_remark_mu, ({"n": _upto(_N, 10)},)),
+     _check_remark_mu, ({"n": range(11)},)),
     ("stirling-difference", "general finite difference via Stirling numbers",
-     _check_stirling_difference, ({"n": _upto(_N, 6), "m_hi": _knob(_M, 8)},)),
+     _check_stirling_difference, ({"n": range(7), "m_hi": 8},)),
     ("cor-n-factorial", "convolutions of shifted f collapsing to factorials",
      _check_cor_n_factorial,
-     ({"n": _upto(_N, 12), "variant": ("plain", "convolved")},)),
+     ({"n": range(13), "variant": ("plain", "convolved")},)),
     ("5.1", "two-index recurrence for Q",
      _check_5_1, _Q10),
     ("5.2", "bivariate exponential generating function of Q",
-     _check_5_2, ({"order": _knob(_O, 10)},)),
+     _check_5_2, ({"order": 10},)),
     ("q-second", "index-trading recurrence for Q",
-     _check_q_second, ({"n": _upto(_N, 9), "m_hi": _m_hi(9)},)),
+     _check_q_second, ({"n": range(10), "m_hi": lambda p: 9 - p["n"]},)),
     ("q-diag", "diagonal substitution identity for Q",
-     _check_q_diag, ({"n": _upto(_N, 8)},)),
+     _check_q_diag, ({"n": range(9)},)),
     ("q-explicit", "explicit double-sum formula for Q",
      _check_q_explicit, _Q10),
     ("5.3", "umbral reduction of Q in its second index",
@@ -718,13 +694,14 @@ _ROWS = (
     ("5.4", "convolution reduction of Q in its second index",
      _check_5_4, _Q10),
     ("thm5.2", "doubly shifted convolution expanded explicitly",
-     _check_thm_5_2, ({"n": _upto(_N, 10)},)),
+     _check_thm_5_2, ({"n": range(11)},)),
 )
 
 CATALOGUE: dict[str, Identity] = {row[0]: Identity(*row) for row in _ROWS}
 
 
 _PARAM_CAPS = {"n": 40, "m": 12, "m_hi": 12, "order": 20, "k": 12}
+_BELOW_ZERO = {"m_hi": _EMPTY_SWEEP, "order": "truncation order must be >= 0"}
 
 
 def catalogue_ids() -> tuple[str, ...]:
@@ -732,10 +709,16 @@ def catalogue_ids() -> tuple[str, ...]:
 
 
 def _check_caps(params: dict) -> None:
+    """Every capped parameter lies in 0..cap: below 0 a check sums over
+    nothing, and an empty sum passes without testing anything."""
     for key, value in params.items():
         cap = _PARAM_CAPS.get(key)
-        if cap is not None and isinstance(value, int) and value > cap:
+        if cap is None or not isinstance(value, int):
+            continue
+        if value > cap:
             raise ValueError(f"{key}={value} beyond the supported cap {cap}")
+        if value < 0:
+            raise ValueError(_BELOW_ZERO.get(key, f"{key}={value} below 0"))
 
 
 def verify(identity_id: str, **params) -> IdentityReport:
@@ -776,21 +759,17 @@ def verify_many(
     unknown = [i for i in ids if i not in CATALOGUE]
     if unknown:
         raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
-    read = {axis.knob for i in ids for group in CATALOGUE[i].spec
-            for axis in group.values() if not isinstance(axis, tuple)}
-    unread = [f"{k}={v}" for k, v in zip((_N, _M, _O), (n_max, m_max, order))
-              if v is not None and k not in read]
+    read = {_KNOB[param] for i in ids for group in CATALOGUE[i].spec
+            for param, axis in group.items() if not isinstance(axis, tuple)}
+    knobs = {"n_max": n_max, "m_max": m_max, "order": order}
+    unread = [f"{k}={v}" for k, v in knobs.items() if v is not None and k not in read]
     if unread:
         raise ValueError(f"no point of {', '.join(ids)} reads {', '.join(unread)}")
-    points = {i: CATALOGUE[i].points(n_max, m_max, order) for i in ids}
+    points = {i: CATALOGUE[i].points(**knobs) for i in ids}
     empty = [i for i in ids if not points[i]]
     if empty:
         raise ValueError(f"no parameter points to check for: {', '.join(empty)}")
     request = [(i, point) for i in ids for point in points[i]]
     for _, point in reversed(request):  # last first: a cap error names the top value
         _check_caps(point)
-        if point.get("m_hi", 0) < 0:
-            raise ValueError(_EMPTY_SWEEP)
-        if point.get("order", 0) < 0:
-            raise ValueError("truncation order must be >= 0")
     return (verify(identity_id, **point) for identity_id, point in request)

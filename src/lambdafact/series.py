@@ -13,9 +13,9 @@ times var**k, raises the order by k, so a sum of var**k times term k to order
 N forms term k only to order N-k and no coefficient that it would discard.
 
 Also here: the rooted-tree series y = x*exp(y), symbolic-exponent binomial
-series, the shifted-derivative transform used by the Abel-type expansion,
-and the two total-degree-truncated kernels on bivariate polynomials,
-mul_truncated and exp_truncated.
+series and the shifted-derivative transform used by the Abel-type expansion,
+all in the series variable x; and the two total-degree-truncated kernels on
+bivariate polynomials, mul_truncated and exp_truncated.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from itertools import islice
 from typing import Callable, Sequence, Union
 
 from .polynomial import Polynomial, as_poly, dot, evaluate_at, join_signed, powers
+from .symbols import X
 
 PolyLike = Union[Polynomial, int, Fraction]
 
@@ -297,45 +298,43 @@ def exp_series(coefficient: PolyLike, var: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(var, [0, coefficient], order).exp()
 
 
-def binomial_power(
-    c: PolyLike, e: PolyLike, order: int, var: str = "x"
-) -> TruncatedSeries:
-    """(1 + c*var)**e for a symbolic exponent e.
+def binomial_power(c: PolyLike, e: PolyLike, order: int) -> TruncatedSeries:
+    """(1 + c*x)**e for a symbolic exponent e.
 
-    Coefficient of var**j is e(e-1)...(e-j+1)/j! * c**j.  Both c and e may
-    be polynomials in parameters, but neither may contain var.
+    Coefficient of x**j is e(e-1)...(e-j+1)/j! * c**j.  Both c and e may
+    be polynomials in parameters, but neither may contain x.
     """
     c = as_poly(c)
     e = as_poly(e)
     for p in (c, e):
-        if p.mentions(var):
+        if p.mentions(X):
             raise ValueError("binomial_power arguments must not contain the series variable")
     coeffs = [Polynomial.one()]
     falling = Polynomial.one()
     for j, cpow in zip(range(1, order + 1), islice(powers(c), 1, None)):
         falling = falling * (e - (j - 1))
         coeffs.append(falling * cpow / math.factorial(j))
-    return TruncatedSeries(var, coeffs, order)
+    return TruncatedSeries(X, coeffs, order)
 
 
-def tree_fixed_point(order: int, var: str = "x") -> TruncatedSeries:
-    """The solution y of y = var*exp(y), unchecked, for checks that test it;
-    pass i lifts y to order i-1 to var*exp(y) to order i."""
+def tree_fixed_point(order: int) -> TruncatedSeries:
+    """The solution y of y = x*exp(y), unchecked, for checks that test it;
+    pass i lifts y to order i-1 to x*exp(y) to order i."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    y = TruncatedSeries.zero(var, 0)
+    y = TruncatedSeries.zero(X, 0)
     for _ in range(order):
         y = y.exp().shift(1)
     return y
 
 
-def tree_function(order: int, var: str = "x") -> TruncatedSeries:
-    """The rooted-labeled-tree series y with y = var*exp(y).
+def tree_function(order: int) -> TruncatedSeries:
+    """The rooted-labeled-tree series y with y = x*exp(y).
 
     Computed by tree_fixed_point and cross-checked against the closed form
     n^(n-1)/n!; a mismatch is a hard error.
     """
-    y = tree_fixed_point(order, var)
+    y = tree_fixed_point(order)
     for n in range(1, order + 1):
         expected = Fraction(n ** (n - 1), math.factorial(n))
         if y.coeffs[n] != Polynomial.constant(expected):
@@ -345,12 +344,12 @@ def tree_function(order: int, var: str = "x") -> TruncatedSeries:
     return y
 
 
-def shifted_sum(term: Callable, order: int, var: str = "x") -> TruncatedSeries:
-    """The sum over k = 0..order of var**k * term(k), exact to the order since
-    no term k reaches below var**k.  Term k is needed only to order - k; one
+def shifted_sum(term: Callable, order: int) -> TruncatedSeries:
+    """The sum over k = 0..order of x**k * term(k), exact to the order since
+    no term k reaches below x**k.  Term k is needed only to order - k; one
     that falls short raises, as the sum would keep its smaller order and
     leave the top coefficients unchecked."""
-    total = TruncatedSeries.zero(var, order)
+    total = TruncatedSeries.zero(X, order)
     for k in range(order + 1):
         t = term(k)
         if t.order < order - k:
@@ -360,33 +359,25 @@ def shifted_sum(term: Callable, order: int, var: str = "x") -> TruncatedSeries:
 
 
 def abel_sum(
-    lam: PolyLike,
-    shifted_derivative: Callable[[int], TruncatedSeries],
-    order: int,
-    var: str = "x",
+    lam: PolyLike, shifted_derivative: Callable[[int], TruncatedSeries], order: int
 ) -> TruncatedSeries:
-    """The right side of Theorem 1.2: sum over k of (lam+k-1)**k/k! * var**k * D_k.
+    """The right side of Theorem 1.2: sum over k of (lam+k-1)**k/k! * x**k * D_k.
 
-    D_k = shifted_derivative(k) stands for A^(k)(-k*var), the k-th derivative
-    of an EGF A taken at -k*var, and is needed only to order - k (see
+    D_k = shifted_derivative(k) stands for A^(k)(-k*x), the k-th derivative
+    of an EGF A taken at -k*x, and is needed only to order - k (see
     shifted_sum, which raises on a D_k that falls short).
     """
     lam = as_poly(lam)
     return shifted_sum(lambda k: shifted_derivative(k) * (
-        (lam + (k - 1)) ** k / math.factorial(k)), order, var)
+        (lam + (k - 1)) ** k / math.factorial(k)), order)
 
 
-def abel_rhs(
-    a: Callable[[int], PolyLike],
-    lam: PolyLike,
-    order: int,
-    var: str = "x",
-) -> TruncatedSeries:
-    """abel_sum with D_k = A_k(-k*var), A_k the k-th derivative of the EGF of
-    the sequence a: the sum over k of (k+lam-1)**k * var**k * A_k(-k*var) / k!.
+def abel_rhs(a: Callable[[int], PolyLike], lam: PolyLike, order: int) -> TruncatedSeries:
+    """abel_sum with D_k = A_k(-k*x), A_k the k-th derivative of the EGF of
+    the sequence a: the sum over k of (k+lam-1)**k * x**k * A_k(-k*x) / k!.
     A_k is the EGF of the shifted sequence n -> a(n+k)."""
     return abel_sum(lam, lambda k: TruncatedSeries.egf(
-        lambda n: a(n + k), var, order - k).rescale(-k), order, var)
+        lambda n: a(n + k), X, order - k).rescale(-k), order)
 
 
 def substitute_series(

@@ -153,18 +153,15 @@ def test_series_order_cap(capsys):
 
 
 def test_series_default_order_without_env(capsys, monkeypatch):
-    monkeypatch.delenv("LAMBDAFACT_ORDER", raising=False)
+    # No environment variable sets the order: it is 8 unless --order says.
+    monkeypatch.setenv("LAMBDAFACT_ORDER", "2")
     code, out, _ = run(capsys, "series", "tree")
     assert code == 0
     assert out == (
         "x + x^2 + 3/2 x^3 + 8/3 x^4 + 125/24 x^5 + 54/5 x^6 + 16807/720 x^7"
         " + 16384/315 x^8 + O(x^9)\n"
     )
-
-
-def test_series_env_default_order(capsys, monkeypatch):
-    monkeypatch.setenv("LAMBDAFACT_ORDER", "2")
-    code, out, _ = run(capsys, "series", "tree")
+    code, out, _ = run(capsys, "series", "tree", "--order", "2")
     assert code == 0
     assert out.strip() == "x + x^2 + O(x^3)"
 
@@ -274,20 +271,31 @@ def test_verify_empty_point_set_is_an_error(capsys):
     assert "no parameter points" in err and "2.1" in err
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
-def test_series_bad_env_order_is_an_error(capsys, monkeypatch, raw):
-    monkeypatch.setenv("LAMBDAFACT_ORDER", raw)
-    code, out, err = run(capsys, "series", "tree")
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["bijection", "1", "1", "--dot"], "--dot"),
+        (["series", "tree", "--lambda", "3"], "--lambda"),
+        (["series", "tree", "--a", "bell"], "--a"),
+        (["series", "egf-f", "--a", "bell"], "--a"),
+        (["series", "tree", "--lambda", "sym"], "--lambda"),
+    ],
+)
+def test_an_option_the_mode_does_not_read_is_an_error(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "LAMBDAFACT_ORDER" in err and repr(raw) in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"does not read {option}")
 
 
-def test_series_explicit_order_ignores_env(capsys, monkeypatch):
-    monkeypatch.setenv("LAMBDAFACT_ORDER", "abc")
-    code, out, _ = run(capsys, "series", "tree", "--order", "2")
-    assert code == 0
-    assert out.strip() == "x + x^2 + O(x^3)"
+@pytest.mark.parametrize("what", ["egf-f", "abel-rhs"])
+@pytest.mark.parametrize("lam", ["1.5", "x", ""])
+def test_series_non_integer_lambda_names_the_option(capsys, what, lam):
+    code, out, err = run(capsys, "series", what, "--lambda", lam)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --lambda must be an integer or 'sym', got {lam!r}\n"
 
 
 @pytest.mark.parametrize("ident,order", [("5.2", "-2"), ("5.2", "-1"), ("3.2", "-1")])

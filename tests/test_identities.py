@@ -245,14 +245,24 @@ def test_points_match_golden():
             assert [list(p.items()) for p in got] == points, (identity_id, limits)
 
 
+def _unknobbed(spec):
+    """The parameters of a spec whose default axis no override knob reaches."""
+    return [param for group in spec for param, axis in group.items()
+            if not isinstance(axis, tuple) and param not in catalogue._KNOB]
+
+
 def test_each_knob_sets_one_parameter_name():
     """n_max sets n, m_max sets m or m_hi, and order sets order, in every spec."""
-    names = {catalogue._N: {"n"}, catalogue._M: {"m", "m_hi"}, catalogue._O: {"order"}}
     for entry in catalogue.CATALOGUE.values():
-        for group in entry.spec:
-            for param, axis in group.items():
-                if not isinstance(axis, tuple):
-                    assert param in names[axis.knob], (entry.id, param, axis.knob)
+        assert _unknobbed(entry.spec) == [], entry.id
+    overrides = set(inspect.signature(ids.verify_many).parameters) - {"ids"}
+    assert set(catalogue._KNOB.values()) == overrides
+    # A default axis on a parameter with no knob is caught, not read as literal.
+    bad = catalogue.Identity("bad", "a default no knob reaches", lambda k: None,
+                             ({"k": range(3)},))
+    assert _unknobbed(bad.spec) == ["k"]
+    with pytest.raises(KeyError, match="'k'"):
+        bad.points(None, None, None)
 
 
 def test_every_point_binds_to_its_check():
@@ -336,9 +346,9 @@ TRANSFORM_IDS = ("3.4", "3.5", "3.6", "3.7", "3.7.1", "bell-transform", "3.8", "
 def _unit_term_in_the_transform_kernel(monkeypatch):
     real = catalogue.abel_sum
 
-    def perturbed(lam, shifted_derivative, order, var=X):
-        unit = TruncatedSeries(var, [0] * order + [1], order)
-        return real(lam, shifted_derivative, order, var) + unit
+    def perturbed(lam, shifted_derivative, order):
+        unit = TruncatedSeries(X, [0] * order + [1], order)
+        return real(lam, shifted_derivative, order) + unit
 
     monkeypatch.setattr(catalogue, "abel_sum", perturbed)
 
@@ -524,6 +534,28 @@ def test_empty_sweep_is_an_error_not_a_pass():
         ids.verify("5.1", n=2, m_hi=-1)
     with pytest.raises(ValueError, match="empty sweep"):
         ids.verify("2.1", n=0)
+
+
+# Each capped parameter of each identity at -1, from its first default
+# point, and two points that passed as empty sums before they were rejected.
+# Below 0 a check may sum over nothing, and an empty sum would pass.
+BELOW_ZERO = [
+    pytest.param(identity_id, {**point, param: -1}, id=f"{identity_id}-{param}")
+    for identity_id, entry in catalogue.CATALOGUE.items()
+    for point in entry.points(None, None, None)[:1]
+    for param in point if param in catalogue._PARAM_CAPS
+] + [pytest.param("thm5.2", {"n": -5}, id="thm5.2-n=-5"),
+     pytest.param("3.2", {"a_kind": "geometric", "order": -1}, id="3.2-geometric")]
+BELOW_ZERO_MESSAGES = {"order": "truncation order must be >= 0", "m_hi": "empty sweep"}
+
+
+@pytest.mark.parametrize("identity_id,params", BELOW_ZERO)
+def test_a_capped_parameter_below_zero_is_an_error_not_a_pass(identity_id, params):
+    param, value = next((p, v) for p, v in params.items()
+                        if p in catalogue._PARAM_CAPS and v < 0)
+    message = BELOW_ZERO_MESSAGES.get(param, f"{param}={value} below 0")
+    with pytest.raises(ValueError, match=message):
+        ids.verify(identity_id, **params)
 
 
 @pytest.mark.parametrize(
