@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from . import enumeration, identities, sequences, series
+from . import identities, sequences, series
 from .polynomial import Polynomial
 from .symbols import LAM, T
 
@@ -38,12 +38,20 @@ _ONE_INDEX = {
 TABLE_FAMILIES = (*_ONE_INDEX, "stirling2", "q")
 
 
+def _ints(what: str, parts: list[str], raw: str) -> tuple[int, ...]:
+    """The parts as ints; the first that is not one is named, with the whole argument."""
+    values = []
+    for part in parts:
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ValueError(f"{what} must be integers, got {part!r} in {raw!r}") from None
+    return tuple(values)
+
+
 def _parse_range(spec: str) -> range:
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(spec)
+    bounds = _ints("table indices", spec.split("..", 1), spec)
+    lo, hi = bounds[0], bounds[-1]
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range {spec!r}")
     return range(lo, hi + 1)
@@ -143,22 +151,26 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _parse_sigma(raw: str, size: int) -> enumeration.Endofunction:
+def _parse_sigma(raw: str, size: int) -> tuple[int, ...]:
     parts = [p for p in raw.replace(" ", "").split(",") if p]
-    image = tuple(int(p) for p in parts)
+    image = _ints("--sigma entries", parts, raw)
     if len(image) != size:
         raise ValueError(f"sigma must list {size} image values, got {len(image)}")
-    return enumeration.Endofunction(image)
+    return image
 
 
 def _cmd_bijection(args) -> int:
+    from . import enumeration  # only this command needs it, so no other compiles it
+
     n, lam = args.n, args.lam
     if n < 0 or lam < 0 or n + lam == 0:
         # n = lambda = 0 has no objects: a census of nothing is no pass.
         raise ValueError("need n >= 0, lambda >= 0 and n + lambda >= 1")
 
     if args.sigma is not None:
-        sigma = _parse_sigma(args.sigma, n + lam + 1)
+        # --unsafe only raises the census cutoff: one sigma has none.
+        _reject_unread("bijection --sigma", {"--unsafe": args.unsafe or None})
+        sigma = enumeration.Endofunction(_parse_sigma(args.sigma, n + lam + 1))
         tau, colors = enumeration.sigma_to_tau(sigma, n, lam)
         pair = enumeration.sigma_to_pair(sigma, n, lam)
         back = enumeration.pair_to_sigma(pair, n, lam)

@@ -13,17 +13,16 @@ parent tuple of the same shape where parent 0 marks a root, with all edges
 oriented toward the roots.
 
 The bijection has one tuple kernel per direction.  The public entry points
-validate fully and wrap the kernels in dataclasses; the census maps each
-member forward with `sigma_to_pair` and back with the inverse kernel, which
-checks the pair on tuples.
+validate fully and wrap the kernels' tuples in immutable named-tuple
+records; the census maps each member forward with `sigma_to_pair` and back
+with the inverse kernel, which checks the pair on tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _permutations, product as _product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .polynomial import Polynomial
 from .symbols import LAM, U
@@ -37,17 +36,21 @@ PERMANENT_CUTOFF = 10
 Pairs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Endofunction:
-    """A self-map of [n], n = len(image), with image[i-1] = sigma(i)."""
-
+class _Image(NamedTuple):  # a NamedTuple cannot define __new__; its subclass can
     image: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.image)
-        for v in self.image:
+
+class Endofunction(_Image):
+    """A self-map of [n], n = len(image), with image[i-1] = sigma(i)."""
+
+    __slots__ = ()
+
+    def __new__(cls, image: tuple[int, ...]):
+        n = len(image)
+        for v in image:
             if not 1 <= v <= n:
                 raise ValueError(f"image value {v} outside [{n}]")
+        return tuple.__new__(cls, (image,))
 
     @property
     def n(self) -> int:
@@ -57,8 +60,7 @@ class Endofunction:
         return self.image[i - 1]
 
 
-@dataclass(frozen=True)
-class ColoredForestPermutation:
+class ColoredForestPermutation(NamedTuple):
     """A rooted forest, a permutation of its roots, and colored fixed points.
 
     parent: forest on [n+1] (0 marks roots); pi: sorted (root, image) pairs
@@ -109,8 +111,7 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend(1, 0)
 
 
-@dataclass(frozen=True)
-class EnumeratedFamilies:
+class EnumeratedFamilies(NamedTuple):
     """Exhaustively computed statistics for one n."""
 
     n: int

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..polynomial import Polynomial, dot, powers
 from ..series import (
@@ -563,8 +562,7 @@ def _values(param: str, axis, knobs: dict, point: dict) -> Iterable:
     return (axis(point) if callable(axis) else axis,)
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     id: str
     summary: str
     check: Callable[..., Residual]

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, NamedTuple, Union
 
 from ..polynomial import Polynomial
 from ..series import TruncatedSeries
@@ -11,8 +10,7 @@ from ..series import TruncatedSeries
 Residual = Union[Polynomial, TruncatedSeries]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Result of checking one catalogued identity at one parameter point.
 
     The verdict is pass exactly when the residual (left side minus right
@@ -26,12 +24,12 @@ class IdentityReport:
     order: int | None
     residual: Residual
     elapsed_ms: float
-    verdict: bool = field(init=False)
 
-    def __post_init__(self):
+    @property
+    def verdict(self) -> bool:
         short = isinstance(self.residual, TruncatedSeries) and (
             self.order is not None and self.residual.order < self.order)
-        object.__setattr__(self, "verdict", self.residual.is_zero and not short)
+        return self.residual.is_zero and not short
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -66,6 +66,19 @@ def test_table_bad_range(capsys):
     assert "range" in err
 
 
+@pytest.mark.parametrize("indices,bad,spec", [
+    (["factorial", "1.5"], "1.5", "1.5"),
+    (["factorial", "0..x"], "x", "0..x"),
+    (["factorial", "x..3"], "x", "x..3"),
+    (["q", "1", "0..y"], "y", "0..y"),
+])
+def test_table_non_integer_index_names_the_argument(capsys, indices, bad, spec):
+    code, out, err = run(capsys, "table", *indices)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: table indices must be integers, got {bad!r} in {spec!r}\n"
+
+
 def test_table_index_cap(capsys):
     code, _, err = run(capsys, "table", "derangement", "0..80")
     assert code == 2
@@ -219,6 +232,22 @@ def test_closed_stdout_ends_quietly_and_not_as_a_pass():
     assert err == b""
 
 
+def test_import_loads_neither_dataclasses_nor_the_enumeration_layer():
+    # What every command pays before it starts: only `bijection` needs the
+    # enumeration layer, and it loads that layer when it runs.
+    src = str(Path(lambdafact.__file__).resolve().parents[1])
+    code = (
+        "import sys, lambdafact, lambdafact.cli, lambdafact.identities\n"
+        "loaded = {'dataclasses', 'lambdafact.enumeration'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+        "sys.exit(lambdafact.cli.main(['bijection', '1', '1', '--sigma', '1,1,3']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "round trip: OK" in proc.stdout
+
+
 def test_bijection_single_object(capsys):
     code, out, _ = run(capsys, "bijection", "0", "1")
     assert code == 0
@@ -237,6 +266,14 @@ def test_bijection_invalid_sigma(capsys):
     code, _, err = run(capsys, "bijection", "2", "2", "--sigma", "1,1,3,5,5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("raw,bad", [("1,a,3", "a"), ("1,1,3.0", "3.0")])
+def test_bijection_non_integer_sigma_names_the_option(capsys, raw, bad):
+    code, out, err = run(capsys, "bijection", "1", "1", "--sigma", raw)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --sigma entries must be integers, got {bad!r} in {raw!r}\n"
 
 
 def test_bijection_sigma_of_the_wrong_length(capsys):
@@ -279,6 +316,7 @@ def test_verify_empty_point_set_is_an_error(capsys):
         (["series", "tree", "--a", "bell"], "--a"),
         (["series", "egf-f", "--a", "bell"], "--a"),
         (["series", "tree", "--lambda", "sym"], "--lambda"),
+        (["bijection", "1", "1", "--sigma", "1,1,3", "--unsafe"], "--unsafe"),
     ],
 )
 def test_an_option_the_mode_does_not_read_is_an_error(capsys, argv, option):

@@ -1,6 +1,7 @@
 """Tests for the exhaustive generators and the colored-forest bijection."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -43,8 +44,40 @@ def test_endofunction_counts():
 
 
 def test_endofunction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^image value 4 outside \[3\]$"):
         en.Endofunction((1, 4, 2))
+
+
+# ---- the record types: immutable values that compare, hash and pickle ----
+
+
+def test_records_compare_and_hash_by_value():
+    sigma, same, other = (en.Endofunction(image) for image in ((1, 1, 3), (1, 1, 3), (3, 1, 3)))
+    assert sigma == same and hash(sigma) == hash(same) and sigma != other
+    assert len({sigma, same, other}) == 2
+    pair = en.sigma_to_pair(sigma, 1, 1)
+    twin = en.ColoredForestPermutation(parent=pair.parent, pi=pair.pi, colors=pair.colors)
+    assert pair == twin and hash(pair) == hash(twin)
+    assert pair != en.sigma_to_pair(other, 1, 1)
+    assert "Endofunction" in repr(sigma) and "ColoredForestPermutation" in repr(pair)
+
+
+def test_records_are_immutable():
+    sigma = en.Endofunction((1, 1, 3))
+    pair = en.sigma_to_pair(sigma, 1, 1)
+    families = en.oracle_polynomials(2)
+    for record, field in ((sigma, "image"), (pair, "parent"), (families, "derangements")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+    assert sigma.image == (1, 1, 3) and families.derangements == 1
+
+
+def test_records_survive_pickling():
+    sigma = en.Endofunction((1, 1, 3))
+    back = pickle.loads(pickle.dumps(sigma))
+    assert back == sigma and type(back) is en.Endofunction and back(3) == 3
+    pair = en.sigma_to_pair(sigma, 1, 1)
+    assert pickle.loads(pickle.dumps(pair)) == pair
 
 
 def test_cycle_vertices_examples():

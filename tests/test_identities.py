@@ -1,9 +1,9 @@
 """Tests for umbral evaluation, the identity registry, and inverse relations."""
 
-import dataclasses
 import inspect
 import json
 import math
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -115,6 +115,17 @@ def test_report_json_shape():
     assert payload["residual"] == "0"
     assert payload["verdict"] == "pass"
     assert payload["elapsed_ms"] >= 0
+
+
+def test_reports_and_rows_are_immutable_values():
+    report = ids.verify("2.4", n=4)
+    entry = catalogue.CATALOGUE["2.4"]
+    for record, field in ((report, "residual"), (report, "verdict"), (entry, "check")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and back.verdict and "IdentityReport" in repr(back)
+    assert "Identity" in repr(entry)
 
 
 def test_verify_default_point_counts():
@@ -294,7 +305,7 @@ def _perturb(monkeypatch, identity_id, unit):
         return entry.check(**params) + unit(params)
 
     monkeypatch.setitem(
-        catalogue.CATALOGUE, identity_id, dataclasses.replace(entry, check=check)
+        catalogue.CATALOGUE, identity_id, entry._replace(check=check)
     )
 
 
