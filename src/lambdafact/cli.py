@@ -152,8 +152,7 @@ def _cmd_series(args) -> int:
 
 
 def _parse_sigma(raw: str, size: int) -> tuple[int, ...]:
-    parts = [p for p in raw.replace(" ", "").split(",") if p]
-    image = _ints("--sigma entries", parts, raw)
+    image = _ints("--sigma entries", raw.replace(" ", "").split(","), raw)
     if len(image) != size:
         raise ValueError(f"sigma must list {size} image values, got {len(image)}")
     return image

@@ -12,17 +12,17 @@ a tuple `image` with image[i-1] = sigma(i).  A rooted forest on [m] is a
 parent tuple of the same shape where parent 0 marks a root, with all edges
 oriented toward the roots.
 
-The bijection has one tuple kernel per direction.  The public entry points
-validate fully and wrap the kernels' tuples in immutable named-tuple
-records; the census maps each member forward with `sigma_to_pair` and back
-with the inverse kernel, which checks the pair on tuples.
+The bijection has one kernel per direction: `sigma_to_pair` validates a
+member, rewrites it and walks its cycles in one function, and
+`_pair_to_head` checks a pair on plain tuples and rewrites it back in one
+loop.  The census maps each member forward with one and back with the other.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as _permutations, product as _product
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .polynomial import Polynomial
 from .symbols import LAM, U
@@ -45,11 +45,16 @@ class Endofunction(_Image):
 
     __slots__ = ()
 
-    def __new__(cls, image: tuple[int, ...]):
+    def __new__(cls, image: Sequence[int]):
+        image = tuple(image)  # a list would stay mutable and unhashable
         n = len(image)
-        for v in image:
-            if not 1 <= v <= n:
-                raise ValueError(f"image value {v} outside [{n}]")
+        try:  # no Python loop unless a value is bad: a sum of ints is an int
+            ok = not image or (type(sum(image)) is int and min(image) >= 1 and max(image) <= n)
+        except TypeError:  # a value that does not add to an int
+            ok = False
+        if not ok:
+            bad = next(v for v in image if not (isinstance(v, int) and 1 <= v <= n))
+            raise ValueError(f"image value {bad!r} outside [{n}]")
         return tuple.__new__(cls, (image,))
 
     @property
@@ -190,22 +195,16 @@ def _cycle_vertices(f: Sequence[int]) -> set[int]:
 # ---- rooted forests ----
 
 
-@lru_cache(maxsize=None)
-def _parent_values(m: int) -> frozenset[int]:
-    """The values of a parent map on [m]: 0 (a root) or a vertex."""
-    return frozenset(range(m + 1))
-
-
 def is_forest(parent: Sequence[int]) -> bool:
     """True iff following parents from every vertex reaches a root (0).
 
-    A parent value outside [0..len(parent)] is not a parent map at all and
-    raises ValueError naming the value.
+    A parent value that is not an int in [0..len(parent)] is not a parent
+    map at all and raises ValueError naming the value.
     """
-    allowed = _parent_values(len(parent))
-    if not allowed.issuperset(parent):
-        bad = next(p for p in parent if p not in allowed)
-        raise ValueError(f"parent value {bad} outside [0..{len(parent)}]")
+    m = len(parent)
+    for p in parent:  # at these sizes one pass beats min and max
+        if not (isinstance(p, int) and 0 <= p <= m):
+            raise ValueError(f"parent value {p} outside [0..{m}]")
     return not _cycle_vertices(parent)
 
 
@@ -237,7 +236,7 @@ def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
     allowed = tuple(v for v in range(1, n + lam + 2) if v != n + 1)
     tail = _fixed_tail(n, lam)
     for head in _product(allowed, repeat=n + 1):
-        yield Endofunction(head + tail)
+        yield tuple.__new__(Endofunction, (head + tail,))  # a member by construction
 
 
 @lru_cache(maxsize=64)
@@ -263,38 +262,6 @@ def _validate_m_star(sigma: Endofunction, n: int, lam: int) -> None:
             raise ValueError(f"vertex {k} must be fixed, maps to {image[k - 1]}")
 
 
-def _head_to_tau(head: Sequence[int], n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    tau = []
-    colors = {}
-    for i, s in enumerate(head, start=1):
-        if s > n + 1:  # an edge into color vertex s: a fixed point colored s-n-1
-            colors[i] = s - n - 1
-            s = i
-        elif s == i:  # a fixed point in [n]: an edge to n+1
-            s = n + 1
-        tau.append(s)
-    return tuple(tau), colors
-
-
-def _tau_to_head(
-    tau: Sequence[int], colors: Mapping[int, int], n: int, lam: int
-) -> tuple[int, ...]:
-    """Invert the three rewriting rules: sigma's first n+1 image values."""
-    head = []
-    for i, t in enumerate(tau, start=1):
-        if t == i:
-            j = colors.get(i)
-            if j is None:
-                raise ValueError(f"fixed point {i} has no color")
-            if not 1 <= j <= lam:
-                raise ValueError(f"color {j} of vertex {i} outside [1..{lam}]")
-            t = n + 1 + j
-        elif t == n + 1:
-            t = i
-        head.append(t)
-    return tuple(head)
-
-
 def sigma_to_tau(
     sigma: Endofunction, n: int, lam: int
 ) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -302,34 +269,58 @@ def sigma_to_tau(
 
     Three rules: a fixed point in [n] becomes an edge to n+1; an edge into
     color vertex n+j+1 becomes a fixed point colored j; the color vertices
-    are dropped.  Other edges are copied.
+    are dropped.  Other edges are copied.  Read off the pair: tau is the
+    forest's parent map with each root sent to its image under pi.
+    """
+    parent, pi, colors = sigma_to_pair(sigma, n, lam)
+    perm = dict(pi)
+    return tuple(p or perm[v] for v, p in enumerate(parent, start=1)), dict(colors)
+
+
+def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermutation:
+    """Map a member of the restricted family to (forest, root permutation,
+    colored fixed points).
+
+    One pass rewrites sigma's first n+1 values into tau (see `sigma_to_tau`)
+    and walks tau's cycles: their vertices are the roots, each sent by pi to
+    its tau image, and every other vertex has its tau image as parent.
     """
     _validate_m_star(sigma, n, lam)
-    return _head_to_tau(sigma.image[: n + 1], n)
-
-
-def _head_to_pair(head: Sequence[int], n: int) -> tuple[tuple[int, ...], Pairs, Pairs]:
-    """(parent, pi, colors) of a checked member, from its first n+1 values."""
-    tau, colors = _head_to_tau(head, n)
-    cycles = _cycle_vertices(tau)
-    parent = []
-    pi = []
-    for v, t in enumerate(tau, start=1):
-        if v in cycles:
-            parent.append(0)
-            pi.append((v, t))
-        else:
-            parent.append(t)
-    if {v for v, t in pi if v == t} != colors.keys():
+    image, m = sigma.image, n + 1
+    tau = [0] * (m + 1)
+    walk = [0] * (m + 1)  # the walk that reached each vertex; -1 once on a cycle
+    pi, colors = [], []
+    for start in range(1, m + 1):
+        v = start
+        while not walk[v]:
+            walk[v] = start
+            s = image[v - 1]
+            if s > m:  # an edge into color vertex s: a fixed point colored s-n-1
+                colors.append((v, s - m))
+                s = v
+            elif s == v:  # a fixed point in [n]: an edge to n+1
+                s = m
+            tau[v] = v = s
+        while walk[v] == start:  # this walk closed a new cycle: its vertices are roots
+            walk[v] = -1
+            pi.append((v, tau[v]))
+            v = tau[v]
+    parent = tau[1:]
+    for v, _ in pi:
+        parent[v - 1] = 0
+    pi.sort()
+    colors.sort()
+    if [v for v, t in pi if v == t] != [v for v, _ in colors]:
         raise ValueError("colored vertices do not match the fixed points")
-    return tuple(parent), tuple(pi), tuple(colors.items())
+    return tuple.__new__(ColoredForestPermutation, (tuple(parent), tuple(pi), tuple(colors)))
 
 
 def _pair_to_head(
     parent: Sequence[int], pi: Pairs, colors: Pairs, n: int, lam: int
 ) -> tuple[int, ...]:
     """The first n+1 image values of a pair's member, after checking the pair:
-    a forest on [n+1], pi permuting its roots, colors in [1..lam] on pi's fixed points."""
+    a forest on [n+1], pi permuting its roots, colors in [1..lam] on pi's fixed points.
+    One loop sends each vertex to its tau image and inverts the rewriting rules."""
     if len(parent) != n + 1:
         raise ValueError(f"forest must cover [{n + 1}]")
     if not is_forest(parent):  # also rejects a parent value outside [0..n+1]
@@ -341,16 +332,19 @@ def _pair_to_head(
     color = dict(colors)
     if color.keys() != {v for v, w in pi if v == w}:
         raise ValueError("colors must be assigned to exactly the fixed points")
-    tau = [perm[v] if p == 0 else p for v, p in enumerate(parent, start=1)]
-    return _tau_to_head(tau, color, n, lam)
-
-
-def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermutation:
-    """Map a member of the restricted family to (forest, root permutation,
-    colored fixed points)."""
-    _validate_m_star(sigma, n, lam)
-    parent, pi, colors = _head_to_pair(sigma.image[: n + 1], n)
-    return ColoredForestPermutation(parent=parent, pi=pi, colors=colors)
+    head = []
+    for i, t in enumerate(parent, start=1):
+        if not t:  # a root: its tau image is its pi image
+            t = perm[i]
+            if t == i:  # a colored fixed point: an edge into its color vertex
+                j = color[i]
+                if not 1 <= j <= lam:
+                    raise ValueError(f"color {j} of vertex {i} outside [1..{lam}]")
+                t = n + 1 + j
+        if t == n + 1:  # an edge to n+1: a fixed point in [n]
+            t = i
+        head.append(t)
+    return tuple(head)
 
 
 def pair_to_sigma(pair: ColoredForestPermutation, n: int, lam: int) -> Endofunction:
@@ -372,13 +366,13 @@ def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
     for sigma in enumerate_m_star(n, lam):
         image = sigma.image
         try:
-            pair = sigma_to_pair(sigma, n, lam)
-            back = _pair_to_head(pair.parent, pair.pi, pair.colors, n, lam) + tail
+            parent, pi, colors = sigma_to_pair(sigma, n, lam)
+            back = _pair_to_head(parent, pi, colors, n, lam) + tail
         except ValueError as exc:
             raise RuntimeError(f"round trip failed at sigma={image}: {exc}") from exc
         if back != image:
             raise RuntimeError(f"round trip failed at sigma={image}: got {back}")
-        k = pair.parent.count(0) - 1
+        k = parent.count(0) - 1
         strata[k] = strata.get(k, 0) + 1
     return strata
 

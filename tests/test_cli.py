@@ -268,7 +268,8 @@ def test_bijection_invalid_sigma(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("raw,bad", [("1,a,3", "a"), ("1,1,3.0", "3.0")])
+@pytest.mark.parametrize("raw,bad", [("1,a,3", "a"), ("1,1,3.0", "3.0"), (",1,,1,3,", ""),
+                                     ("1,1,3,", ""), ("", "")])
 def test_bijection_non_integer_sigma_names_the_option(capsys, raw, bad):
     code, out, err = run(capsys, "bijection", "1", "1", "--sigma", raw)
     assert code == 2

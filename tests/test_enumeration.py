@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,24 @@ def test_endofunction_counts():
 def test_endofunction_validation():
     with pytest.raises(ValueError, match=r"^image value 4 outside \[3\]$"):
         en.Endofunction((1, 4, 2))
+    with pytest.raises(ValueError, match=r"^image value 0 outside \[3\]$"):
+        en.Endofunction((1, 0, 2))
+
+
+@pytest.mark.parametrize("image,bad", [((1.5, 1), "1.5"), ((1, 2.0), "2.0"), (("1", 1), "'1'"),
+                                       ((1, None), "None"), ((1, 5, 0.5), "5")])
+def test_endofunction_rejects_a_non_integer_entry(image, bad):
+    with pytest.raises(ValueError, match=rf"^image value {re.escape(bad)} outside \[{len(image)}\]$"):
+        en.Endofunction(image)
+
+
+def test_endofunction_stores_a_tuple():
+    sigma = en.Endofunction([1, 1, 3])
+    assert type(sigma.image) is tuple and sigma == en.Endofunction((1, 1, 3))
+    assert hash(sigma) == hash(en.Endofunction((1, 1, 3)))
+    with pytest.raises(AttributeError):
+        sigma.image.append(1)
+    assert en.Endofunction(v for v in (2, 1)).image == (2, 1)
 
 
 # ---- the record types: immutable values that compare, hash and pickle ----
@@ -121,9 +140,10 @@ def test_is_forest_rejects_cycles():
     assert en.is_forest((0, 1, 2))
 
 
-@pytest.mark.parametrize("parent,bad", [((5, 0), 5), ((-1, 0), -1), ((0, 3), 3)])
+@pytest.mark.parametrize("parent,bad", [((5, 0), 5), ((-1, 0), -1), ((0, 3), 3), ((1.5, 0), 1.5),
+                                        (("a", 0), "a"), ((1.0, 0), 1.0), ([0, 2, 7], 7)])
 def test_is_forest_rejects_parent_values_out_of_range(parent, bad):
-    with pytest.raises(ValueError, match=rf"parent value {bad} outside \[0\.\.2\]"):
+    with pytest.raises(ValueError, match=rf"^parent value {re.escape(str(bad))} outside \[0\.\.{len(parent)}\]$"):
         en.is_forest(parent)
 
 
@@ -134,6 +154,10 @@ def test_enumerate_m_star_counts_and_order():
     assert sum(1 for _ in en.enumerate_m_star(0, 1)) == 1
     assert sum(1 for _ in en.enumerate_m_star(1, 1)) == 4
     assert sum(1 for _ in en.enumerate_m_star(0, 0)) == 0
+    # The stream builds its members unchecked; each passes the checked constructor.
+    for n, lam in ((0, 3), (2, 2), (3, 1)):
+        for sigma in en.enumerate_m_star(n, lam):
+            assert en.Endofunction(sigma.image) == sigma and type(sigma) is en.Endofunction
 
 
 def test_m_star_validation():
@@ -150,7 +174,9 @@ def test_rewrite_rules_one_by_one():
     tau, colors = en.sigma_to_tau(sigma, 2, 2)
     assert tau == (3, 1, 3)  # 1 -> n+1 = 3; 2 -> 1 copied; 3 -> itself
     assert colors == {3: 1}
-    assert en._tau_to_head(tau, colors, 2, 2) + en._fixed_tail(2, 2) == sigma.image
+    assert (tau, colors) == reference_tau(sigma, 2)
+    assert reference_head(tau, colors, 2) + (4, 5) == sigma.image
+    assert en.pair_to_sigma(en.sigma_to_pair(sigma, 2, 2), 2, 2) == sigma
 
 
 def test_spec_single_object_examples():
@@ -271,10 +297,33 @@ def reaches_root(parent):
     return True
 
 
-def reference_pair(sigma, n, lam):
-    """sigma -> (parent, pi, colors) through the public tau map and the
+def reference_tau(sigma, n):
+    """The three rewrite rules, one vertex at a time: a fixed point in [n]
+    becomes an edge to n+1, an edge into color vertex n+j+1 a fixed point
+    colored j, and any other edge is copied."""
+    tau, colors = [], {}
+    for i in range(1, n + 2):
+        s = sigma(i)
+        if s > n + 1:
+            tau.append(i)
+            colors[i] = s - n - 1
+        elif s == i:
+            tau.append(n + 1)
+        else:
+            tau.append(s)
+    return tuple(tau), colors
+
+
+def reference_head(tau, colors, n):
+    """The three rewrite rules run backwards: sigma's first n+1 values."""
+    return tuple(n + 1 + colors[i] if t == i else i if t == n + 1 else t
+                 for i, t in enumerate(tau, start=1))
+
+
+def reference_pair(sigma, n):
+    """sigma -> (parent, pi, colors) through the rewrite rules and the
     fixpoint cycle finder."""
-    tau, colors = en.sigma_to_tau(sigma, n, lam)
+    tau, colors = reference_tau(sigma, n)
     cycles = fixpoint_cycles(tau)
     parent = tuple(0 if v in cycles else tau[v - 1] for v in range(1, n + 2))
     pi = tuple(sorted((v, tau[v - 1]) for v in cycles))
@@ -301,15 +350,18 @@ def test_is_forest_matches_reaching_a_root(parent):
     assert en.is_forest(parent) == reaches_root(parent)
 
 
-@pytest.mark.parametrize("n,lam", [(0, 1), (1, 2), (2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("n,lam", [(0, 1), (1, 2), (2, 3), (3, 2), (4, 1), (5, 1)])
 def test_kernels_match_public_entry_points_and_reference(n, lam):
     tail = tuple(range(n + 2, n + lam + 2))
     for sigma in en.enumerate_m_star(n, lam):
         pair = en.sigma_to_pair(sigma, n, lam)
-        fields = (pair.parent, pair.pi, pair.colors)
-        assert en._head_to_pair(sigma.image[: n + 1], n) == fields
-        assert reference_pair(sigma, n, lam) == fields
-        assert en._pair_to_head(*fields, n, lam) + tail == sigma.image
+        assert type(pair) is en.ColoredForestPermutation
+        assert reference_pair(sigma, n) == pair
+        tau, colors = reference_tau(sigma, n)
+        assert en.sigma_to_tau(sigma, n, lam) == (tau, colors)
+        head = reference_head(tau, colors, n)
+        assert head + tail == sigma.image
+        assert en._pair_to_head(*pair, n, lam) == head
         assert en.pair_to_sigma(pair, n, lam) == sigma
 
 
@@ -364,26 +416,30 @@ def test_census_catches_an_inverse_kernel_that_shifts_a_color(monkeypatch, capsy
     assert "round-trip OK" not in captured.out
 
 
-def test_census_catches_a_forward_kernel_that_drops_a_root(monkeypatch):
-    real = en._head_to_pair
+def test_census_catches_a_forward_kernel_that_drops_a_root(monkeypatch, capsys):
+    real = en.sigma_to_pair
 
-    def dropping(head, n):
-        parent, pi, colors = real(head, n)
+    def dropping(sigma, n, lam):
+        parent, pi, colors = real(sigma, n, lam)
         roots = [v for v, p in enumerate(parent, start=1) if p == 0]
         if len(roots) > 1:  # hang the last root under the first
             parent = parent[: roots[-1] - 1] + (roots[0],) + parent[roots[-1]:]
-        return parent, pi, colors
+        return en.ColoredForestPermutation(parent=parent, pi=pi, colors=colors)
 
     n, lam = 2, 2
     strata = {}
     for sigma in en.enumerate_m_star(n, lam):
-        k = dropping(sigma.image[: n + 1], n)[0].count(0) - 1
+        k = dropping(sigma, n, lam).parent.count(0) - 1
         strata[k] = strata.get(k, 0) + 1
     assert strata != census_formula(n, lam)
 
-    monkeypatch.setattr(en, "_head_to_pair", dropping)
+    monkeypatch.setattr(en, "sigma_to_pair", dropping)
     with pytest.raises(RuntimeError, match="round trip failed"):
         en.exhaustive_roundtrip(n, lam)
+    assert main(["bijection", "2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "round trip: MISMATCH" in captured.err
+    assert "round-trip OK" not in captured.out
 
 
 def brute_permanent(rows):
