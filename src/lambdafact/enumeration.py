@@ -338,8 +338,8 @@ def _pair_to_head(
             t = perm[i]
             if t == i:  # a colored fixed point: an edge into its color vertex
                 j = color[i]
-                if not 1 <= j <= lam:
-                    raise ValueError(f"color {j} of vertex {i} outside [1..{lam}]")
+                if not (isinstance(j, int) and 1 <= j <= lam):
+                    raise ValueError(f"color {j!r} of vertex {i} outside [1..{lam}]")
                 t = n + 1 + j
         if t == n + 1:  # an edge to n+1: a fixed point in [n]
             t = i

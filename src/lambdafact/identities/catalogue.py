@@ -209,35 +209,20 @@ _check_3_1 = _convolution(
     lambda n: (_a + _b) ** n)
 
 
-def _check_3_2(a_kind: str, order: int) -> Polynomial:
-    """The derivative-resummation form, to a total degree in x and t."""
-    syms = (X, T)
-
-    if a_kind == "exp":
-        lhs = _sum_to(order, lambda j: _x ** j / math.factorial(j))
-
-        def deriv_at_kt(k: int) -> Polynomial:
-            # k-th derivative of exp evaluated at k*t, to total degree order - k.
-            return exp_truncated(_t * k, syms, order - k)
-
-    elif a_kind == "geometric":
-        lhs = _sum_to(order, lambda j: _x ** j)
-
-        def deriv_at_kt(k: int) -> Polynomial:
-            # k-th derivative of 1/(1-x) at k*t, k!/(1-kt)^(k+1), to degree order - k.
-            return _sum_to(order - k, lambda j: _t ** j * (
-                binomial(k + j, j) * factorial(k) * k ** j))
-
+def _check_3_2(a_kind: str, order: int) -> TruncatedSeries:
+    """A(a) = sum over k of a(a - kt)^(k-1)/k! A^(k)(kt), with a and t each
+    carrying one power of the series variable x: the order is the total
+    degree in a and t, and summand k is x^k times A^(k)(ktx) to order N-k."""
+    if a_kind == "exp":  # A^(k)(y) = exp(y)
+        lhs = exp_series(_a, X, order)
+        derivative = lambda k: exp_series(_t * k, X, order - k)
+    elif a_kind == "geometric":  # A^(k)(y) = k!/(1 - y)^(k+1)
+        lhs = geometric(X, order).rescale(_a)
+        derivative = lambda k: binomial_power(-_t * k, -(k + 1), order - k) * factorial(k)
     else:
         raise ValueError(f"unknown series kind {a_kind!r}")
-
-    # Summand k is x(x - kt)^(k-1) A^(k)(kt)/k!, the head homogeneous of
-    # degree k: with A^(k)(kt) to degree order - k it is exact to degree
-    # order, untruncated, and a part below degree k stays in the residual.
-    rhs = deriv_at_kt(0)  # k = 0 term: the value at 0
-    for k in range(1, order + 1):
-        rhs = rhs + _x * (_x - _t * k) ** (k - 1) * deriv_at_kt(k) / math.factorial(k)
-    return lhs - rhs
+    return lhs - shifted_sum(lambda k: derivative(k) * (
+        _a * (_a - _t * k) ** (k - 1) / math.factorial(k) if k else 1), order)
 
 
 def _check_3_3(n: int) -> Polynomial:

@@ -15,7 +15,8 @@ N forms term k only to order N-k and no coefficient that it would discard.
 Also here: the rooted-tree series y = x*exp(y), symbolic-exponent binomial
 series and the shifted-derivative transform used by the Abel-type expansion,
 all in the series variable x; and the two total-degree-truncated kernels on
-bivariate polynomials, mul_truncated and exp_truncated.
+bivariate polynomials, mul_truncated and exp_truncated, which only the
+check 5.2 calls.
 """
 
 from __future__ import annotations
@@ -395,9 +396,10 @@ def substitute_series(
 
 # ---- total-degree-truncated polynomial arithmetic (bivariate layer) ----
 # Two kernels, the product and exp, on the parts by total degree in syms,
-# summed; no part above the cap is formed.  graded refuses a negative cap:
-# below degree 0 a check would compare two empty polynomials and pass without
-# testing anything.
+# summed; no part above the cap is formed.  5.2 is their one caller (3.2
+# grades its two symbols by the series variable instead).  graded refuses a
+# negative cap: below degree 0 a check would compare two empty polynomials
+# and pass without testing anything.
 
 
 def mul_truncated(

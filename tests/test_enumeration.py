@@ -269,6 +269,11 @@ def test_pair_validation_errors():
     )
     with pytest.raises(ValueError, match="color"):
         en.pair_to_sigma(overflow, 0, 1)
+    # A color that is not an int is named as given, not as a shifted image value.
+    for color, lam in [("x", 1), (1.5, 2)]:
+        odd = en.ColoredForestPermutation(parent=(0,), pi=((1, 1),), colors=((1, color),))
+        with pytest.raises(ValueError, match=rf"^color {color!r} of vertex 1 outside \[1\.\.{lam}\]$"):
+            en.pair_to_sigma(odd, 0, lam)
 
 
 # ---- the tuple kernels against the slow paths they replace ----

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdafact import identities as ids
-from lambdafact import polynomial, sequences
+from lambdafact import polynomial, sequences, series
 from lambdafact.cli import main
 from lambdafact.enumeration import permutations_with_fix
 from lambdafact.identities import catalogue
@@ -286,13 +286,17 @@ def test_every_point_binds_to_its_check():
 
 # ---- mutation tests: a perturbed identity must be reported as a failure ----
 
+def _top_unit(order):
+    """A unit term at the highest retained order."""
+    return TruncatedSeries(X, [0] * order + [1], order)
+
+
 UNIT_TERMS = {
     # polynomial residual: a unit constant
     "1.0a": lambda params: Polynomial.one(),
-    # series residual: a unit term at the highest retained order
-    "3.4": lambda params: TruncatedSeries(
-        X, [0] * params["order"] + [1], params["order"]
-    ),
+    # series residuals: a unit term at the highest retained order
+    "3.2": lambda params: _top_unit(params["order"]),
+    "3.4": lambda params: _top_unit(params["order"]),
     # total-degree residual: a unit monomial at the degree cap
     "5.2": lambda params: Polynomial.variable(X) ** params["order"],
 }
@@ -358,8 +362,7 @@ def _unit_term_in_the_transform_kernel(monkeypatch):
     real = catalogue.abel_sum
 
     def perturbed(lam, shifted_derivative, order):
-        unit = TruncatedSeries(X, [0] * order + [1], order)
-        return real(lam, shifted_derivative, order) + unit
+        return real(lam, shifted_derivative, order) + _top_unit(order)
 
     monkeypatch.setattr(catalogue, "abel_sum", perturbed)
 
@@ -379,8 +382,8 @@ def test_unit_term_in_the_transform_kernel_is_not_hidden_at_order_2(
     _assert_every_report_fails(identity_id, capsys, order=2)
 
 
-# The checks whose sums over k build term k only to order N-k (3.2: to total
-# degree N-k); at --order 0, 1 and 2 the last term is built at order 0.
+# The checks whose sums over k go through shifted_sum, which builds term k
+# only to order N-k; at --order 0, 1 and 2 the last term is built at order 0.
 SHIFTED_SUM_IDS = TRANSFORM_IDS + ("thm1.2", "gessel", "chz", "3.2")
 
 
@@ -396,7 +399,8 @@ def test_shifted_sums_pass_at_the_lowest_orders(identity_id, order, capsys):
 # A right side built one order short: the residual keeps the smaller order of
 # its sides, so it comes out zero to order N-1 and its top coefficient is
 # never compared.  The report must fail it.
-SHORT_SIDES = {"thm1.2": "abel_rhs", "charlier-deriv": "exp_series", "gessel": "exp_series"}
+SHORT_SIDES = {"thm1.2": "abel_rhs", "charlier-deriv": "exp_series", "gessel": "exp_series",
+               "3.2": "shifted_sum", "chz": "shifted_sum"}
 
 
 @pytest.mark.parametrize("identity_id", sorted(SHORT_SIDES))
@@ -449,7 +453,7 @@ def test_unit_term_in_the_convolution_kernel_is_not_hidden(
 
 
 # The ids whose reports fail under a unit term in one shared kernel of the
-# polynomial layer, pinned from `lambdafact verify all`.
+# polynomial or series layer, pinned from `lambdafact verify all`.
 KERNEL_MUTANT_FAILURES = {
     # a unit term added to each result of evaluate_at, which serves
     # Polynomial.substitute, substitute_series and TruncatedSeries.compose
@@ -461,16 +465,22 @@ KERNEL_MUTANT_FAILURES = {
     ),
     # a unit term added to every power after the zeroth from powers
     "powers": (
-        "1.0a", "1.0b", "charlier-spec", "charlier-recurrence", "2.3", "thm1.2",
+        "1.0a", "1.0b", "charlier-spec", "charlier-recurrence", "2.3", "3.2", "thm1.2",
         "charlier-deriv", "3.4", "3.5", "3.6", "3.7", "3.7.1", "gessel", "chz",
         "bell-transform", "3.8", "3.9", "4.2", "cor-selfdual", "4.3", "4.5",
         "remark-mu", "cor-n-factorial", "q-explicit", "5.3", "5.4",
     ),
     # a unit term added to each result of dot, which serves every series
-    # product, exp and inverse (3.4) and the total-degree kernels (3.2, 5.2)
+    # product, exp and inverse (3.4) and the total-degree kernels (5.2)
     "dot": (
         "2.1", "2.2", "2.3", "3.2", "charlier-deriv", "3.4", "3.5", "3.6", "3.7",
         "gessel", "bell-transform", "3.8", "3.9", "5.2",
+    ),
+    # a unit term at the top order of each result of shifted_sum, which serves
+    # abel_sum (the transform rows, thm1.2), 3.2, gessel and chz
+    "shifted_sum": (
+        "3.2", "thm1.2", "3.4", "3.5", "3.6", "3.7", "3.7.1", "gessel", "chz",
+        "bell-transform", "3.8", "3.9",
     ),
 }
 
@@ -491,8 +501,13 @@ def _dot_mutant(real):
     return lambda pairs: real(pairs) + 1
 
 
+def _shifted_sum_mutant(real):
+    return lambda term, order: real(term, order) + _top_unit(order)
+
+
 MAKE_MUTANT = {
     "evaluate_at": _evaluate_at_mutant, "powers": _powers_mutant, "dot": _dot_mutant,
+    "shifted_sum": _shifted_sum_mutant,
 }
 
 
@@ -500,7 +515,7 @@ MAKE_MUTANT = {
 def test_unit_term_in_a_shared_polynomial_kernel_fails_verify_all(
     kernel, monkeypatch, capsys
 ):
-    real = getattr(polynomial, kernel)
+    real = getattr(polynomial if hasattr(polynomial, kernel) else series, kernel)
     mutant = MAKE_MUTANT[kernel](real)
     # Every module that imported the kernel holds its own binding.
     for module in [m for name, m in sys.modules.items() if name.startswith("lambdafact")]:
