@@ -1,7 +1,7 @@
 """Umbral evaluation and the exact identity catalogue."""
 
 from .catalogue import CATALOGUE, catalogue_ids, verify, verify_many
-from .inverse import KINDS as INVERSE_KINDS, inverse_relation_roundtrip
+from .inverse import inverse_relation_roundtrip
 from .report import IdentityReport
 from .umbral import umbral_eval
 
@@ -10,7 +10,6 @@ __all__ = [
     "catalogue_ids",
     "verify",
     "verify_many",
-    "INVERSE_KINDS",
     "inverse_relation_roundtrip",
     "IdentityReport",
     "umbral_eval",

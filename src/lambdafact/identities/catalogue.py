@@ -21,7 +21,8 @@ pass.  Sums over k on the right of a series identity are truncated at the
 series order; this is exact because term k is x^k times a series, so term
 k is built only to order N-k and `shifted_sum` (behind `abel_sum`) applies
 the shift itself.  The registry is one table of (id, summary, check, point
-spec) rows.
+spec) rows.  A check does no validation of its own: `verify` admits only
+points of the row's spec.
 """
 
 from __future__ import annotations
@@ -216,11 +217,9 @@ def _check_3_2(a_kind: str, order: int) -> TruncatedSeries:
     if a_kind == "exp":  # A^(k)(y) = exp(y)
         lhs = exp_series(_a, X, order)
         derivative = lambda k: exp_series(_t * k, X, order - k)
-    elif a_kind == "geometric":  # A^(k)(y) = k!/(1 - y)^(k+1)
+    else:  # "geometric": A^(k)(y) = k!/(1 - y)^(k+1)
         lhs = geometric(X, order).rescale(_a)
         derivative = lambda k: binomial_power(-_t * k, -(k + 1), order - k) * factorial(k)
-    else:
-        raise ValueError(f"unknown series kind {a_kind!r}")
     return lhs - shifted_sum(lambda k: derivative(k) * (
         _a * (_a - _t * k) ** (k - 1) / math.factorial(k) if k else 1), order)
 
@@ -235,10 +234,8 @@ def _check_thm12(family: str, order: int, variant: str = "egf") -> TruncatedSeri
     if variant == "egf":
         lhs = TruncatedSeries.egf(lambda n: a(n) * lambda_factorial(n), X, order)
         return lhs - abel_rhs(a, _lam, order)
-    if variant == "ogf-lambda-1":
-        lhs = TruncatedSeries.ogf(a, X, order)
-        return lhs - abel_rhs(a, 1, order)
-    raise ValueError(f"unknown variant {variant!r}")
+    lhs = TruncatedSeries.ogf(a, X, order)  # "ogf-lambda-1"
+    return lhs - abel_rhs(a, 1, order)
 
 
 def _charlier_egf(order: int, extra_exponent: Polynomial | int = 0) -> TruncatedSeries:
@@ -318,8 +315,6 @@ def _transform(rows: dict) -> Callable[..., TruncatedSeries]:
     sequence route, never from the closed form's family."""
 
     def check(order: int, m: int = 0, variant: str | None = None) -> TruncatedSeries:
-        if variant not in rows:
-            raise ValueError(f"unknown variant {variant!r}")
         lam, lhs, closed = rows[variant]
         left = TruncatedSeries.ogf(lambda n: lhs(n, m), X, order)
         return left - abel_sum(lam, lambda k: closed(k, m, order - k), order)
@@ -366,14 +361,11 @@ def _check_gessel(variant: str, order: int) -> TruncatedSeries:
         rhs = exp_series(_u * _v, X, order) * shifted_sum(term, order)
         return lhs - rhs
 
-    if variant == "derangement":
-        lhs = TruncatedSeries.egf(
-            lambda n: Polynomial.constant(derangement(n) ** 2), X, order)
-        rhs = exp_series(1, X, order) * shifted_sum(
-            lambda k: binomial_power(1, -(2 * k + 2), order - k) * factorial(k), order)
-        return lhs - rhs
-
-    raise ValueError(f"unknown variant {variant!r}")
+    lhs = TruncatedSeries.egf(  # variant "derangement"
+        lambda n: Polynomial.constant(derangement(n) ** 2), X, order)
+    rhs = exp_series(1, X, order) * shifted_sum(
+        lambda k: binomial_power(1, -(2 * k + 2), order - k) * factorial(k), order)
+    return lhs - rhs
 
 
 def _check_chz(order: int) -> TruncatedSeries:
@@ -450,12 +442,7 @@ _COR_N_FACTORIAL = {
         lambda n, k: lambda_factorial(k + 1) * _f_at(n - k, 2 - _lam),
         lambda n: (_lam + Fraction(n, 2)) * factorial(n + 1)),
 }
-
-
-def _check_cor_n_factorial(n: int, variant: str) -> Polynomial:
-    if variant not in _COR_N_FACTORIAL:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _COR_N_FACTORIAL[variant](n)
+_check_cor_n_factorial = lambda n, variant: _COR_N_FACTORIAL[variant](n)
 
 
 # ---------------------------------------------------------------------------
@@ -691,16 +678,26 @@ def catalogue_ids() -> tuple[str, ...]:
     return tuple(CATALOGUE)
 
 
-def _check_caps(params: dict) -> None:
-    """Every capped parameter lies in 0..cap: below 0 a check sums over
-    nothing, and an empty sum passes without testing anything."""
+def _admit(entry: Identity, params: dict) -> None:
+    """Raise ValueError unless params names each parameter all groups of the spec
+    share and none that no group names, each capped value is an int (not a bool)
+    in 0..cap, so no check sums over nothing, and a group lists each other value."""
+    names = [set(group) for group in entry.spec]
+    for problem, keys in (("missing", set.intersection(*names) - params.keys()),
+                          ("unknown", params.keys() - set.union(*names))):
+        if keys:
+            raise ValueError(f"{entry.id}: {problem} parameters {sorted(keys)}")
     for key, value in params.items():
         cap = _PARAM_CAPS.get(key)
-        if cap is None or not isinstance(value, int):
-            continue
-        if value > cap:
+        if cap is None:
+            if not any(type(v) is type(value) and v == value
+                       for group in entry.spec for v in group.get(key, ())):
+                raise ValueError(f"unknown {key} {value!r}")
+        elif type(value) is not int:
+            raise ValueError(f"{key}={value!r} is not an int")
+        elif value > cap:
             raise ValueError(f"{key}={value} beyond the supported cap {cap}")
-        if value < 0:
+        elif value < 0:
             raise ValueError(_BELOW_ZERO.get(key, f"{key}={value} below 0"))
 
 
@@ -709,7 +706,7 @@ def verify(identity_id: str, **params) -> IdentityReport:
     entry = CATALOGUE.get(identity_id)
     if entry is None:
         raise KeyError(f"unknown identity {identity_id!r}")
-    _check_caps(params)
+    _admit(entry, params)
     start = time.perf_counter()
     residual = entry.check(**params)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -732,9 +729,9 @@ def verify_many(
     by default the whole catalogue, in id order.
 
     The whole request is checked before anything runs: no ids, an unknown
-    id, an override no requested identity reads, an identity with no points,
-    a point beyond the caps, a sweep over an empty range or a negative
-    truncation order raises ValueError, so a rejected request yields nothing.
+    id, an override that is not an int or that no requested identity reads,
+    an identity with no points, or a point that `_admit` refuses raises
+    ValueError, so a rejected request yields nothing.
     """
     ids = catalogue_ids() if ids is None else tuple(ids)
     if not ids:
@@ -742,9 +739,12 @@ def verify_many(
     unknown = [i for i in ids if i not in CATALOGUE]
     if unknown:
         raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+    knobs = {"n_max": n_max, "m_max": m_max, "order": order}
+    for knob, value in knobs.items():
+        if value is not None and type(value) is not int:
+            raise ValueError(f"{knob}={value!r} is not an int")
     read = {_KNOB[param] for i in ids for group in CATALOGUE[i].spec
             for param, axis in group.items() if not isinstance(axis, tuple)}
-    knobs = {"n_max": n_max, "m_max": m_max, "order": order}
     unread = [f"{k}={v}" for k, v in knobs.items() if v is not None and k not in read]
     if unread:
         raise ValueError(f"no point of {', '.join(ids)} reads {', '.join(unread)}")
@@ -753,6 +753,6 @@ def verify_many(
     if empty:
         raise ValueError(f"no parameter points to check for: {', '.join(empty)}")
     request = [(i, point) for i in ids for point in points[i]]
-    for _, point in reversed(request):  # last first: a cap error names the top value
-        _check_caps(point)
+    for i, point in reversed(request):  # last first: a cap error names the top value
+        _admit(CATALOGUE[i], point)
     return (verify(identity_id, **point) for identity_id, point in request)

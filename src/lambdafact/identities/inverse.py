@@ -1,53 +1,34 @@
 """Inverse pairs of binomial-type sequence transforms.
 
 Two transform pairs are provided: the derangement-kernel pair, and the
-tree-count pair (indices starting at 1).  Each function applies the forward
-transform and then the inverse, returning the recovered sequence; exact
-recovery of the input is the correctness property tests rely on.
+tree-count pair (indices starting at 1).  Both directions of both pairs run
+on the catalogue's convolution kernel, so a round trip over symbolic entries
+a_0, a_1, ... checks every sequence at once; exact recovery of the input is
+the correctness property tests rely on.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..sequences import binomial, derangement
+from ..polynomial import Polynomial
+from ..sequences import derangement
+from .catalogue import binomial_convolution
 
 KINDS = ("derangement-4.1", "tree-4.4")
 
 
-def _derangement_roundtrip(a: Sequence[int]) -> list[int]:
-    n_max = len(a) - 1
-    b = [
-        sum(binomial(n, k) * derangement(n - k) * a[k] for k in range(n + 1))
-        for n in range(n_max + 1)
-    ]
-    return [
-        sum(binomial(n, k) * (1 + k - n) * b[k] for k in range(n + 1))
-        for n in range(n_max + 1)
-    ]
-
-
-def _tree_roundtrip(a: Sequence[int]) -> list[int]:
-    # Sequences are indexed from 1: a[0] corresponds to a_1.
-    n_max = len(a)
-    av = {k: a[k - 1] for k in range(1, n_max + 1)}
-    b = {
-        n: sum(binomial(n - 1, k - 1) * n ** (n - k) * av[k] for k in range(1, n + 1))
-        for n in range(1, n_max + 1)
-    }
-    return [
-        sum(
-            (-1) ** (n - k) * binomial(n, k) * k ** (n - k) * b[k]
-            for k in range(1, n + 1)
-        )
-        for n in range(1, n_max + 1)
-    ]
-
-
-def inverse_relation_roundtrip(kind: str, a: Sequence[int]) -> list[int]:
-    """Apply a forward transform and its inverse; returns the recovered list."""
-    if kind == "derangement-4.1":
-        return _derangement_roundtrip(a)
-    if kind == "tree-4.4":
-        return _tree_roundtrip(a)
+def inverse_relation_roundtrip(kind: str, a: Sequence) -> list[Polynomial]:
+    """Apply a forward transform and its inverse; returns the recovered list.
+    For the tree pair, a[0] is a_1."""
+    if kind == "derangement-4.1":  # b_n = Σ C(n,k) D_(n-k) a_k
+        b = [binomial_convolution(n, lambda k: a[k] * derangement(n - k))
+             for n in range(len(a))]
+        return [binomial_convolution(n, lambda k: b[k] * (1 + k - n))
+                for n in range(len(a))]
+    if kind == "tree-4.4":  # b_n = Σ C(n-1,k-1) n^(n-k) a_k, k >= 1, and b_0 = 0
+        b = [binomial_convolution(n, lambda k: a[k - 1] * n ** (n - k), lo=1)
+             for n in range(len(a) + 1)]
+        return [binomial_convolution(n, lambda k: b[k] * (-k) ** (n - k))
+                for n in range(1, len(a) + 1)]
     raise ValueError(f"unknown inverse-relation kind {kind!r}; expected one of {KINDS}")

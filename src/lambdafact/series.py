@@ -60,6 +60,8 @@ class TruncatedSeries:
     def __init__(self, var: str, coeffs: Sequence[PolyLike], order: int):
         if not isinstance(var, str) or not var:
             raise ValueError(f"series variable must be a nonempty string, got {var!r}")
+        if type(order) is not int:
+            raise ValueError(f"truncation order must be an int, got {order!r}")
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         cs = [as_poly(c) for c in coeffs[: order + 1]]

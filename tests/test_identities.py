@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -203,6 +204,21 @@ def test_inverse_roundtrip_random_sequences():
         a = [rng.randint(-50, 50) for _ in range(10)]
         assert ids.inverse_relation_roundtrip("derangement-4.1", a) == a
         assert ids.inverse_relation_roundtrip("tree-4.4", a) == a
+
+
+def test_inverse_roundtrip_of_symbolic_entries_covers_every_sequence():
+    a = [Polynomial.variable(f"a{k}") for k in range(12)]
+    for kind in ("derangement-4.1", "tree-4.4"):
+        assert ids.inverse_relation_roundtrip(kind, a) == a, kind
+
+
+def test_unit_term_in_the_inverse_pairs_kernel_is_not_hidden(monkeypatch):
+    kernel = catalogue.binomial_convolution
+    monkeypatch.setattr(ids.inverse, "binomial_convolution",
+                        lambda n, term, lo=0: kernel(n, term, lo) + 1)
+    a = [Polynomial.variable(f"a{k}") for k in range(4)]
+    for kind in ("derangement-4.1", "tree-4.4"):
+        assert ids.inverse_relation_roundtrip(kind, a) != a, kind
 
 
 def test_inverse_roundtrip_unknown_kind():
@@ -548,6 +564,7 @@ def test_binomial_convolution_kernel():
         ("gessel", {"variant": "bogus", "order": 2}),
         ("cor-n-factorial", {"n": 2, "variant": "bogus"}),
         ("3.7", {"m": 0, "variant": "bogus", "order": 2}),
+        ("thm1.2", {"family": "bogus", "order": 2}),
     ],
 )
 def test_an_unknown_variant_is_an_error_naming_it(identity_id, params):
@@ -584,6 +601,48 @@ def test_a_capped_parameter_below_zero_is_an_error_not_a_pass(identity_id, param
         ids.verify(identity_id, **params)
 
 
+# Hostile points, each from the first default point of an identity: a capped
+# parameter that is no int, or is a bool; an unknown and a missing parameter
+# name; a literal parameter off its spec's list; and four calls outside
+# their specs (3.5's point given to 3.4, thm1.2's default variant named, and
+# two values of `at` that 4.3a does not list, one a float equal to the value
+# it does list).  Each is a ValueError naming what is wrong.
+FIRST_POINTS = {i: e.points(None, None, None)[0] for i, e in catalogue.CATALOGUE.items()}
+HOSTILE = [
+    pytest.param(i, {**point, param: bad}, rf"\b{param}={re.escape(repr(bad))} ",
+                 id=f"{i}-{param}={bad!r}")
+    for i, point in FIRST_POINTS.items() for param in point
+    if param in catalogue._PARAM_CAPS for bad in (2.0, "3", True, None)
+] + [
+    pytest.param(i, {**point, param: "bogus"}, rf"unknown {param} 'bogus'",
+                 id=f"{i}-{param}=bogus")
+    for i, point in FIRST_POINTS.items() for param in point
+    if param not in catalogue._PARAM_CAPS
+] + [
+    pytest.param(i, {**point, "bogus": 1}, rf"{re.escape(i)}: unknown .*'bogus'",
+                 id=f"{i}-unknown-name")
+    for i, point in FIRST_POINTS.items()
+] + [
+    pytest.param(i, {p: v for p, v in point.items() if p != shared},
+                 rf"{re.escape(i)}: missing .*'{shared}'", id=f"{i}-missing-{shared}")
+    for i, point in FIRST_POINTS.items()
+    for shared in [next(p for p in point
+                        if all(p in group for group in catalogue.CATALOGUE[i].spec))]
+] + [
+    pytest.param("3.4", {"order": 2, "m": 1}, r"3\.4: unknown .*'m'", id="3.4-m"),
+    pytest.param("thm1.2", {"family": "bell", "order": 3, "variant": "egf"},
+                 "unknown variant 'egf'", id="thm1.2-variant=egf"),
+    pytest.param("4.3a", {"n": 3, "at": 2}, "unknown at 2", id="4.3a-at=2"),
+    pytest.param("4.3a", {"n": 3, "at": -1.0}, r"unknown at -1\.0", id="4.3a-at=-1.0"),
+]
+
+
+@pytest.mark.parametrize("identity_id,params,message", HOSTILE)
+def test_a_point_outside_its_spec_is_an_error_naming_it(identity_id, params, message):
+    with pytest.raises(ValueError, match=message):
+        ids.verify(identity_id, **params)
+
+
 @pytest.mark.parametrize(
     "wanted,knobs,message",
     [
@@ -601,6 +660,11 @@ def test_a_capped_parameter_below_zero_is_an_error_not_a_pass(identity_id, param
          "no point of 3.4, chz reads n_max=3, m_max=1"),
         (["2.1"], {"n_max": 5000}, "n=5000 beyond the supported cap 40"),
         (["5.2"], {"order": 21}, "order=21 beyond the supported cap 20"),
+        (["2.1"], {"n_max": True}, "n_max=True is not an int"),
+        (["2.1"], {"n_max": 2.0}, "n_max=2.0 is not an int"),
+        (["2.1"], {"n_max": "3"}, "n_max='3' is not an int"),
+        (["5.1"], {"m_max": 1.0}, "m_max=1.0 is not an int"),
+        (["3.2"], {"order": 1.5}, "order=1.5 is not an int"),
     ],
 )
 def test_verify_many_rejects_a_bad_request_before_any_report(wanted, knobs, message):

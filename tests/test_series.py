@@ -61,6 +61,15 @@ def test_the_series_variable_is_a_nonempty_string(bad):
         TruncatedSeries.zero(bad, 2)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_the_truncation_order_is_an_int(bad):
+    # True would print as order 1, and 1.5 would fail inside a slice.
+    with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
+        TruncatedSeries(X, [1, 2], bad)
+    with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
+        TruncatedSeries.zero(X, bad)
+
+
 def test_coefficients_must_not_mention_var():
     with pytest.raises(ValueError):
         TruncatedSeries(X, [Polynomial.variable(X)], 1)
