@@ -19,7 +19,7 @@ import time
 
 from . import identities, sequences, series
 from .polynomial import Polynomial
-from .symbols import LAM, T
+from .symbols import LAM, T, lam as _lam
 
 SERIES_ORDER_CAP = 12
 TABLE_INDEX_CAP = 50
@@ -126,8 +126,7 @@ def _series_payload(args) -> series.TruncatedSeries:
         _reject_unread("series tree", {"--lambda": args.lam, "--a": args.a})
         return series.tree_function(args.order)
     try:
-        lam = (Polynomial.variable(LAM) if args.lam in (None, "sym")
-               else Polynomial.constant(int(args.lam)))
+        lam = _lam if args.lam in (None, "sym") else Polynomial.constant(int(args.lam))
     except ValueError:
         raise ValueError(f"--lambda must be an integer or 'sym', got {args.lam!r}") from None
     if args.what == "egf-f":

@@ -25,7 +25,7 @@ from itertools import permutations as _permutations, product as _product
 from typing import Iterator, NamedTuple, Sequence
 
 from .polynomial import Polynomial
-from .symbols import LAM, U
+from .symbols import lam as _lam, u as _u
 
 PERMUTATION_CUTOFF = 8
 ENDOFUNCTION_CUTOFF = 7
@@ -130,9 +130,6 @@ class EnumeratedFamilies(NamedTuple):
 
 def oracle_polynomials(n: int) -> EnumeratedFamilies:
     """Compute the named families by direct enumeration (n <= cutoff)."""
-    lam = Polynomial.variable(LAM)
-    u = Polynomial.variable(U)
-
     fix_counts: dict[int, int] = {}
     inv_fix_counts: dict[int, int] = {}
     for p, fix in permutations_with_fix(n):
@@ -145,9 +142,9 @@ def oracle_polynomials(n: int) -> EnumeratedFamilies:
         blocks = (max(rgs) + 1) if rgs else 0
         block_counts[blocks] = block_counts.get(blocks, 0) + 1
 
-    f = sum((lam ** j * c for j, c in fix_counts.items()), Polynomial.zero())
-    b = sum((u ** j * c for j, c in block_counts.items()), Polynomial.zero())
-    h = sum((u ** j * c for j, c in inv_fix_counts.items()), Polynomial.zero())
+    f = sum((_lam ** j * c for j, c in fix_counts.items()), Polynomial.zero())
+    b = sum((_u ** j * c for j, c in block_counts.items()), Polynomial.zero())
+    h = sum((_u ** j * c for j, c in inv_fix_counts.items()), Polynomial.zero())
     return EnumeratedFamilies(
         n=n,
         lambda_factorial=f,

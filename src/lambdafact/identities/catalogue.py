@@ -63,19 +63,11 @@ from ..sequences import (
     rising_factorial,
     stirling2,
 )
-from ..symbols import ALPHA, BETA, LAM, MU, T, U, UMBRA, V, X
+from ..symbols import ALPHA, LAM, MU, T, U, X
+from ..symbols import D as _D, a as _a, alpha as _alpha, b as _b, beta as _beta
+from ..symbols import lam as _lam, mu as _mu, t as _t, u as _u, v as _v, x as _x
 from .report import IdentityReport, Residual
 from .umbral import umbral_eval
-
-_lam = Polynomial.variable(LAM)
-_mu = Polynomial.variable(MU)
-_alpha = Polynomial.variable(ALPHA)
-_beta = Polynomial.variable(BETA)
-_u = Polynomial.variable(U)
-_v = Polynomial.variable(V)
-_D = Polynomial.variable(UMBRA)
-_t = Polynomial.variable(T)
-_x = Polynomial.variable(X)
 
 _ZERO = Polynomial.zero()
 
@@ -204,7 +196,6 @@ def _check_2_4(n: int) -> Polynomial:
 
 
 # Abel's binomial identity; the k = 0 factor a(a - k t)^(k-1) is 1 by convention.
-_a, _b = Polynomial.variable("a"), Polynomial.variable("b")
 _check_3_1 = _convolution(
     lambda n, k: (_a * (_a - _t * k) ** (k - 1) if k else 1) * (_b + _t * k) ** (n - k),
     lambda n: (_a + _b) ** n)
@@ -543,8 +534,12 @@ class Identity(NamedTuple):
     def points(
         self, n_max: int | None, m_max: int | None, order: int | None
     ) -> list[dict]:
-        """The parameter points of the spec under the override knobs."""
+        """The parameter points of the spec under the override knobs, each
+        None or an int (not a bool); any other knob is a ValueError."""
         knobs = {"n_max": n_max, "m_max": m_max, "order": order}
+        for knob, value in knobs.items():
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{knob}={value!r} is not an int")
         out: list[dict] = []
         for group in self.spec:
             points: list[dict] = [{}]
@@ -740,15 +735,12 @@ def verify_many(
     if unknown:
         raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
     knobs = {"n_max": n_max, "m_max": m_max, "order": order}
-    for knob, value in knobs.items():
-        if value is not None and type(value) is not int:
-            raise ValueError(f"{knob}={value!r} is not an int")
+    points = {i: CATALOGUE[i].points(**knobs) for i in ids}
     read = {_KNOB[param] for i in ids for group in CATALOGUE[i].spec
             for param, axis in group.items() if not isinstance(axis, tuple)}
     unread = [f"{k}={v}" for k, v in knobs.items() if v is not None and k not in read]
     if unread:
         raise ValueError(f"no point of {', '.join(ids)} reads {', '.join(unread)}")
-    points = {i: CATALOGUE[i].points(**knobs) for i in ids}
     empty = [i for i in ids if not points[i]]
     if empty:
         raise ValueError(f"no parameter points to check for: {', '.join(empty)}")

@@ -8,7 +8,9 @@ them.
 
 Inside, a monomial is one packed int.  Each symbol owns a field of _W bits,
 handed out in the order the process first sees symbols, and the exponent of
-the symbol sits in its field; the constant monomial is 0.  Multiplying two
+the symbol sits in its field; the constant monomial is 0.  The package's own
+symbols are first seen when `symbols` is imported, which builds their
+variables, so they take the first slots in a fixed order.  Multiplying two
 monomials is adding their keys.  Every exponent stays at or below
 MAX_EXPONENT = 2**(_W-1) - 1, so the top bit of each field is a guard bit:
 the sum of two keys never carries into the next field, and a product whose
@@ -207,12 +209,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
-        # Family routes build their variables on every uncached call, so
-        # the common case skips the call into _shift.
-        shift = _SHIFT.get(name)
-        if shift is None:
-            shift = _shift(name)
-        return cls._raw({1 << shift: 1}, 1)
+        return cls._raw({1 << _shift(name): 1}, 1)
 
     # ---- inspection ----
 
@@ -272,18 +269,11 @@ class Polynomial:
 
     # ---- ring arithmetic ----
 
-    @staticmethod
-    def _coerce(x: Polynomial | Scalar) -> Polynomial:
-        if isinstance(x, Polynomial):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Polynomial.constant(x)
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        other = Polynomial._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(other)
         if not other._terms:
             return self
         if not self._terms:
@@ -313,8 +303,7 @@ class Polynomial:
         return Polynomial._raw({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        other = Polynomial._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
         return self + (-other)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .polynomial import Polynomial, Scalar, as_poly, powers
-from .symbols import ALPHA, LAM, MU, U
+from .symbols import LAM, U, alpha, lam, mu, u
 
 
 def factorial(n: int) -> int:
@@ -90,7 +90,7 @@ _LAMBDA_POWER = [Polynomial.one()]
 def _lambda_factorial_recurrence(n: int) -> Polynomial:
     f = _LAMBDA_FACTORIALS
     if len(f) <= n:
-        l1 = Polynomial.variable(LAM) - 1
+        l1 = lam - 1
         power = _LAMBDA_POWER[0]
         while len(f) <= n:
             k = len(f)
@@ -111,7 +111,6 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
         raise ValueError("lambda_factorial needs n >= 0")
     if route == "recurrence-1.0c":
         return _lambda_factorial_recurrence(n)
-    lam = Polynomial.variable(LAM)
     if route == "binomial-1.0b":
         return sum(
             (power * (binomial(n, k) * factorial(k))
@@ -142,8 +141,6 @@ def charlier(n: int) -> Polynomial:
     """Charlier polynomial in α and u: sum C(n,k) (α)_k u^(n-k)."""
     if n < 0:
         raise ValueError("charlier needs n >= 0")
-    alpha = Polynomial.variable(ALPHA)
-    u = Polynomial.variable(U)
     acc = Polynomial.zero()
     rising = Polynomial.one()  # (α)_k, one product from (α)_(k-1)
     for k in range(n + 1):
@@ -162,10 +159,8 @@ def bell_poly(n: int) -> Polynomial:
     if n < 0:
         raise ValueError("bell_poly needs n >= 0")
     b = _BELL_POLYS
-    if len(b) <= n:
-        u = Polynomial.variable(U)
-        while len(b) <= n:
-            b.append(u * b[-1] + u * b[-1].derivative(U))
+    while len(b) <= n:
+        b.append(u * b[-1] + u * b[-1].derivative(U))
     return b[n]
 
 
@@ -182,10 +177,8 @@ def hermite_poly(n: int) -> Polynomial:
     if n < 0:
         raise ValueError("hermite_poly needs n >= 0")
     h = _HERMITE_POLYS
-    if len(h) <= n:
-        u = Polynomial.variable(U)
-        while len(h) <= n:
-            h.append(u * h[-1] + h[-1].derivative(U))
+    while len(h) <= n:
+        h.append(u * h[-1] + h[-1].derivative(U))
     return h[n]
 
 
@@ -246,8 +239,7 @@ _Q_POWERS: list[Polynomial] = []
 def _q_recurrence(n: int, m: int) -> Polynomial:
     cols, powers = _Q_COLUMNS, _Q_POWERS
     if len(cols) <= m or len(cols[m]) <= n:
-        lam = Polynomial.variable(LAM)
-        lm1 = lam + Polynomial.variable(MU) - 1
+        lm1 = lam + mu - 1
         for j in range(m + 1):
             if j == len(cols):
                 power = (lam - 1) ** j
@@ -269,7 +261,6 @@ def _q_recurrence(n: int, m: int) -> Polynomial:
 def _q_definition(n: int, m: int) -> Polynomial:
     """The definition route of q_poly, cached: the catalogue asks for most
     (n, m) many times over, and the other routes once per point."""
-    mu = Polynomial.variable(MU)
     return sum((lambda_factorial(k + m) * mu ** (n - k) * binomial(n, k)
                 for k in range(n + 1)), Polynomial.zero())
 
@@ -287,8 +278,6 @@ def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:
         return _q_recurrence(n, m)
     if route == "definition-sum":
         return _q_definition(n, m)
-    mu = Polynomial.variable(MU)
-    lam = Polynomial.variable(LAM)
     if route == "explicit-double-sum":
         acc = Polynomial.zero()
         l1_powers = list(zip(range(m, -1, -1), powers(lam - 1)))

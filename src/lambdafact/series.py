@@ -123,7 +123,7 @@ class TruncatedSeries:
 
     def egf_coefficient(self, n: int) -> Polynomial:
         """n! * c_n, the sequence entry when the series is an EGF."""
-        return self.coeffs[n] * math.factorial(n)
+        return self.coefficient(n) * math.factorial(n)
 
     @property
     def is_zero(self) -> bool:
@@ -132,6 +132,8 @@ class TruncatedSeries:
     # ---- order management ----
 
     def truncate(self, order: int) -> TruncatedSeries:
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
         if order >= self.order:
             return self
         return TruncatedSeries._raw(self.var, self.coeffs[: order + 1])
@@ -161,9 +163,7 @@ class TruncatedSeries:
         return TruncatedSeries._raw(self.var, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: TruncatedSeries | PolyLike) -> TruncatedSeries:
-        if isinstance(other, (Polynomial, int, Fraction)):
-            other = TruncatedSeries.constant(other, self.var, self.order)
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, (TruncatedSeries, Polynomial, int, Fraction)):
             return NotImplemented
         return self + (-other)
 

@@ -673,3 +673,10 @@ def test_verify_many_rejects_a_bad_request_before_any_report(wanted, knobs, mess
         for report in ids.verify_many(wanted, **knobs):
             reports.append(report)
     assert reports == []
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"])
+def test_points_take_only_int_knobs(bad):
+    # verify_many and direct callers of points share this one check.
+    with pytest.raises(ValueError, match=re.escape(f"n_max={bad!r} is not an int")):
+        catalogue.CATALOGUE["2.1"].points(bad, None, None)

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial ring."""
 
+import json
 import operator
 import os
 import pickle
@@ -433,6 +434,19 @@ def test_pickle_rebuilds_from_monomials_in_another_process():
     assert text.decode() == str(p)
     assert pickle.loads(back) == p * c
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_importing_the_package_fixes_the_slots_of_its_symbols():
+    # symbols builds the package's variables at import, in one order, so a
+    # packed key of them means the same in every process that imports it.
+    child = "import json, lambdafact; print(json.dumps(lambdafact.polynomial._NAMES))"
+    src = str(Path(lambdafact.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout) == ["λ", "μ", "α", "β", "u", "v", "D", "t", "x", "a", "b"]
 
 
 # Differential tests of the packed kernel against a reference kept here: a

@@ -51,17 +51,25 @@ def test_negative_index_is_rejected(family, index, value):
     assert family(*index) == value
 
 
-def test_cached_routes_build_no_variable(monkeypatch):
-    seq.lambda_factorial(6)
-    seq.q_poly(3, 2, route="recurrence-5.1")
-    built = []
-    real = Polynomial.variable
-    monkeypatch.setattr(
-        Polynomial, "variable", classmethod(lambda cls, name: built.append(name) or real(name))
-    )
-    seq.lambda_factorial(6)
-    seq.q_poly(3, 2, route="recurrence-5.1")
-    assert built == []
+def test_no_route_builds_a_variable(monkeypatch, capsys):
+    # symbols builds the package's variables once, at import: no family
+    # route, cold or cached, nor the oracle or the CLI builds one per call.
+    def refuse(cls, name):
+        raise AssertionError(f"built the variable {name!r}")
+
+    monkeypatch.setattr(Polynomial, "variable", classmethod(refuse))
+    for fn in vars(seq).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    for route in seq.LAMBDA_FACTORIAL_ROUTES:
+        seq.lambda_factorial(6, route)
+    for route in seq.Q_POLY_ROUTES:
+        seq.q_poly(3, 2, route)
+    for family in (seq.charlier, seq.bell_poly, seq.hermite_poly):
+        family(5)
+    enumeration.oracle_polynomials(3)
+    assert main(["series", "abel-rhs"]) == 0
+    assert capsys.readouterr().out.endswith("+ O(x^9)\n")
 
 
 def test_derangement_range_computes_each_term_once(monkeypatch):

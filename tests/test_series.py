@@ -375,6 +375,17 @@ def test_derivative():
     assert e.derivative() == e.truncate(5)
 
 
+def test_truncate_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        geometric(X, 2).truncate(-1)
+
+
+@pytest.mark.parametrize("n", [-1, 3, 5])
+def test_egf_coefficient_outside_the_order_is_an_index_error(n):
+    with pytest.raises(IndexError, match=f"coefficient {n} beyond truncation order 2"):
+        geometric(X, 2).egf_coefficient(n)
+
+
 def test_series_rendering():
     y = tree_function(4)
     assert str(y) == "x + x^2 + 3/2 x^3 + 8/3 x^4 + O(x^5)"
