@@ -4,8 +4,10 @@ identity combinatorially.
 
 Everything here is deliberately exhaustive and simple: these generators are
 the ground truth that the closed-form routes in `sequences` are checked
-against.  Cutoffs keep every stream at desk scale; exceeding one raises
-ValueError rather than silently grinding.
+against, and they are built on `itertools`, `Counter` and `math.prod`.
+Cutoffs keep every stream at desk scale; one size check takes an int in
+0..cutoff and raises ValueError for anything else rather than silently
+grinding.
 
 Vertex labels are 1-based throughout.  An endofunction on [n] is stored as
 a tuple `image` with image[i-1] = sigma(i).  A rooted forest on [m] is a
@@ -20,9 +22,11 @@ loop.  The census maps each member forward with one and back with the other.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations as _permutations, product as _product
-from typing import Iterator, NamedTuple, Sequence
+from itertools import combinations, permutations as _permutations, product as _product
+from math import prod
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polynomial import Polynomial
 from .symbols import lam as _lam, u as _u
@@ -82,13 +86,18 @@ class ColoredForestPermutation(NamedTuple):
         return len(self.parent) - 1
 
 
+def _check_size(n: int, cutoff: int, what: str) -> None:
+    """Raise ValueError unless n is an int (not a bool) in 0..cutoff."""
+    if type(n) is not int or not 0 <= n <= cutoff:
+        raise ValueError(f"{what} enumeration takes an int size 0..{cutoff}, got {n!r}")
+
+
 # ---- permutations and the families they count ----
 
 
 def permutations_with_fix(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All permutations of [n] (1-based image tuples) with fixed-point counts."""
-    if n < 0 or n > PERMUTATION_CUTOFF:
-        raise ValueError(f"permutation enumeration supports 0 <= n <= {PERMUTATION_CUTOFF}")
+    _check_size(n, PERMUTATION_CUTOFF, "permutation")
     for p in _permutations(range(1, n + 1)):
         fix = sum(1 for i, v in enumerate(p, start=1) if v == i)
         yield p, fix
@@ -96,24 +105,15 @@ def permutations_with_fix(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Set partitions of [n] as restricted growth strings (block of element i+1
-    is rgs[i]; blocks are numbered from 0 in order of first appearance)."""
-    if n < 0 or n > PERMUTATION_CUTOFF:
-        raise ValueError(f"set partition enumeration supports 0 <= n <= {PERMUTATION_CUTOFF}")
-    if n == 0:
-        yield ()
-        return
+    is rgs[i]; blocks are numbered from 0 in order of first appearance).
 
-    rgs = [0] * n
-
-    def extend(i: int, maxval: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rgs)
-            return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            yield from extend(i + 1, max(maxval, b))
-
-    yield from extend(1, 0)
+    Built breadth first in lexicographic order: each string grows by every
+    block up to one new block, one position at a time."""
+    _check_size(n, PERMUTATION_CUTOFF, "set partition")
+    rgs = [(0,)] if n else [()]
+    for _ in range(n - 1):
+        rgs = [s + (b,) for s in rgs for b in range(max(s) + 2)]
+    yield from rgs
 
 
 class EnumeratedFamilies(NamedTuple):
@@ -130,29 +130,25 @@ class EnumeratedFamilies(NamedTuple):
 
 def oracle_polynomials(n: int) -> EnumeratedFamilies:
     """Compute the named families by direct enumeration (n <= cutoff)."""
-    fix_counts: dict[int, int] = {}
-    inv_fix_counts: dict[int, int] = {}
+    fix_counts: Counter[int] = Counter()
+    inv_fix_counts: Counter[int] = Counter()
     for p, fix in permutations_with_fix(n):
-        fix_counts[fix] = fix_counts.get(fix, 0) + 1
+        fix_counts[fix] += 1
         if all(p[v - 1] == i for i, v in enumerate(p, start=1)):
-            inv_fix_counts[fix] = inv_fix_counts.get(fix, 0) + 1
+            inv_fix_counts[fix] += 1
+    block_counts = Counter(max(rgs, default=-1) + 1 for rgs in set_partitions(n))
 
-    block_counts: dict[int, int] = {}
-    for rgs in set_partitions(n):
-        blocks = (max(rgs) + 1) if rgs else 0
-        block_counts[blocks] = block_counts.get(blocks, 0) + 1
+    def gf(var: Polynomial, counts: Counter[int]) -> Polynomial:
+        return sum((var ** j * c for j, c in counts.items()), Polynomial.zero())
 
-    f = sum((_lam ** j * c for j, c in fix_counts.items()), Polynomial.zero())
-    b = sum((_u ** j * c for j, c in block_counts.items()), Polynomial.zero())
-    h = sum((_u ** j * c for j, c in inv_fix_counts.items()), Polynomial.zero())
     return EnumeratedFamilies(
         n=n,
-        lambda_factorial=f,
-        bell=b,
-        hermite=h,
-        derangements=fix_counts.get(0, 0),
-        involutions=sum(inv_fix_counts.values()),
-        matchings=inv_fix_counts.get(0, 0),
+        lambda_factorial=gf(_lam, fix_counts),
+        bell=gf(_u, block_counts),
+        hermite=gf(_u, inv_fix_counts),
+        derangements=fix_counts[0],
+        involutions=inv_fix_counts.total(),
+        matchings=inv_fix_counts[0],
     )
 
 
@@ -161,8 +157,7 @@ def oracle_polynomials(n: int) -> EnumeratedFamilies:
 
 def endofunctions(n: int) -> Iterator[Endofunction]:
     """All n**n self-maps of [n], in lexicographic order of the image tuple."""
-    if n < 0 or n > ENDOFUNCTION_CUTOFF:
-        raise ValueError(f"endofunction enumeration supports 0 <= n <= {ENDOFUNCTION_CUTOFF}")
+    _check_size(n, ENDOFUNCTION_CUTOFF, "endofunction")
     for image in _product(range(1, n + 1), repeat=n):
         yield Endofunction(image)
 
@@ -211,8 +206,7 @@ def forests(m: int) -> Iterator[tuple[int, ...]]:
     Generated by filtering the (m+1)**m maps [m] -> [m] u {root marker}
     for acyclicity, in lexicographic order.
     """
-    if m < 0 or m > FOREST_CUTOFF:
-        raise ValueError(f"forest enumeration supports 0 <= m <= {FOREST_CUTOFF}")
+    _check_size(m, FOREST_CUTOFF, "forest")
     for parent in _product(range(0, m + 1), repeat=m):
         if is_forest(parent):
             yield parent
@@ -378,32 +372,19 @@ def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
 
 
 def ryser_permanent(rows: Sequence[Sequence[int]]) -> int:
-    """Exact permanent of a small square integer matrix by inclusion-exclusion."""
+    """Exact permanent of a small square integer matrix by Ryser's
+    inclusion-exclusion over the column subsets S: the sum of
+    (-1)^(n-|S|) times the product of the row sums over S."""
     n = len(rows)
-    if n == 0:
-        return 1
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix must be square")
-    total = 0
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        prod = 1
-        for r in rows:
-            s = 0
-            for j in cols:
-                s += r[j]
-            prod *= s
-            if prod == 0:
-                break
-        total += (-1) ** len(cols) * prod
-    return (-1) ** n * total
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    return sum((-1) ** (n - k) * prod(sum(r[j] for j in cols) for r in rows)
+               for k in range(n + 1) for cols in combinations(range(n), k))
 
 
 def permanent_check(n: int) -> int:
     """Permanent of the all-ones matrix minus the identity (counts derangements)."""
-    if n < 0 or n > PERMANENT_CUTOFF:
-        raise ValueError(f"permanent check supports 0 <= n <= {PERMANENT_CUTOFF}")
+    _check_size(n, PERMANENT_CUTOFF, "permanent")
     rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
     return ryser_permanent(rows)
 
@@ -411,17 +392,17 @@ def permanent_check(n: int) -> int:
 # ---- DOT rendering ----
 
 
+def _digraph(name: str, nodes: Iterable[str], edges: Iterable[str]) -> str:
+    """Graphviz text: the header, one line per node, then per edge, and the brace."""
+    return "\n".join([f"digraph {name} {{", *(f"  {line};" for line in (*nodes, *edges)), "}"])
+
+
 def endofunction_to_dot(sigma: Endofunction, name: str = "endofunction") -> str:
     """Graphviz text for a functional digraph; cycle edges are drawn bold."""
     cycles = _cycle_vertices(sigma.image)
-    lines = [f"digraph {name} {{"]
-    for v in range(1, sigma.n + 1):
-        lines.append(f"  {v};")
-    for v in range(1, sigma.n + 1):
-        style = " [style=bold]" if v in cycles else ""
-        lines.append(f"  {v} -> {sigma(v)}{style};")
-    lines.append("}")
-    return "\n".join(lines)
+    vertices = range(1, sigma.n + 1)
+    edges = (f"{v} -> {sigma(v)}" + (" [style=bold]" if v in cycles else "") for v in vertices)
+    return _digraph(name, map(str, vertices), edges)
 
 
 def pair_to_dot(pair: ColoredForestPermutation, name: str = "forest_pair") -> str:
@@ -431,16 +412,8 @@ def pair_to_dot(pair: ColoredForestPermutation, name: str = "forest_pair") -> st
     fixed points carry their color in the node label.
     """
     colors = dict(pair.colors)
-    lines = [f"digraph {name} {{"]
-    for v in range(1, pair.n + 2):
-        if v in colors:
-            lines.append(f'  {v} [label="{v} (c{colors[v]})"];')
-        else:
-            lines.append(f"  {v};")
-    for v, p in enumerate(pair.parent, start=1):
-        if p != 0:
-            lines.append(f"  {v} -> {p};")
-    for v, w in pair.pi:
-        lines.append(f"  {v} -> {w} [style=bold];")
-    lines.append("}")
-    return "\n".join(lines)
+    nodes = (f'{v} [label="{v} (c{colors[v]})"]' if v in colors else str(v)
+             for v in range(1, pair.n + 2))
+    edges = [f"{v} -> {p}" for v, p in enumerate(pair.parent, start=1) if p]
+    edges += (f"{v} -> {w} [style=bold]" for v, w in pair.pi)
+    return _digraph(name, nodes, edges)

@@ -32,6 +32,14 @@ from .symbols import X
 PolyLike = Union[Polynomial, int, Fraction]
 
 
+def _check_order(n: int, what: str = "truncation order") -> None:
+    """Raise ValueError unless n is an int (not a bool) and n >= 0."""
+    if type(n) is not int:
+        raise ValueError(f"{what} must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0")
+
+
 # ---- kernels on coefficient sequences ----
 # c_0, c_1, ... grade a value by powers of the series variable or by total
 # degree in some symbols; each output coefficient is one dot.
@@ -60,10 +68,7 @@ class TruncatedSeries:
     def __init__(self, var: str, coeffs: Sequence[PolyLike], order: int):
         if not isinstance(var, str) or not var:
             raise ValueError(f"series variable must be a nonempty string, got {var!r}")
-        if type(order) is not int:
-            raise ValueError(f"truncation order must be an int, got {order!r}")
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        _check_order(order)
         cs = [as_poly(c) for c in coeffs[: order + 1]]
         cs.extend([Polynomial.zero()] * (order + 1 - len(cs)))
         for i, c in enumerate(cs):
@@ -117,7 +122,7 @@ class TruncatedSeries:
     # ---- inspection ----
 
     def coefficient(self, n: int) -> Polynomial:
-        if n < 0 or n > self.order:
+        if type(n) is not int or not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
@@ -132,8 +137,7 @@ class TruncatedSeries:
     # ---- order management ----
 
     def truncate(self, order: int) -> TruncatedSeries:
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        _check_order(order)
         if order >= self.order:
             return self
         return TruncatedSeries._raw(self.var, self.coeffs[: order + 1])
@@ -209,8 +213,7 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by var**k exactly: the truncation order rises by k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        _check_order(k, "shift")
         if k == 0:
             return self
         return TruncatedSeries._raw(self.var, (Polynomial.zero(),) * k + self.coeffs)
@@ -323,8 +326,7 @@ def binomial_power(c: PolyLike, e: PolyLike, order: int) -> TruncatedSeries:
 def tree_fixed_point(order: int) -> TruncatedSeries:
     """The solution y of y = x*exp(y), unchecked, for checks that test it;
     pass i lifts y to order i-1 to x*exp(y) to order i."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_order(order, "order")
     y = TruncatedSeries.zero(X, 0)
     for _ in range(order):
         y = y.exp().shift(1)

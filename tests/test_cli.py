@@ -427,8 +427,9 @@ def test_a_defect_is_not_reported_as_a_rejected_request(monkeypatch):
 # ---- behaviour contract: the stdout of table, series and bijection ----
 
 # Written before the deletions of the surface that only tests reached, by
-# running each of GOLDEN_CLI_RUNS through `main` and storing its stdout.  The
-# census is left out: it prints its own elapsed time.
+# running each of GOLDEN_CLI_RUNS through `main` and storing its stdout; the
+# last two `--dot` runs were written before the DOT writers were folded into
+# one.  The census is left out: it prints its own elapsed time.
 GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
 
 GOLDEN_CLI_RUNS = (
@@ -446,7 +447,11 @@ GOLDEN_CLI_RUNS = (
            ("q", "0..5", "0..5"),
        )
        for fmt in ("csv", "json")]
-    + [["bijection", "1", "1", "--sigma", "1,1,3", "--dot"]]
+    + [["bijection", *argv, "--dot"] for argv in (
+        ("1", "1", "--sigma", "1,1,3"),
+        ("2", "3", "--sigma", "4,1,1,4,5,6"),  # a colored root and tree edges
+        ("3", "1", "--sigma", "2,1,5,3,5"),  # a 2-cycle and an edge into a color vertex
+    )]
 )
 
 

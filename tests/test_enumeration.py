@@ -24,6 +24,36 @@ def test_permutations_with_fix_small():
         list(en.permutations_with_fix(9))
 
 
+def test_set_partitions_match_the_brute_force_restricted_growth_strings():
+    bell = [1, 1, 2, 5, 15, 52, 203, 877]
+    for n in range(8):
+        # every word over 0..n-1, in lexicographic order, whose values each
+        # exceed the largest value before them (-1 for the first) by at most 1
+        want = [rgs for rgs in itertools.product(range(n), repeat=n)
+                if all(b <= top + 1 for b, top in
+                       zip(rgs, itertools.accumulate(rgs, max, initial=-1)))]
+        got = list(en.set_partitions(n))
+        assert got == want, n
+        assert len(got) == bell[n]
+
+
+@pytest.mark.parametrize("generate,cutoff", [
+    (en.permutations_with_fix, en.PERMUTATION_CUTOFF),
+    (en.set_partitions, en.PERMUTATION_CUTOFF),
+    (en.endofunctions, en.ENDOFUNCTION_CUTOFF),
+    (en.forests, en.FOREST_CUTOFF),
+    (en.permanent_check, en.PERMANENT_CUTOFF),
+])
+def test_a_size_is_an_int_within_the_cutoff(generate, cutoff):
+    # True would count as 1 and 2.0 would fail inside a range.
+    for size in (True, 2.0, -1, cutoff + 1):
+        message = rf"enumeration takes an int size 0\.\.{cutoff}, got {size!r}$"
+        with pytest.raises(ValueError, match=message):
+            result = generate(size)
+            if not isinstance(result, int):
+                list(result)
+
+
 def test_oracle_polynomials_counts():
     o4 = en.oracle_polynomials(4)
     assert o4.derangements == 9

@@ -63,11 +63,19 @@ def test_the_series_variable_is_a_nonempty_string(bad):
 
 @pytest.mark.parametrize("bad", [True, 1.5])
 def test_the_truncation_order_is_an_int(bad):
-    # True would print as order 1, and 1.5 would fail inside a slice.
+    # True would act as 1, and 1.5 would fail inside a slice, a tuple product
+    # or an index.
     with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
         TruncatedSeries(X, [1, 2], bad)
     with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
         TruncatedSeries.zero(X, bad)
+    e = geometric(X, 3)
+    with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
+        e.truncate(bad)
+    with pytest.raises(ValueError, match=f"shift must be an int, got {bad}"):
+        e.shift(bad)
+    with pytest.raises(IndexError, match=f"coefficient {bad} beyond truncation order 3"):
+        e.coefficient(bad)
 
 
 def test_coefficients_must_not_mention_var():
