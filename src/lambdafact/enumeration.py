@@ -5,9 +5,10 @@ identity combinatorially.
 Everything here is deliberately exhaustive and simple: these generators are
 the ground truth that the closed-form routes in `sequences` are checked
 against, and they are built on `itertools`, `Counter` and `math.prod`.
-Cutoffs keep every stream at desk scale; one size check takes an int in
-0..cutoff and raises ValueError for anything else rather than silently
-grinding.
+Cutoffs keep every stream at desk scale: a size is an int in 0..cutoff,
+checked by `polynomial.check_index` at the call, before the stream is read
+(the generator `enumerate_m_star` at its first map), and anything else
+raises ValueError rather than silently grinding.
 
 Vertex labels are 1-based throughout.  An endofunction on [n] is stored as
 a tuple `image` with image[i-1] = sigma(i).  A rooted forest on [m] is a
@@ -28,7 +29,7 @@ from itertools import combinations, permutations as _permutations, product as _p
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, check_index
 from .symbols import lam as _lam, u as _u
 
 PERMUTATION_CUTOFF = 8
@@ -86,21 +87,14 @@ class ColoredForestPermutation(NamedTuple):
         return len(self.parent) - 1
 
 
-def _check_size(n: int, cutoff: int, what: str) -> None:
-    """Raise ValueError unless n is an int (not a bool) in 0..cutoff."""
-    if type(n) is not int or not 0 <= n <= cutoff:
-        raise ValueError(f"{what} enumeration takes an int size 0..{cutoff}, got {n!r}")
-
-
 # ---- permutations and the families they count ----
 
 
 def permutations_with_fix(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All permutations of [n] (1-based image tuples) with fixed-point counts."""
-    _check_size(n, PERMUTATION_CUTOFF, "permutation")
-    for p in _permutations(range(1, n + 1)):
-        fix = sum(1 for i, v in enumerate(p, start=1) if v == i)
-        yield p, fix
+    check_index(n, "permutation enumeration size n", PERMUTATION_CUTOFF)
+    return ((p, sum(v == i for i, v in enumerate(p, start=1)))
+            for p in _permutations(range(1, n + 1)))
 
 
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -109,11 +103,11 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
     Built breadth first in lexicographic order: each string grows by every
     block up to one new block, one position at a time."""
-    _check_size(n, PERMUTATION_CUTOFF, "set partition")
+    check_index(n, "set partition enumeration size n", PERMUTATION_CUTOFF)
     rgs = [(0,)] if n else [()]
     for _ in range(n - 1):
         rgs = [s + (b,) for s in rgs for b in range(max(s) + 2)]
-    yield from rgs
+    return iter(rgs)
 
 
 class EnumeratedFamilies(NamedTuple):
@@ -157,9 +151,8 @@ def oracle_polynomials(n: int) -> EnumeratedFamilies:
 
 def endofunctions(n: int) -> Iterator[Endofunction]:
     """All n**n self-maps of [n], in lexicographic order of the image tuple."""
-    _check_size(n, ENDOFUNCTION_CUTOFF, "endofunction")
-    for image in _product(range(1, n + 1), repeat=n):
-        yield Endofunction(image)
+    check_index(n, "endofunction enumeration size n", ENDOFUNCTION_CUTOFF)
+    return map(Endofunction, _product(range(1, n + 1), repeat=n))
 
 
 def _cycle_vertices(f: Sequence[int]) -> set[int]:
@@ -206,10 +199,8 @@ def forests(m: int) -> Iterator[tuple[int, ...]]:
     Generated by filtering the (m+1)**m maps [m] -> [m] u {root marker}
     for acyclicity, in lexicographic order.
     """
-    _check_size(m, FOREST_CUTOFF, "forest")
-    for parent in _product(range(0, m + 1), repeat=m):
-        if is_forest(parent):
-            yield parent
+    check_index(m, "forest enumeration size m", FOREST_CUTOFF)
+    return filter(is_forest, _product(range(0, m + 1), repeat=m))
 
 
 # ---- the colored bijection ----
@@ -219,8 +210,8 @@ def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
     """Self-maps of [n+lam+1] with nothing mapping to n+1 and every vertex
     above n+1 fixed.  There are (n+lam)**(n+1) of them; streamed in
     lexicographic order of the image tuple."""
-    if n < 0 or lam < 0:
-        raise ValueError("need n >= 0 and lam >= 0")
+    check_index(n, "n")
+    check_index(lam, "lam")
     count = (n + lam) ** (n + 1)
     if count > MSTAR_CUTOFF:
         raise ValueError(f"{count} maps exceeds the enumeration cutoff {MSTAR_CUTOFF}")
@@ -352,6 +343,8 @@ def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
     injective, and the caller can compare the census against the
     closed-form counts.
     """
+    check_index(n, "n")  # before _fixed_tail, whose cache takes 1.0 for 1
+    check_index(lam, "lam")
     tail = _fixed_tail(n, lam)
     strata: dict[int, int] = {}
     for sigma in enumerate_m_star(n, lam):
@@ -384,7 +377,7 @@ def ryser_permanent(rows: Sequence[Sequence[int]]) -> int:
 
 def permanent_check(n: int) -> int:
     """Permanent of the all-ones matrix minus the identity (counts derangements)."""
-    _check_size(n, PERMANENT_CUTOFF, "permanent")
+    check_index(n, "permanent size n", PERMANENT_CUTOFF)
     rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
     return ryser_permanent(rows)
 

@@ -41,11 +41,15 @@ slot.  Values are immutable after construction and safe to share.
 
 Only ring arithmetic, substitution, formal derivatives, and evaluation are
 provided; there is deliberately no factorization or division of polynomials.
-The helpers at the end serve the series layer too: the coercion `as_poly`,
-the running powers `powers`, the evaluation kernel `evaluate_at` behind
-substitution and series composition, the sum of products `dot` behind every
-truncated product, exp and inverse, and the term renderer `join_signed`;
-Polynomial.graded gives those kernels the parts by total degree.
+The helpers at the end serve the other layers.  `check_index` is the one
+rule for every family index, series order and enumeration size in the
+package: an int, not a bool, >= 0 and at most a cutoff where there is one,
+else a ValueError that names the index.  The series layer also shares the
+coercion `as_poly`, the running powers `powers`, the evaluation kernel
+`evaluate_at` behind substitution and series composition, the sum of
+products `dot` behind every truncated product, exp and inverse, and the term
+renderer `join_signed`; Polynomial.graded gives those kernels the parts by
+total degree.
 """
 
 from __future__ import annotations
@@ -438,7 +442,16 @@ _ZERO = Polynomial._raw({}, 1)
 _ONE = Polynomial._raw({0: 1}, 1)
 
 
-# ---- kernels shared with the series layer ----
+# ---- helpers shared with the other layers ----
+
+
+def check_index(n: int, what: str, cap: int | None = None) -> None:
+    """Raise ValueError, naming what, unless n is an int (not a bool) >= 0
+    and at most cap, if one is given."""
+    if type(n) is not int:
+        raise ValueError(f"{what} must be an int, got {n!r}")
+    if n < 0 or cap is not None and n > cap:
+        raise ValueError(f"{what} must be {'>= 0' if cap is None else f'in 0..{cap}'}, got {n}")
 
 
 def as_poly(x: Polynomial | Scalar) -> Polynomial:

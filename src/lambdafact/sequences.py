@@ -6,6 +6,12 @@ second kind, and the bivariate family Q_{n,m}.
 Each family that matters has at least two independent computation routes;
 route agreement is part of the test suite, with the exhaustive generators
 in `enumeration` as the final arbiter at small n.
+
+Every index is an int (not a bool) >= 0, checked by `polynomial.check_index`
+on the path that computes.  A one-argument cached entry point checks in its
+body, so only a cache miss pays: lru_cache keys a lone int by itself and 2.0
+or True by a 1-tuple, so neither hits the entry of 2 or 1.  The two-index
+caches do match (1.0, 1) to (1, 1), so q_poly checks in front of them.
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .polynomial import Polynomial, Scalar, as_poly, powers
+from .polynomial import Polynomial, Scalar, as_poly, check_index, powers
 from .symbols import LAM, U, alpha, lam, mu, u
 
 
 def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial needs n >= 0")
+    check_index(n, "factorial index n")
     return math.factorial(n)
 
 
@@ -66,8 +71,7 @@ _DERANGEMENTS = [1]
 @_grow_only(_DERANGEMENTS)
 def derangement(n: int) -> int:
     """Number of permutations of [n] without fixed points."""
-    if n < 0:
-        raise ValueError("derangement needs n >= 0")
+    check_index(n, "derangement index n")
     d = _DERANGEMENTS
     while len(d) <= n:
         k = len(d)
@@ -88,6 +92,7 @@ _LAMBDA_POWER = [Polynomial.one()]
 
 @_grow_only(_LAMBDA_FACTORIALS, _LAMBDA_POWER)
 def _lambda_factorial_recurrence(n: int) -> Polynomial:
+    check_index(n, "lambda_factorial index n")
     f = _LAMBDA_FACTORIALS
     if len(f) <= n:
         l1 = lam - 1
@@ -107,10 +112,9 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
     and the first-order recurrence.  All routes agree with each other and,
     for n <= 8, with enumeration.oracle_polynomials; tests enforce it.
     """
-    if n < 0:
-        raise ValueError("lambda_factorial needs n >= 0")
     if route == "recurrence-1.0c":
         return _lambda_factorial_recurrence(n)
+    check_index(n, "lambda_factorial index n")
     if route == "binomial-1.0b":
         return sum(
             (power * (binomial(n, k) * factorial(k))
@@ -127,8 +131,7 @@ def lambda_factorial(n: int, route: str = "recurrence-1.0c") -> Polynomial:
 
 def rising_factorial(base: Polynomial | Scalar, k: int) -> Polynomial:
     """base * (base+1) * ... * (base+k-1); the empty product is 1."""
-    if k < 0:
-        raise ValueError("rising_factorial needs k >= 0")
+    check_index(k, "rising_factorial length k")
     base = as_poly(base)
     out = Polynomial.one()
     for j in range(k):
@@ -139,8 +142,7 @@ def rising_factorial(base: Polynomial | Scalar, k: int) -> Polynomial:
 @lru_cache(maxsize=None)
 def charlier(n: int) -> Polynomial:
     """Charlier polynomial in α and u: sum C(n,k) (α)_k u^(n-k)."""
-    if n < 0:
-        raise ValueError("charlier needs n >= 0")
+    check_index(n, "charlier index n")
     acc = Polynomial.zero()
     rising = Polynomial.one()  # (α)_k, one product from (α)_(k-1)
     for k in range(n + 1):
@@ -156,8 +158,7 @@ _BELL_POLYS = [Polynomial.one()]
 @_grow_only(_BELL_POLYS)
 def bell_poly(n: int) -> Polynomial:
     """Set-partition block-count polynomial in u, via B' recurrence."""
-    if n < 0:
-        raise ValueError("bell_poly needs n >= 0")
+    check_index(n, "bell_poly index n")
     b = _BELL_POLYS
     while len(b) <= n:
         b.append(u * b[-1] + u * b[-1].derivative(U))
@@ -174,8 +175,7 @@ _HERMITE_POLYS = [Polynomial.one()]
 @_grow_only(_HERMITE_POLYS)
 def hermite_poly(n: int) -> Polynomial:
     """Involution fixed-point polynomial in u, via H' recurrence."""
-    if n < 0:
-        raise ValueError("hermite_poly needs n >= 0")
+    check_index(n, "hermite_poly index n")
     h = _HERMITE_POLYS
     while len(h) <= n:
         h.append(u * h[-1] + h[-1].derivative(U))
@@ -272,8 +272,9 @@ def q_poly(n: int, m: int, route: str = "definition-sum") -> Polynomial:
     the two-index recurrence, the explicit double sum, and the reduction to
     a convolution of f values; all four agree.
     """
-    if n < 0 or m < 0:
-        raise ValueError("q_poly needs n, m >= 0")
+    if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+        check_index(n, "q_poly index n")
+        check_index(m, "q_poly index m")
     if route == "recurrence-5.1":
         return _q_recurrence(n, m)
     if route == "definition-sum":

@@ -26,18 +26,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Sequence, Union
 
-from .polynomial import Polynomial, as_poly, dot, evaluate_at, join_signed, powers
+from .polynomial import Polynomial, as_poly, check_index, dot, evaluate_at, join_signed, powers
 from .symbols import X
 
 PolyLike = Union[Polynomial, int, Fraction]
-
-
-def _check_order(n: int, what: str = "truncation order") -> None:
-    """Raise ValueError unless n is an int (not a bool) and n >= 0."""
-    if type(n) is not int:
-        raise ValueError(f"{what} must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"{what} must be >= 0")
 
 
 # ---- kernels on coefficient sequences ----
@@ -68,7 +60,7 @@ class TruncatedSeries:
     def __init__(self, var: str, coeffs: Sequence[PolyLike], order: int):
         if not isinstance(var, str) or not var:
             raise ValueError(f"series variable must be a nonempty string, got {var!r}")
-        _check_order(order)
+        check_index(order, "truncation order")
         cs = [as_poly(c) for c in coeffs[: order + 1]]
         cs.extend([Polynomial.zero()] * (order + 1 - len(cs)))
         for i, c in enumerate(cs):
@@ -106,17 +98,14 @@ class TruncatedSeries:
         cls, a: Callable[[int], PolyLike], var: str, order: int
     ) -> TruncatedSeries:
         """Series with c_n = a(n)/n!."""
-        return cls(
-            var,
-            [as_poly(a(n)) / math.factorial(n) for n in range(order + 1)],
-            order,
-        )
+        return cls.ogf(lambda n: as_poly(a(n)) / math.factorial(n), var, order)
 
     @classmethod
     def ogf(
         cls, a: Callable[[int], PolyLike], var: str, order: int
     ) -> TruncatedSeries:
         """Series with c_n = a(n)."""
+        check_index(order, "truncation order")
         return cls(var, [a(n) for n in range(order + 1)], order)
 
     # ---- inspection ----
@@ -137,7 +126,7 @@ class TruncatedSeries:
     # ---- order management ----
 
     def truncate(self, order: int) -> TruncatedSeries:
-        _check_order(order)
+        check_index(order, "truncation order")
         if order >= self.order:
             return self
         return TruncatedSeries._raw(self.var, self.coeffs[: order + 1])
@@ -213,7 +202,7 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by var**k exactly: the truncation order rises by k."""
-        _check_order(k, "shift")
+        check_index(k, "shift")
         if k == 0:
             return self
         return TruncatedSeries._raw(self.var, (Polynomial.zero(),) * k + self.coeffs)
@@ -296,7 +285,7 @@ class TruncatedSeries:
 
 def geometric(var: str, order: int) -> TruncatedSeries:
     """1/(1 - var)."""
-    return TruncatedSeries(var, [1] * (order + 1), order)
+    return TruncatedSeries.ogf(lambda n: 1, var, order)
 
 
 def exp_series(coefficient: PolyLike, var: str, order: int) -> TruncatedSeries:
@@ -310,6 +299,7 @@ def binomial_power(c: PolyLike, e: PolyLike, order: int) -> TruncatedSeries:
     Coefficient of x**j is e(e-1)...(e-j+1)/j! * c**j.  Both c and e may
     be polynomials in parameters, but neither may contain x.
     """
+    check_index(order, "truncation order")
     c = as_poly(c)
     e = as_poly(e)
     for p in (c, e):
@@ -326,7 +316,7 @@ def binomial_power(c: PolyLike, e: PolyLike, order: int) -> TruncatedSeries:
 def tree_fixed_point(order: int) -> TruncatedSeries:
     """The solution y of y = x*exp(y), unchecked, for checks that test it;
     pass i lifts y to order i-1 to x*exp(y) to order i."""
-    _check_order(order, "order")
+    check_index(order, "order")
     y = TruncatedSeries.zero(X, 0)
     for _ in range(order):
         y = y.exp().shift(1)

@@ -43,15 +43,22 @@ def test_set_partitions_match_the_brute_force_restricted_growth_strings():
     (en.endofunctions, en.ENDOFUNCTION_CUTOFF),
     (en.forests, en.FOREST_CUTOFF),
     (en.permanent_check, en.PERMANENT_CUTOFF),
+    pytest.param(lambda n: en.exhaustive_roundtrip(n, 1), None, id="exhaustive_roundtrip-n"),
+    pytest.param(lambda lam: en.exhaustive_roundtrip(1, lam), None,
+                 id="exhaustive_roundtrip-lam"),
+    # enumerate_m_star stays a generator, so it checks when the first map is read.
+    pytest.param(lambda n: next(en.enumerate_m_star(n, 1)), None, id="enumerate_m_star-n"),
+    pytest.param(lambda lam: next(en.enumerate_m_star(1, lam)), None,
+                 id="enumerate_m_star-lam"),
 ])
 def test_a_size_is_an_int_within_the_cutoff(generate, cutoff):
-    # True would count as 1 and 2.0 would fail inside a range.
-    for size in (True, 2.0, -1, cutoff + 1):
-        message = rf"enumeration takes an int size 0\.\.{cutoff}, got {size!r}$"
-        with pytest.raises(ValueError, match=message):
-            result = generate(size)
-            if not isinstance(result, int):
-                list(result)
+    # True would count as 1 and 1.0 would fail inside a range; a stream
+    # raises when it is asked for, before anything reads it.
+    bound = ">= 0" if cutoff is None else f"in 0..{cutoff}"
+    for size in (True, 1.0, 2.0, -1) + (() if cutoff is None else (cutoff + 1,)):
+        expected = f"must be {bound if type(size) is int else 'an int'}, got {size!r}"
+        with pytest.raises(ValueError, match=re.escape(expected) + "$"):
+            generate(size)
 
 
 def test_oracle_polynomials_counts():

@@ -1,9 +1,10 @@
 """Route-agreement and value tests for the named families."""
 
 import inspect
+import itertools
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,11 @@ def test_factorial_and_binomial():
     assert seq.binomial(5, 2) == 10
     assert seq.binomial(5, -1) == 0
     assert seq.binomial(3, 7) == 0
-    with pytest.raises(ValueError):
-        seq.factorial(-1)
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="factorial index n must be"):
+            seq.factorial(bad)
+    with pytest.raises(ValueError, match="rising_factorial length k must be an int"):
+        seq.rising_factorial(lam, 2.0)
 
 
 def test_derangement_values():
@@ -43,11 +47,30 @@ def test_derangement_values():
         (seq.bell_poly, (3,), u ** 3 + 3 * u ** 2 + u),
         (seq.hermite_poly, (3,), u ** 3 + 3 * u),
         (seq.q_poly, (3, 0), (lam + mu) ** 3 + 3 * (lam + mu) + 2),
+        pytest.param(partial(seq.q_poly, route="recurrence-5.1"), (3, 0),
+                     (lam + mu) ** 3 + 3 * (lam + mu) + 2, id="q_poly-recurrence"),
     ],
 )
 def test_negative_index_is_rejected(family, index, value):
-    with pytest.raises(ValueError, match=">= 0"):
-        family(-1, *index[1:])
+    # Each index in turn is -1, True or 2.0, cold and then with the int
+    # entries cached.  A one-index lru_cache never matches True or 2.0 to
+    # the entry of 1 or 2, so its body checks on the miss; the two-index
+    # caches would match, so q_poly checks in front of them.
+    bad_calls = [index[:i] + (bad,) + index[i + 1:]
+                 for i in range(len(index)) for bad in (-1, True, 2.0)]
+
+    def assert_rejected():
+        for args in bad_calls:
+            with pytest.raises(ValueError, match=r"index [nm] must be (>= 0|an int), got "):
+                family(*args)
+
+    for fn in vars(seq).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    assert_rejected()
+    for args in itertools.product(range(4), repeat=len(index)):
+        family(*args)
+    assert_rejected()
     assert family(*index) == value
 
 

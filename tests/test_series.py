@@ -69,6 +69,12 @@ def test_the_truncation_order_is_an_int(bad):
         TruncatedSeries(X, [1, 2], bad)
     with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
         TruncatedSeries.zero(X, bad)
+    # The constructors that build their coefficients first check the order first.
+    for build in (lambda: TruncatedSeries.egf(lambda n: 1, X, bad),
+                  lambda: TruncatedSeries.ogf(lambda n: 1, X, bad),
+                  lambda: geometric(X, bad), lambda: binomial_power(1, 2, bad)):
+        with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
+            build()
     e = geometric(X, 3)
     with pytest.raises(ValueError, match=f"truncation order must be an int, got {bad}"):
         e.truncate(bad)
