@@ -15,10 +15,10 @@ a tuple `image` with image[i-1] = sigma(i).  A rooted forest on [m] is a
 parent tuple of the same shape where parent 0 marks a root, with all edges
 oriented toward the roots.
 
-The bijection has one kernel per direction: `sigma_to_pair` validates a
-member, rewrites it and walks its cycles in one function, and
-`_pair_to_head` checks a pair on plain tuples and rewrites it back in one
-loop.  The census maps each member forward with one and back with the other.
+The bijection has one kernel per direction.  `sigma_to_pair` validates a
+member, then rewrites it and walks its cycles, and its output is a pair by
+construction; `_pair_to_head` checks a pair on plain tuples and rewrites it
+back in one loop.  The census maps each member forward and back again.
 """
 
 from __future__ import annotations
@@ -265,7 +265,8 @@ def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermuta
 
     One pass rewrites sigma's first n+1 values into tau (see `sigma_to_tau`)
     and walks tau's cycles: their vertices are the roots, each sent by pi to
-    its tau image, and every other vertex has its tau image as parent.
+    its tau image, and every other vertex has its tau image as parent.  Only
+    a colored vertex is its own tau image, so pi fixes exactly the colored ones.
     """
     _validate_m_star(sigma, n, lam)
     image, m = sigma.image, n + 1
@@ -292,8 +293,6 @@ def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermuta
         parent[v - 1] = 0
     pi.sort()
     colors.sort()
-    if [v for v, t in pi if v == t] != [v for v, _ in colors]:
-        raise ValueError("colored vertices do not match the fixed points")
     return tuple.__new__(ColoredForestPermutation, (tuple(parent), tuple(pi), tuple(colors)))
 
 

@@ -45,7 +45,7 @@ from ..series import (
     mul_truncated,
     shifted_sum,
     substitute_series,
-    tree_fixed_point,
+    tree_function,
 )
 from ..sequences import (
     ABEL_FAMILIES as _A_FAMILIES,
@@ -163,7 +163,7 @@ _check_thm11 = _convolution(lambda n, k: lambda_factorial(k + 1) * (n + 1) ** (n
 
 
 def _check_2_1(n: int) -> Polynomial:
-    y = tree_fixed_point(n)
+    y = tree_function(n)
     return _first_nonzero(
         power.coefficient(n) * Fraction(factorial(n), factorial(k))
         - binomial(n - 1, k - 1) * n ** (n - k)
@@ -172,7 +172,7 @@ def _check_2_1(n: int) -> Polynomial:
 
 
 def _check_2_2(n: int) -> Polynomial:
-    y = tree_fixed_point(n)
+    y = tree_function(n)
     ser = (y * _lam).exp() * (1 - y).reciprocal()
     return ser.egf_coefficient(n) - (_lam + n) ** n
 

@@ -8,10 +8,10 @@ route agreement is part of the test suite, with the exhaustive generators
 in `enumeration` as the final arbiter at small n.
 
 Every index is an int (not a bool) >= 0, checked by `polynomial.check_index`
-on the path that computes.  A one-argument cached entry point checks in its
-body, so only a cache miss pays: lru_cache keys a lone int by itself and 2.0
-or True by a 1-tuple, so neither hits the entry of 2 or 1.  The two-index
-caches do match (1.0, 1) to (1, 1), so q_poly checks in front of them.
+on the path that computes.  A cached entry point checks in its body, so only
+a miss pays: lru_cache keys a lone int by itself and 2.0 or True by a
+1-tuple, and stirling2, zero at a negative index, has a typed cache.  The
+two-index caches of q_poly match (1.0, 1) to (1, 1), so it checks in front.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ def binomial(n: int, k: int) -> int:
 # a cold call at any n and an ascending range of calls both cost O(n) such
 # steps in total.  The lru_cache entry points in front of the tables answer
 # repeated calls.
-def _grow_only(*tables: list):
-    """Put an lru_cache entry point in front of the grow-only `tables` it
-    owns.  Its cache_clear() also puts each table back to its seed entries,
-    so a cleared cache is cold all the way down and gives back the tables'
-    memory."""
+def _grow_only(*tables: list, typed: bool = False):
+    """Put an lru_cache entry point, typed or not, in front of the grow-only
+    `tables` it owns.  Its cache_clear() also puts each table back to its seed
+    entries, so a cleared cache is cold all the way down and gives back the
+    tables' memory."""
     seeds = [list(table) for table in tables]
 
     def wrap(fn):
-        cached = lru_cache(maxsize=None)(fn)
+        cached = lru_cache(maxsize=None, typed=typed)(fn)
         clear_lru = cached.cache_clear
 
         def cache_clear() -> None:
@@ -205,9 +205,12 @@ ABEL_FAMILIES: dict[str, Callable[[int], Polynomial]] = {
 _STIRLING2_COLUMNS: list[list[int]] = []
 
 
-@_grow_only(_STIRLING2_COLUMNS)
+@_grow_only(_STIRLING2_COLUMNS, typed=True)
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind; zero outside 0 <= k <= n."""
+    for index, name in ((n, "n"), (k, "k")):  # ints only; a negative one gives 0
+        if type(index) is not int:
+            check_index(index, f"stirling2 index {name}")
     if n < 0 or k < 0 or k > n:
         return 0
     cols = _STIRLING2_COLUMNS

@@ -11,12 +11,13 @@ All operations are exact; order bookkeeping follows the rule that a binary
 operation is valid to the smaller of the two truncation orders.  shift(k),
 times var**k, raises the order by k, so a sum of var**k times term k to order
 N forms term k only to order N-k and no coefficient that it would discard.
+A series has no division: multiply by Fraction(1, k), or by a reciprocal.
 
-Also here: the rooted-tree series y = x*exp(y), symbolic-exponent binomial
-series and the shifted-derivative transform used by the Abel-type expansion,
-all in the series variable x; and the two total-degree-truncated kernels on
-bivariate polynomials, mul_truncated and exp_truncated, which only the
-check 5.2 calls.
+Also here: the rooted-tree series y = x*exp(y) by fixed-point iteration,
+symbolic-exponent binomial series and the shifted-derivative transform used
+by the Abel-type expansion, all in the series variable x; and the two
+total-degree-truncated kernels on bivariate polynomials, mul_truncated and
+exp_truncated, which only the check 5.2 calls.
 """
 
 from __future__ import annotations
@@ -180,13 +181,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: PolyLike) -> TruncatedSeries:
-        # Division by a rational constant only (as_fraction raises on any
-        # other polynomial); a series divisor goes through reciprocal.
-        if not isinstance(other, (Polynomial, int, Fraction)):
-            return NotImplemented
-        return self * (1 / as_poly(other).as_fraction())
-
     def __eq__(self, other: object) -> bool:
         # Compares up to the smaller truncation order.
         if not isinstance(other, TruncatedSeries):
@@ -313,29 +307,13 @@ def binomial_power(c: PolyLike, e: PolyLike, order: int) -> TruncatedSeries:
     return TruncatedSeries(X, coeffs, order)
 
 
-def tree_fixed_point(order: int) -> TruncatedSeries:
-    """The solution y of y = x*exp(y), unchecked, for checks that test it;
-    pass i lifts y to order i-1 to x*exp(y) to order i."""
+def tree_function(order: int) -> TruncatedSeries:
+    """The rooted-labeled-tree series y with y = x*exp(y), whose coefficient n
+    is n^(n-1)/n!; pass i lifts y to order i-1 to x*exp(y) to order i."""
     check_index(order, "order")
     y = TruncatedSeries.zero(X, 0)
     for _ in range(order):
         y = y.exp().shift(1)
-    return y
-
-
-def tree_function(order: int) -> TruncatedSeries:
-    """The rooted-labeled-tree series y with y = x*exp(y).
-
-    Computed by tree_fixed_point and cross-checked against the closed form
-    n^(n-1)/n!; a mismatch is a hard error.
-    """
-    y = tree_fixed_point(order)
-    for n in range(1, order + 1):
-        expected = Fraction(n ** (n - 1), math.factorial(n))
-        if y.coeffs[n] != Polynomial.constant(expected):
-            raise RuntimeError(
-                f"tree series fixed point disagrees with n^(n-1)/n! at n={n}"
-            )
     return y
 
 

@@ -407,6 +407,17 @@ def test_kernels_match_public_entry_points_and_reference(n, lam):
         assert en.pair_to_sigma(pair, n, lam) == sigma
 
 
+def test_pi_fixes_exactly_the_colored_vertices():
+    # sigma_to_pair does not check this of its output: after the member check,
+    # a vertex is its own tau image only when sigma sends it to a color vertex.
+    for n, lam in itertools.product(range(5), repeat=2):
+        if 1 <= n + lam <= 4:
+            for sigma in en.enumerate_m_star(n, lam):
+                pair = en.sigma_to_pair(sigma, n, lam)
+                fixed = [v for v, w in pair.pi if v == w]
+                assert fixed == [v for v, _ in pair.colors], (n, lam, sigma)
+
+
 MALFORMED_PAIRS = {
     "bad color": (((0, 0), ((1, 2), (2, 1)), ((1, 1),), 1, 1), "fixed points"),
     "bad pi": (((0, 0), ((1, 1), (2, 1)), ((1, 1),), 1, 1), "permute"),

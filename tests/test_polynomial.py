@@ -138,6 +138,12 @@ def test_unsupported_left_operand_names_both_types(op, sign):
         op(0.5, lam)
 
 
+def test_division_by_zero_is_an_error():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            lam / zero
+
+
 def test_a_float_is_never_coerced_to_a_polynomial():
     for coerce in (
         as_poly,

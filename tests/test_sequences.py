@@ -49,19 +49,22 @@ def test_derangement_values():
         (seq.q_poly, (3, 0), (lam + mu) ** 3 + 3 * (lam + mu) + 2),
         pytest.param(partial(seq.q_poly, route="recurrence-5.1"), (3, 0),
                      (lam + mu) ** 3 + 3 * (lam + mu) + 2, id="q_poly-recurrence"),
+        (seq.stirling2, (3, 2), 3),
     ],
 )
 def test_negative_index_is_rejected(family, index, value):
     # Each index in turn is -1, True or 2.0, cold and then with the int
     # entries cached.  A one-index lru_cache never matches True or 2.0 to
     # the entry of 1 or 2, so its body checks on the miss; the two-index
-    # caches would match, so q_poly checks in front of them.
+    # caches would match, so q_poly checks in front of them and stirling2's
+    # cache is typed.  stirling2 is zero at a negative index, not an error.
+    bads = (True, 2.0) if family is seq.stirling2 else (-1, True, 2.0)
     bad_calls = [index[:i] + (bad,) + index[i + 1:]
-                 for i in range(len(index)) for bad in (-1, True, 2.0)]
+                 for i in range(len(index)) for bad in bads]
 
     def assert_rejected():
         for args in bad_calls:
-            with pytest.raises(ValueError, match=r"index [nm] must be (>= 0|an int), got "):
+            with pytest.raises(ValueError, match=r"index [nmk] must be (>= 0|an int), got "):
                 family(*args)
 
     for fn in vars(seq).values():
@@ -445,6 +448,7 @@ def test_stirling2():
     assert seq.stirling2(0, 0) == 1
     assert seq.stirling2(3, 5) == 0
     assert seq.stirling2(5, 0) == 0
+    assert seq.stirling2(-1, 0) == seq.stirling2(-1, -1) == 0
     for n in range(1, 11):
         assert seq.stirling2(n, n) == 1
         assert seq.stirling2(n + 1, n) == seq.binomial(n + 1, 2)

@@ -1,12 +1,14 @@
 """Tests for truncated series arithmetic and the named transforms."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdafact.cli import SERIES_ORDER_CAP
 from lambdafact.enumeration import set_partitions
 from lambdafact.identities import catalogue
 from lambdafact.polynomial import Polynomial
@@ -22,7 +24,6 @@ from lambdafact.series import (
     mul_truncated,
     shifted_sum,
     substitute_series,
-    tree_fixed_point,
     tree_function,
 )
 from lambdafact.symbols import ALPHA, BETA, LAM, MU, T, U, V, X
@@ -207,8 +208,14 @@ def test_tree_function_values():
 
 
 def test_tree_function_fixed_point_equation():
-    y = tree_function(8)
-    assert (y - y.exp().shift(1)).is_zero
+    # The closed form n^(n-1)/n! and y = x*exp(y) at every order the CLI allows.
+    for order in range(SERIES_ORDER_CAP + 1):
+        y = tree_function(order)
+        assert y.order == order
+        assert [c.as_fraction() for c in y.coeffs[1:]] == [
+            Fraction(n ** (n - 1), math.factorial(n)) for n in range(1, order + 1)]
+        assert y.coeffs[0].is_zero
+        assert (y - y.exp().shift(1)).is_zero
 
 
 def test_tree_power_coefficient():
@@ -334,11 +341,11 @@ def test_tree_fixed_point_lifts_to_exactly_the_order():
         want = TruncatedSeries.zero(X, n)
         for _ in range(n + 1):  # the full-order iteration it replaces
             want = want.exp().shift(1).truncate(n)
-        got = tree_fixed_point(n)
+        got = tree_function(n)
         assert got.order == n
         assert got.coeffs == want.coeffs
     with pytest.raises(ValueError, match="order must be >= 0"):
-        tree_fixed_point(-1)
+        tree_function(-1)
 
 
 def test_reciprocal():
@@ -347,16 +354,35 @@ def test_reciprocal():
     assert (g * g.reciprocal()) == TruncatedSeries.constant(1, X, 6)
     with pytest.raises(ValueError, match="constant"):
         TruncatedSeries(X, [0, 1], 3).reciprocal()
+    # A constant term with symbols has no inverse in the coefficient ring.
+    with pytest.raises(ValueError, match="polynomial is not constant: λ"):
+        TruncatedSeries(X, [lam, 1], 3).reciprocal()
 
 
 def test_division():
     one = TruncatedSeries.constant(1, X, 5)
     e = exp_series(1, X, 5)
     assert one * e.reciprocal() == e.reciprocal() == exp_series(-1, X, 5)
-    assert e / 2 == e * Fraction(1, 2)
-    # Only a scalar divides: a series divisor goes through reciprocal.
+    # A series has no division: a divisor goes through reciprocal.
     with pytest.raises(TypeError):
         one / e
+
+
+@pytest.mark.parametrize("value", [lam, geometric(X, 2)], ids=["polynomial", "series"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.pow], ids=["+", "-", "*", "/", "**"])
+def test_a_str_operand_is_a_type_error(value, op):
+    # Each operator declines a str (NotImplemented), so Python raises.
+    with pytest.raises(TypeError):
+        op(value, "2")
+    assert (value == "2") is False
+
+
+def test_a_series_is_immutable_and_renders_its_repr():
+    s = geometric(X, 2)
+    with pytest.raises(AttributeError, match="TruncatedSeries is immutable"):
+        s.order = 3
+    assert repr(s) == "TruncatedSeries(1 + x + x^2 + O(x^3))"
 
 
 def test_substitute_series():
@@ -387,6 +413,9 @@ def test_shift():
 def test_derivative():
     e = exp_series(1, X, 6)
     assert e.derivative() == e.truncate(5)
+    # Order 0 stays 0 rather than falling to -1.
+    d = TruncatedSeries.constant(lam, X, 0).derivative()
+    assert (d.var, d.order, d.is_zero) == (X, 0, True)
 
 
 def test_truncate_rejects_a_negative_order():
@@ -419,17 +448,12 @@ def test_a_polynomial_factor_in_the_series_variable_is_an_error():
     for bad in (x, x + 1, lam * x):
         with pytest.raises(ValueError, match="series variable"):
             s * bad
-        with pytest.raises(ValueError):
-            s / bad
         with pytest.raises(ValueError, match="series variable"):
             s.rescale(bad)
         with pytest.raises(ValueError, match="series variable"):
             binomial_power(bad, 2, 3)
         with pytest.raises(ValueError, match="series variable"):
             binomial_power(2, bad, 3)
-    assert s / Polynomial.constant(2) == s * Fraction(1, 2)
-    with pytest.raises(ValueError):
-        s / lam
     # An outer coefficient in the inner variable, at index 0 and above, and
     # a polynomial whose coefficients in the substituted symbol mention it.
     for coeffs in ([x], [0, lam, x]):
@@ -471,6 +495,13 @@ def test_capped_power_sums_reject_a_negative_order(kernel, total_degree):
     t = Polynomial.variable(T)
     with pytest.raises(ValueError, match="truncation order must be >= 0"):
         kernel(t, (T,), total_degree)
+
+
+def test_exp_truncated_needs_no_part_free_of_the_truncation_symbols():
+    t = Polynomial.variable(T)
+    for bad in (t + 1, t + lam):
+        with pytest.raises(ValueError, match="every term to involve the truncation symbols"):
+            exp_truncated(bad, (T,), 2)
 
 
 small_poly = st.fractions(min_value=-3, max_value=3, max_denominator=2).map(
