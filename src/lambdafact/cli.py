@@ -169,13 +169,14 @@ def _cmd_bijection(args) -> int:
         # --unsafe only raises the census cutoff: one sigma has none.
         _reject_unread("bijection --sigma", {"--unsafe": args.unsafe or None})
         sigma = enumeration.Endofunction(_parse_sigma(args.sigma, n + lam + 1))
-        tau, colors = enumeration.sigma_to_tau(sigma, n, lam)
         pair = enumeration.sigma_to_pair(sigma, n, lam)
         back = enumeration.pair_to_sigma(pair, n, lam)
+        pi = dict(pair.pi)  # tau sends a root to its pi image, any other vertex to its parent
+        tau = [p or pi[v] for v, p in enumerate(pair.parent, start=1)]
         print(f"sigma: {list(sigma.image)}")
-        print(f"tau:   {list(tau)}  colors: {dict(colors)}")
+        print(f"tau:   {tau}  colors: {dict(pair.colors)}")
         print(f"forest parents: {list(pair.parent)} (0 marks roots)")
-        print(f"root permutation: {dict(pair.pi)}")
+        print(f"root permutation: {pi}")
         print(f"colored fixed points: {dict(pair.colors)}")
         print(f"recovered sigma: {list(back.image)}")
         status = "OK" if back.image == sigma.image else "MISMATCH"

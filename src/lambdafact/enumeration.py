@@ -15,8 +15,9 @@ a tuple `image` with image[i-1] = sigma(i).  A rooted forest on [m] is a
 parent tuple of the same shape where parent 0 marks a root, with all edges
 oriented toward the roots.
 
-The bijection has one kernel per direction.  `sigma_to_pair` validates a
-member, then rewrites it and walks its cycles, and its output is a pair by
+The bijection has one kernel per direction, and every entry point checks
+(n, lam) first through `_fixed_tail`.  `sigma_to_pair` validates a member,
+then rewrites it and walks its cycles, and its output is a pair by
 construction; `_pair_to_head` checks a pair on plain tuples and rewrites it
 back in one loop.  The census maps each member forward and back again.
 """
@@ -210,28 +211,29 @@ def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
     """Self-maps of [n+lam+1] with nothing mapping to n+1 and every vertex
     above n+1 fixed.  There are (n+lam)**(n+1) of them; streamed in
     lexicographic order of the image tuple."""
-    check_index(n, "n")
-    check_index(lam, "lam")
+    tail = _fixed_tail(n, lam)
     count = (n + lam) ** (n + 1)
     if count > MSTAR_CUTOFF:
         raise ValueError(f"{count} maps exceeds the enumeration cutoff {MSTAR_CUTOFF}")
     allowed = tuple(v for v in range(1, n + lam + 2) if v != n + 1)
-    tail = _fixed_tail(n, lam)
     for head in _product(allowed, repeat=n + 1):
         yield tuple.__new__(Endofunction, (head + tail,))  # a member by construction
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _fixed_tail(n: int, lam: int) -> tuple[int, ...]:
-    """The image values of the color vertices n+2..n+lam+1, all fixed."""
+    """The image values n+2..n+lam+1 of the fixed color vertices, after the
+    bijection layer's one check of (n, lam); typed, so 1.0 and True miss."""
+    check_index(n, "n")
+    check_index(lam, "lam")
     return tuple(range(n + 2, n + lam + 2))
 
 
 def _validate_m_star(sigma: Endofunction, n: int, lam: int) -> None:
     """Raise ValueError, naming the first violation, unless sigma is a member."""
+    tail = _fixed_tail(n, lam)
     image = sigma.image
-    if (len(image) == n + lam + 1 and image[n + 1:] == _fixed_tail(n, lam)
-            and n + 1 not in image[: n + 1]):
+    if len(image) == n + lam + 1 and image[n + 1:] == tail and n + 1 not in image[: n + 1]:
         return
     if len(image) != n + lam + 1:
         raise ValueError(f"expected a map on [{n + lam + 1}], got [{len(image)}]")
@@ -244,29 +246,17 @@ def _validate_m_star(sigma: Endofunction, n: int, lam: int) -> None:
             raise ValueError(f"vertex {k} must be fixed, maps to {image[k - 1]}")
 
 
-def sigma_to_tau(
-    sigma: Endofunction, n: int, lam: int
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Rewrite sigma into the intermediate map tau on [n+1] plus colors.
-
-    Three rules: a fixed point in [n] becomes an edge to n+1; an edge into
-    color vertex n+j+1 becomes a fixed point colored j; the color vertices
-    are dropped.  Other edges are copied.  Read off the pair: tau is the
-    forest's parent map with each root sent to its image under pi.
-    """
-    parent, pi, colors = sigma_to_pair(sigma, n, lam)
-    perm = dict(pi)
-    return tuple(p or perm[v] for v, p in enumerate(parent, start=1)), dict(colors)
-
-
 def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermutation:
     """Map a member of the restricted family to (forest, root permutation,
     colored fixed points).
 
-    One pass rewrites sigma's first n+1 values into tau (see `sigma_to_tau`)
-    and walks tau's cycles: their vertices are the roots, each sent by pi to
-    its tau image, and every other vertex has its tau image as parent.  Only
-    a colored vertex is its own tau image, so pi fixes exactly the colored ones.
+    One pass rewrites sigma's first n+1 values into the map tau on [n+1] by
+    three rules: a fixed point in [n] becomes an edge to n+1; an edge into
+    color vertex n+j+1 becomes a fixed point colored j; other edges are
+    copied, and the color vertices are dropped.  The same pass walks tau's
+    cycles: their vertices are the roots, each sent by pi to its tau image,
+    and every other vertex has its tau image as parent.  Only a colored
+    vertex is its own tau image, so pi fixes exactly the colored ones.
     """
     _validate_m_star(sigma, n, lam)
     image, m = sigma.image, n + 1
@@ -330,8 +320,8 @@ def _pair_to_head(
 
 def pair_to_sigma(pair: ColoredForestPermutation, n: int, lam: int) -> Endofunction:
     """Inverse of sigma_to_pair."""
-    head = _pair_to_head(pair.parent, pair.pi, pair.colors, n, lam)
-    return Endofunction(head + _fixed_tail(n, lam))
+    tail = _fixed_tail(n, lam)
+    return Endofunction(_pair_to_head(pair.parent, pair.pi, pair.colors, n, lam) + tail)
 
 
 def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
@@ -342,8 +332,6 @@ def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
     injective, and the caller can compare the census against the
     closed-form counts.
     """
-    check_index(n, "n")  # before _fixed_tail, whose cache takes 1.0 for 1
-    check_index(lam, "lam")
     tail = _fixed_tail(n, lam)
     strata: dict[int, int] = {}
     for sigma in enumerate_m_star(n, lam):

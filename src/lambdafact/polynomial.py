@@ -16,8 +16,8 @@ MAX_EXPONENT = 2**(_W-1) - 1, so the top bit of each field is a guard bit:
 the sum of two keys never carries into the next field, and a product whose
 exponent overflows sets a guard bit.  The guard is checked once per product
 result and an overflow raises ValueError.  Keys depend on the order of first
-sight, so they never leave the process: terms(), str() and pickling decode
-them to tuples.
+sight, so they never leave the process: terms() and pickling decode them to
+tuples, and str() reads each exponent field in symbol-name order.
 
 Coefficients are fraction-free, as in FLINT's fmpq_poly: int numerators
 over one positive denominator, coprime to their gcd, and zero over 1.  The
@@ -261,8 +261,7 @@ class Polynomial:
 
     def graded(self, syms: Iterable[str], top: int) -> list[Polynomial]:
         """The parts of degree 0..top in syms; the terms above top are dropped."""
-        if top < 0:  # nothing would be kept
-            raise ValueError("truncation order must be >= 0")
+        check_index(top, "truncation order")  # below degree 0 nothing would be kept
         shifts = {_shift(s) for s in syms}
         parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
         for m, c in self._terms.items():
@@ -418,19 +417,17 @@ class Polynomial:
 
     # ---- rendering ----
 
-    def _sort_key(self, dense_syms: tuple[str, ...]):
-        def key(mono: Monomial):
-            exps = dict(mono)
-            dense = tuple(exps.get(s, 0) for s in dense_syms)
-            return (-sum(dense), dense)
-        return key
-
     def __str__(self) -> str:
-        terms = dict(self.terms())
-        syms = tuple(sorted(self.symbols()))
+        # Exponents read off each key in name order; highest total degree first.
+        names = sorted(self.symbols())
+        shifts = [_SHIFT[s] for s in names]
+        den = self._den
+        rows = sorted((-sum(es), es, c) for m, c in self._terms.items()
+                      for es in [tuple((m >> shift) & _MASK for shift in shifts)])
         return join_signed(
-            (terms[mono], "".join(s if e == 1 else f"{s}^{e}" for s, e in mono))
-            for mono in sorted(terms, key=self._sort_key(syms))
+            (Fraction(c, den) if c % den else c // den,
+             "".join(s if e == 1 else f"{s}^{e}" for s, e in zip(names, es) if e))
+            for _, es, c in rows
         )
 
     def __repr__(self) -> str:

@@ -30,7 +30,9 @@ def factorial(n: int) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient, 0 outside 0 <= k <= n."""
+    """Exact binomial coefficient of two ints, 0 outside 0 <= k <= n."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"binomial indices must be ints, got ({n!r}, {k!r})")
     if k < 0 or k > n or n < 0:
         return 0
     return math.comb(n, k)

@@ -211,9 +211,9 @@ class TruncatedSeries:
         )
 
     def derivative(self) -> TruncatedSeries:
-        """Termwise d/dvar; exact one order lower."""
-        if self.order == 0:
-            return TruncatedSeries.zero(self.var, 0)
+        """Termwise d/dvar; exact one order lower, so order 0 has none."""
+        if not self.order:
+            raise ValueError("a series to order 0 has no known derivative term")
         return TruncatedSeries._raw(
             self.var,
             tuple(self.coeffs[i] * i for i in range(1, self.order + 1)),

@@ -199,16 +199,19 @@ def test_enumerate_m_star_counts_and_order():
 
 def test_m_star_validation():
     with pytest.raises(ValueError, match="forbidden"):
-        en.sigma_to_tau(en.Endofunction((2, 2, 3)), 1, 1)
+        en.sigma_to_pair(en.Endofunction((2, 2, 3)), 1, 1)
     with pytest.raises(ValueError, match="fixed"):
-        en.sigma_to_tau(en.Endofunction((1, 1, 1)), 1, 1)
+        en.sigma_to_pair(en.Endofunction((1, 1, 1)), 1, 1)
+    # (n, lam) is checked before sigma: this map once passed as a member at n = -1.
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        en.sigma_to_pair(en.Endofunction((1, 2)), -1, 2)
 
 
 def test_rewrite_rules_one_by_one():
     # n = 2, λ = 2 on [5]: vertex 1 fixed, vertex 2 into a plain edge,
     # vertex 3 into color vertex 4 (color 1).
     sigma = en.Endofunction((1, 1, 4, 4, 5))
-    tau, colors = en.sigma_to_tau(sigma, 2, 2)
+    tau, colors = tau_of(en.sigma_to_pair(sigma, 2, 2))
     assert tau == (3, 1, 3)  # 1 -> n+1 = 3; 2 -> 1 copied; 3 -> itself
     assert colors == {3: 1}
     assert (tau, colors) == reference_tau(sigma, 2)
@@ -339,6 +342,13 @@ def reaches_root(parent):
     return True
 
 
+def tau_of(pair):
+    """The intermediate map tau and its colors, read off a pair: a root goes
+    to its pi image, every other vertex to its parent."""
+    pi = dict(pair.pi)
+    return tuple(p or pi[v] for v, p in enumerate(pair.parent, start=1)), dict(pair.colors)
+
+
 def reference_tau(sigma, n):
     """The three rewrite rules, one vertex at a time: a fixed point in [n]
     becomes an edge to n+1, an edge into color vertex n+j+1 a fixed point
@@ -400,7 +410,7 @@ def test_kernels_match_public_entry_points_and_reference(n, lam):
         assert type(pair) is en.ColoredForestPermutation
         assert reference_pair(sigma, n) == pair
         tau, colors = reference_tau(sigma, n)
-        assert en.sigma_to_tau(sigma, n, lam) == (tau, colors)
+        assert tau_of(pair) == (tau, colors)
         head = reference_head(tau, colors, n)
         assert head + tail == sigma.image
         assert en._pair_to_head(*pair, n, lam) == head

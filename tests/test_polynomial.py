@@ -550,6 +550,40 @@ def test_packed_kernel_matches_tuple_reference(case, cap):
     assert str(a) == str(Polynomial(dict(a.terms())))
 
 
+def tuple_route_str(p):
+    """str(p) by the route the packed renderer replaced: decode every term to
+    a tuple, sort on (-total degree, exponents in symbol-name order), join."""
+    terms = dict(p.terms())
+    names = sorted({s for mono in terms for s, _ in mono})
+
+    def key(mono):
+        exps = tuple(dict(mono).get(s, 0) for s in names)
+        return -sum(exps), exps
+
+    return polynomial.join_signed(
+        (terms[mono], "".join(s if e == 1 else f"{s}^{e}" for s, e in mono))
+        for mono in sorted(terms, key=key)
+    )
+
+
+@st.composite
+def rendered_polys(draw):
+    # Fresh names take their slots in the order drawn, not in name order.
+    pool = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    coeff = st.one_of(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]), mixed_coeffs)
+    items = draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(pool), st.integers(1, 4), max_size=3), coeff),
+        max_size=6))
+    return Polynomial({tuple(sorted(m.items())): c for m, c in items})
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_polys(), mixed_coeffs)
+def test_rendering_from_packed_keys_matches_the_tuple_route(p, c):
+    for q in (p, -p, p + c, p / 3, Polynomial.constant(c), p * lam):
+        assert str(q) == tuple_route_str(q)
+
+
 # ---- fraction-free coefficients: differential tests on fractional inputs ----
 
 # Polynomials over different denominators, so that a sum or a dot must bring

@@ -413,9 +413,11 @@ def test_shift():
 def test_derivative():
     e = exp_series(1, X, 6)
     assert e.derivative() == e.truncate(5)
-    # Order 0 stays 0 rather than falling to -1.
-    d = TruncatedSeries.constant(lam, X, 0).derivative()
-    assert (d.var, d.order, d.is_zero) == (X, 0, True)
+    assert str(TruncatedSeries(X, [0, 1], 1).derivative()) == "1 + O(x^1)"
+    # At order 0 no term of the derivative is known: none is made up.
+    for s in (TruncatedSeries.constant(lam, X, 0), TruncatedSeries(X, [0, 1], 1).truncate(0)):
+        with pytest.raises(ValueError, match="order 0 has no known derivative term"):
+            s.derivative()
 
 
 def test_truncate_rejects_a_negative_order():
