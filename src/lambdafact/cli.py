@@ -182,14 +182,15 @@ def _cmd_bijection(args) -> int:
         status = "OK" if back.image == sigma.image else "MISMATCH"
         print(f"round trip: {status}")
         if args.dot:
-            print(enumeration.endofunction_to_dot(sigma, name="sigma"))
-            print(enumeration.pair_to_dot(pair, name="pair"))
+            print(enumeration.endofunction_to_dot(sigma))
+            print(enumeration.pair_to_dot(pair))
         return 0 if status == "OK" else 1
 
     _reject_unread("bijection without --sigma", {"--dot": args.dot})
     # Under --unsafe the enumeration's own cutoff is the limit.
-    count = (n + lam) ** (n + 1)
-    _check_cap("object count", count, BIJECTION_DEFAULT_CAP, args.unsafe)
+    if not args.unsafe and enumeration.census_exceeds(n, lam, BIJECTION_DEFAULT_CAP):
+        raise ValueError(f"n={n}, lambda={lam}: more than {BIJECTION_DEFAULT_CAP} objects, "
+                         "beyond the default cap; pass --unsafe to override")
     start = time.perf_counter()
     try:
         strata = enumeration.exhaustive_roundtrip(n, lam)
@@ -200,7 +201,7 @@ def _cmd_bijection(args) -> int:
     total = sum(strata.values())
     rate = total / elapsed if elapsed else float("inf")
     print(f"{total} objects, round-trip OK in {elapsed:.3f} s ({rate:,.0f} objects/s)")
-    ok = total == count
+    ok = total == (n + lam) ** (n + 1)
     for k in range(n + 1):
         observed = strata.get(k, 0)
         expected = sequences.binomial(n, k) * (n + 1) ** (n - k) * int(

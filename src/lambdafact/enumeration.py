@@ -1,4 +1,4 @@
-"""Brute-force generation of permutations, endofunctions and rooted forests,
+"""Brute-force generation of permutations, set partitions and rooted forests,
 plus the colored-forest bijection that explains the tree-count convolution
 identity combinatorially.
 
@@ -16,7 +16,9 @@ parent tuple of the same shape where parent 0 marks a root, with all edges
 oriented toward the roots.
 
 The bijection has one kernel per direction, and every entry point checks
-(n, lam) first through `_fixed_tail`.  `sigma_to_pair` validates a member,
+(n, lam) first: `_fixed_tail` checks them, and a map's length if given,
+before it builds the fixed tail, and `_census_tail` checks them and the
+census size before it asks for one.  `sigma_to_pair` validates a member,
 then rewrites it and walks its cycles, and its output is a pair by
 construction; `_pair_to_head` checks a pair on plain tuples and rewrites it
 back in one loop.  The census maps each member forward and back again.
@@ -34,7 +36,6 @@ from .polynomial import Polynomial, check_index
 from .symbols import lam as _lam, u as _u
 
 PERMUTATION_CUTOFF = 8
-ENDOFUNCTION_CUTOFF = 7
 FOREST_CUTOFF = 7
 MSTAR_CUTOFF = 10 ** 6
 PERMANENT_CUTOFF = 10
@@ -54,18 +55,10 @@ class Endofunction(_Image):
     def __new__(cls, image: Sequence[int]):
         image = tuple(image)  # a list would stay mutable and unhashable
         n = len(image)
-        try:  # no Python loop unless a value is bad: a sum of ints is an int
-            ok = not image or (type(sum(image)) is int and min(image) >= 1 and max(image) <= n)
-        except TypeError:  # a value that does not add to an int
-            ok = False
-        if not ok:
-            bad = next(v for v in image if not (isinstance(v, int) and 1 <= v <= n))
-            raise ValueError(f"image value {bad!r} outside [{n}]")
+        for v in image:
+            if not (isinstance(v, int) and 1 <= v <= n):
+                raise ValueError(f"image value {v!r} outside [{n}]")
         return tuple.__new__(cls, (image,))
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
@@ -82,10 +75,6 @@ class ColoredForestPermutation(NamedTuple):
     parent: tuple[int, ...]
     pi: Pairs
     colors: Pairs
-
-    @property
-    def n(self) -> int:
-        return len(self.parent) - 1
 
 
 # ---- permutations and the families they count ----
@@ -147,13 +136,7 @@ def oracle_polynomials(n: int) -> EnumeratedFamilies:
     )
 
 
-# ---- endofunctions and their digraphs ----
-
-
-def endofunctions(n: int) -> Iterator[Endofunction]:
-    """All n**n self-maps of [n], in lexicographic order of the image tuple."""
-    check_index(n, "endofunction enumeration size n", ENDOFUNCTION_CUTOFF)
-    return map(Endofunction, _product(range(1, n + 1), repeat=n))
+# ---- rooted forests ----
 
 
 def _cycle_vertices(f: Sequence[int]) -> set[int]:
@@ -176,9 +159,6 @@ def _cycle_vertices(f: Sequence[int]) -> set[int]:
                 cycles.add(v)
                 v = f[v - 1]
     return cycles
-
-
-# ---- rooted forests ----
 
 
 def is_forest(parent: Sequence[int]) -> bool:
@@ -207,36 +187,52 @@ def forests(m: int) -> Iterator[tuple[int, ...]]:
 # ---- the colored bijection ----
 
 
+def census_exceeds(n: int, lam: int, cutoff: int) -> bool:
+    """Whether the (n+lam)**(n+1) members at (n, lam) are more than cutoff.
+    They are once n+lam > cutoff, or n+lam >= 2 and n+1 > cutoff.bit_length(),
+    so no larger power is formed."""
+    return (n + lam > cutoff or (n + lam > 1 and n >= cutoff.bit_length())
+            or (n + lam) ** (n + 1) > cutoff)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _fixed_tail(n: int, lam: int, size: int | None = None) -> tuple[int, ...]:
+    """The image values n+2..n+lam+1 of the fixed color vertices, after the
+    bijection layer's one check of (n, lam) and of the size of a map, if
+    given, so none is built for a map of another size; typed, so 1.0 and
+    True miss."""
+    check_index(n, "n")
+    check_index(lam, "lam")
+    if size is not None and size != n + lam + 1:
+        raise ValueError(f"expected a map on [{n + lam + 1}], got [{size}]")
+    return tuple(range(n + 2, n + lam + 2))
+
+
+def _census_tail(n: int, lam: int) -> tuple[int, ...]:
+    """The fixed tail of the census at (n, lam), once its size is known to
+    be within MSTAR_CUTOFF: no tail is built for a census that cannot run."""
+    check_index(n, "n")
+    check_index(lam, "lam")
+    if census_exceeds(n, lam, MSTAR_CUTOFF):
+        raise ValueError(f"the maps at n={n}, lam={lam} exceed the cutoff {MSTAR_CUTOFF}")
+    return _fixed_tail(n, lam)
+
+
 def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
     """Self-maps of [n+lam+1] with nothing mapping to n+1 and every vertex
     above n+1 fixed.  There are (n+lam)**(n+1) of them; streamed in
     lexicographic order of the image tuple."""
-    tail = _fixed_tail(n, lam)
-    count = (n + lam) ** (n + 1)
-    if count > MSTAR_CUTOFF:
-        raise ValueError(f"{count} maps exceeds the enumeration cutoff {MSTAR_CUTOFF}")
+    tail = _census_tail(n, lam)
     allowed = tuple(v for v in range(1, n + lam + 2) if v != n + 1)
     for head in _product(allowed, repeat=n + 1):
         yield tuple.__new__(Endofunction, (head + tail,))  # a member by construction
 
 
-@lru_cache(maxsize=64, typed=True)
-def _fixed_tail(n: int, lam: int) -> tuple[int, ...]:
-    """The image values n+2..n+lam+1 of the fixed color vertices, after the
-    bijection layer's one check of (n, lam); typed, so 1.0 and True miss."""
-    check_index(n, "n")
-    check_index(lam, "lam")
-    return tuple(range(n + 2, n + lam + 2))
-
-
 def _validate_m_star(sigma: Endofunction, n: int, lam: int) -> None:
     """Raise ValueError, naming the first violation, unless sigma is a member."""
-    tail = _fixed_tail(n, lam)
     image = sigma.image
-    if len(image) == n + lam + 1 and image[n + 1:] == tail and n + 1 not in image[: n + 1]:
+    if _fixed_tail(n, lam, len(image)) == image[n + 1:] and n + 1 not in image[: n + 1]:
         return
-    if len(image) != n + lam + 1:
-        raise ValueError(f"expected a map on [{n + lam + 1}], got [{len(image)}]")
     if n + 1 in image:
         raise ValueError(
             f"vertex {image.index(n + 1) + 1} maps to the forbidden vertex {n + 1}"
@@ -332,7 +328,7 @@ def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
     injective, and the caller can compare the census against the
     closed-form counts.
     """
-    tail = _fixed_tail(n, lam)
+    tail = _census_tail(n, lam)
     strata: dict[int, int] = {}
     for sigma in enumerate_m_star(n, lam):
         image = sigma.image
@@ -377,15 +373,15 @@ def _digraph(name: str, nodes: Iterable[str], edges: Iterable[str]) -> str:
     return "\n".join([f"digraph {name} {{", *(f"  {line};" for line in (*nodes, *edges)), "}"])
 
 
-def endofunction_to_dot(sigma: Endofunction, name: str = "endofunction") -> str:
+def endofunction_to_dot(sigma: Endofunction) -> str:
     """Graphviz text for a functional digraph; cycle edges are drawn bold."""
     cycles = _cycle_vertices(sigma.image)
-    vertices = range(1, sigma.n + 1)
+    vertices = range(1, len(sigma.image) + 1)
     edges = (f"{v} -> {sigma(v)}" + (" [style=bold]" if v in cycles else "") for v in vertices)
-    return _digraph(name, map(str, vertices), edges)
+    return _digraph("sigma", map(str, vertices), edges)
 
 
-def pair_to_dot(pair: ColoredForestPermutation, name: str = "forest_pair") -> str:
+def pair_to_dot(pair: ColoredForestPermutation) -> str:
     """Graphviz text for (forest, root permutation, colors).
 
     Tree edges point toward the roots; permutation edges are bold; colored
@@ -393,7 +389,7 @@ def pair_to_dot(pair: ColoredForestPermutation, name: str = "forest_pair") -> st
     """
     colors = dict(pair.colors)
     nodes = (f'{v} [label="{v} (c{colors[v]})"]' if v in colors else str(v)
-             for v in range(1, pair.n + 2))
+             for v in range(1, len(pair.parent) + 1))
     edges = [f"{v} -> {p}" for v, p in enumerate(pair.parent, start=1) if p]
     edges += (f"{v} -> {w} [style=bold]" for v, w in pair.pi)
-    return _digraph(name, nodes, edges)
+    return _digraph("pair", nodes, edges)

@@ -510,19 +510,21 @@ _check_thm_5_2 = _convolution(
 # the key order of the points it makes, and contributes the product of its
 # axes with the first axis varying slowest.  A tuple axis is literal.  A
 # range, an int or a function of the point so far is a default, which the
-# override knob of its parameter replaces: the top of a range, or the value.
+# override knob of its parameter replaces, within the parameter's cap: the
+# top of a range, or the value.
 _KNOB = {"n": "n_max", "m": "m_max", "m_hi": "m_max", "order": "order"}
+_PARAM_CAPS = {"n": 40, "m": 12, "m_hi": 12, "order": 20, "k": 12}
 
 
 def _values(param: str, axis, knobs: dict, point: dict) -> Iterable:
     if isinstance(axis, tuple):
         return axis
     value = knobs[_KNOB[param]]
-    if isinstance(axis, range):
-        return range(axis.start, axis.stop if value is None else value + 1)
-    if value is not None:
-        return (value,)
-    return (axis(point) if callable(axis) else axis,)
+    if value is None:
+        return axis if isinstance(axis, range) else (axis(point) if callable(axis) else axis,)
+    if value > _PARAM_CAPS[param]:  # before a range to the override is built
+        raise ValueError(f"{param}={value} beyond the supported cap {_PARAM_CAPS[param]}")
+    return range(axis.start, value + 1) if isinstance(axis, range) else (value,)
 
 
 class Identity(NamedTuple):
@@ -535,7 +537,7 @@ class Identity(NamedTuple):
         self, n_max: int | None, m_max: int | None, order: int | None
     ) -> list[dict]:
         """The parameter points of the spec under the override knobs, each
-        None or an int (not a bool); any other knob is a ValueError."""
+        None or an int (not a bool) within the caps; any other is a ValueError."""
         knobs = {"n_max": n_max, "m_max": m_max, "order": order}
         for knob, value in knobs.items():
             if value is not None and type(value) is not int:
@@ -665,7 +667,6 @@ _ROWS = (
 CATALOGUE: dict[str, Identity] = {row[0]: Identity(*row) for row in _ROWS}
 
 
-_PARAM_CAPS = {"n": 40, "m": 12, "m_hi": 12, "order": 20, "k": 12}
 _BELOW_ZERO = {"m_hi": _EMPTY_SWEEP, "order": "truncation order must be >= 0"}
 
 
@@ -724,9 +725,9 @@ def verify_many(
     by default the whole catalogue, in id order.
 
     The whole request is checked before anything runs: no ids, an unknown
-    id, an override that is not an int or that no requested identity reads,
-    an identity with no points, or a point that `_admit` refuses raises
-    ValueError, so a rejected request yields nothing.
+    id, an override that is not an int, beyond a cap or read by no requested
+    identity, an identity with no points, or a point that `_admit` refuses
+    raises ValueError, so a rejected request yields nothing.
     """
     ids = catalogue_ids() if ids is None else tuple(ids)
     if not ids:
@@ -745,6 +746,6 @@ def verify_many(
     if empty:
         raise ValueError(f"no parameter points to check for: {', '.join(empty)}")
     request = [(i, point) for i in ids for point in points[i]]
-    for i, point in reversed(request):  # last first: a cap error names the top value
+    for i, point in request:
         _admit(CATALOGUE[i], point)
     return (verify(identity_id, **point) for identity_id, point in request)

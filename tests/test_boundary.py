@@ -73,7 +73,6 @@ ENTRY_POINTS = {
     "permutations_with_fix": (en.permutations_with_fix, (3,), {0: en.PERMUTATION_CUTOFF + 1}),
     "set_partitions": (en.set_partitions, (3,), {0: en.PERMUTATION_CUTOFF + 1}),
     "oracle_polynomials": (en.oracle_polynomials, (3,), {0: en.PERMUTATION_CUTOFF + 1}),
-    "endofunctions": (en.endofunctions, (3,), {0: en.ENDOFUNCTION_CUTOFF + 1}),
     "forests": (en.forests, (3,), {0: en.FOREST_CUTOFF + 1}),
     "permanent_check": (en.permanent_check, (3,), {0: en.PERMANENT_CUTOFF + 1}),
     # The smallest n and lam past MSTAR_CUTOFF: 8**8 and 1001**2 maps.

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,14 @@ def test_bijection_cutoff_requires_unsafe(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "cutoff" in err
+    # Both caps are decided without forming (n+lambda)**(n+1), and name n and lambda.
+    for argv, cap in ((("1000000", "0"), "more than 100000 objects, beyond the default cap"),
+                      (("0", "3000000", "--unsafe"), "exceed the cutoff 1000000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bijection", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert f"n={argv[0]}, " in err and cap in err, err
 
 
 def test_verify_empty_point_set_is_an_error(capsys):

@@ -4,6 +4,8 @@ import itertools
 import pickle
 import random
 import re
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,6 @@ def test_set_partitions_match_the_brute_force_restricted_growth_strings():
 @pytest.mark.parametrize("generate,cutoff", [
     (en.permutations_with_fix, en.PERMUTATION_CUTOFF),
     (en.set_partitions, en.PERMUTATION_CUTOFF),
-    (en.endofunctions, en.ENDOFUNCTION_CUTOFF),
     (en.forests, en.FOREST_CUTOFF),
     (en.permanent_check, en.PERMANENT_CUTOFF),
     pytest.param(lambda n: en.exhaustive_roundtrip(n, 1), None, id="exhaustive_roundtrip-n"),
@@ -61,6 +62,35 @@ def test_a_size_is_an_int_within_the_cutoff(generate, cutoff):
             generate(size)
 
 
+def test_census_exceeds_matches_the_power():
+    for cutoff in (0, 1, 2, 7, 8, 100, 10 ** 5, en.MSTAR_CUTOFF):
+        for n in range(25):
+            for lam in (*range(12), 999, 10 ** 5, 10 ** 6 - n, 10 ** 6 + 1):
+                want = (n + lam) ** (n + 1) > cutoff
+                assert en.census_exceeds(n, lam, cutoff) == want, (n, lam, cutoff)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: en.exhaustive_roundtrip(0, 3_000_000), "n=0, lam=3000000 exceed",
+                 id="census-lam"),
+    pytest.param(lambda: en.exhaustive_roundtrip(10 ** 6, 1), "n=1000000, lam=1 exceed",
+                 id="census-n"),
+    pytest.param(lambda: en.sigma_to_pair(en.Endofunction((1, 1)), 0, 10 ** 6),
+                 r"expected a map on \[1000001\], got \[2\]", id="short-sigma"),
+])
+def test_an_oversized_request_raises_before_it_allocates(call, message):
+    # The census size is decided without forming (n+lam)**(n+1), and the length
+    # of a map is checked before the lam-long tail of fixed color vertices is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
 def test_oracle_polynomials_counts():
     o4 = en.oracle_polynomials(4)
     assert o4.derangements == 9
@@ -73,12 +103,15 @@ def test_oracle_polynomials_counts():
     assert str(o1.hermite) == "u"
 
 
+def endofunctions(n):
+    """All n**n self-maps of [n], in lexicographic order of the image tuple."""
+    return map(en.Endofunction, itertools.product(range(1, n + 1), repeat=n))
+
+
 def test_endofunction_counts():
-    assert sum(1 for _ in en.endofunctions(1)) == 1
-    assert sum(1 for _ in en.endofunctions(2)) == 4
-    assert sum(1 for _ in en.endofunctions(3)) == 27
+    assert [sum(1 for _ in endofunctions(n)) for n in range(5)] == [1, 1, 4, 27, 256]
     with pytest.raises(ValueError):
-        list(en.endofunctions(8))
+        en.Endofunction((1, 2, 4))
 
 
 def test_endofunction_validation():
@@ -93,6 +126,42 @@ def test_endofunction_validation():
 def test_endofunction_rejects_a_non_integer_entry(image, bad):
     with pytest.raises(ValueError, match=rf"^image value {re.escape(bad)} outside \[{len(image)}\]$"):
         en.Endofunction(image)
+
+
+def two_path_check(image):
+    """The constructor's validation before it became one loop: a sum/min/max
+    fast path, then a loop that names the first bad value."""
+    n = len(image)
+    try:
+        ok = not image or (type(sum(image)) is int and min(image) >= 1 and max(image) <= n)
+    except TypeError:
+        ok = False
+    if not ok:
+        bad = next(v for v in image if not (isinstance(v, int) and 1 <= v <= n))
+        raise ValueError(f"image value {bad!r} outside [{n}]")
+
+
+ENTRIES = st.one_of(st.integers(-1, 8), st.booleans(), st.floats(), st.fractions(),
+                    st.none(), st.text(max_size=2))
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(st.integers(-1, 8), max_size=7), st.lists(ENTRIES, max_size=7)))
+def test_endofunction_check_matches_the_two_path_check(image):
+    def outcome(check):
+        try:
+            check(tuple(image))
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(en.Endofunction) == outcome(two_path_check)
+
+
+def test_endofunction_check_accepts_a_bool_and_rejects_a_whole_fraction():
+    assert en.Endofunction((True, 2)).image == (True, 2)
+    with pytest.raises(ValueError, match=r"^image value Fraction\(1, 1\) outside \[2\]$"):
+        en.Endofunction((2, Fraction(1)))
 
 
 def test_endofunction_stores_a_tuple():
@@ -150,7 +219,7 @@ def bold_sources(dot):
 
 
 def test_cycle_vertices_and_dot_properties():
-    for sigma in en.endofunctions(4):
+    for sigma in endofunctions(4):
         cyc = en._cycle_vertices(sigma.image)
         assert {sigma(v) for v in cyc} == cyc  # restriction is a permutation
         for v in range(1, 5):  # every vertex reaches a cycle
@@ -384,7 +453,7 @@ def reference_pair(sigma, n):
 
 def test_cycle_vertices_matches_fixpoint_on_every_small_map():
     for m in range(0, 6):
-        for sigma in en.endofunctions(m):
+        for sigma in endofunctions(m):
             assert en._cycle_vertices(sigma.image) == fixpoint_cycles(sigma.image), sigma
 
 
@@ -538,12 +607,13 @@ def test_permanent_check_counts_derangements():
 def test_dot_output():
     sigma = en.Endofunction((2, 1, 2))
     dot = en.endofunction_to_dot(sigma)
-    assert dot.startswith("digraph endofunction {")
+    assert dot.startswith("digraph sigma {")
     assert "1 -> 2 [style=bold];" in dot
     assert "3 -> 2;" in dot
     assert dot.endswith("}")
 
     pair = en.sigma_to_pair(en.Endofunction((4, 1, 1, 4, 5, 6)), 2, 3)
     dot = en.pair_to_dot(pair)
+    assert dot.startswith("digraph pair {")
     assert "style=bold" in dot
     assert "(c1)" in dot

@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -673,6 +674,19 @@ def test_verify_many_rejects_a_bad_request_before_any_report(wanted, knobs, mess
         for report in ids.verify_many(wanted, **knobs):
             reports.append(report)
     assert reports == []
+
+
+def test_an_override_beyond_its_cap_is_rejected_before_any_point_is_built():
+    with pytest.raises(ValueError, match=r"^n=100000 beyond the supported cap 40$"):
+        catalogue.CATALOGUE["1.0a"].points(10 ** 5, None, None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^m=100000 beyond the supported cap 12$"):
+            ids.verify_many(["3.5"], m_max=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "3"])
