@@ -17,11 +17,11 @@ oriented toward the roots.
 
 The bijection has one kernel per direction, and every entry point checks
 (n, lam) first: `_fixed_tail` checks them, and a map's length if given,
-before it builds the fixed tail, and `_census_tail` checks them and the
-census size before it asks for one.  `sigma_to_pair` validates a member,
+before it builds the fixed tail.  `sigma_to_pair` validates a member,
 then rewrites it and walks its cycles, and its output is a pair by
-construction; `_pair_to_head` checks a pair on plain tuples and rewrites it
-back in one loop.  The census maps each member forward and back again.
+construction; `_pair_to_head` checks that a pair is in that form on plain
+tuples and rewrites it back in one loop.  The census maps each member
+forward and compares the head it maps back with the member's own.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .symbols import lam as _lam, u as _u
 PERMUTATION_CUTOFF = 8
 FOREST_CUTOFF = 7
 MSTAR_CUTOFF = 10 ** 6
+MSTAR_ENTRIES = 2 * 10 ** 8  # the census's maps times their length n+lam+1
 PERMANENT_CUTOFF = 10
 
 Pairs = tuple[tuple[int, int], ...]
@@ -208,21 +209,17 @@ def _fixed_tail(n: int, lam: int, size: int | None = None) -> tuple[int, ...]:
     return tuple(range(n + 2, n + lam + 2))
 
 
-def _census_tail(n: int, lam: int) -> tuple[int, ...]:
-    """The fixed tail of the census at (n, lam), once its size is known to
-    be within MSTAR_CUTOFF: no tail is built for a census that cannot run."""
+def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
+    """Self-maps of [n+lam+1] with nothing mapping to n+1 and every vertex
+    above n+1 fixed, streamed in lexicographic order of the image tuple.
+    Their count (n+lam)**(n+1) and their entries are bounded before a tail is built."""
     check_index(n, "n")
     check_index(lam, "lam")
     if census_exceeds(n, lam, MSTAR_CUTOFF):
         raise ValueError(f"the maps at n={n}, lam={lam} exceed the cutoff {MSTAR_CUTOFF}")
-    return _fixed_tail(n, lam)
-
-
-def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
-    """Self-maps of [n+lam+1] with nothing mapping to n+1 and every vertex
-    above n+1 fixed.  There are (n+lam)**(n+1) of them; streamed in
-    lexicographic order of the image tuple."""
-    tail = _census_tail(n, lam)
+    if census_exceeds(n, lam, MSTAR_ENTRIES // (n + lam + 1)):
+        raise ValueError(f"the maps at n={n}, lam={lam} exceed {MSTAR_ENTRIES} entries")
+    tail = _fixed_tail(n, lam)
     allowed = tuple(v for v in range(1, n + lam + 2) if v != n + 1)
     for head in _product(allowed, repeat=n + 1):
         yield tuple.__new__(Endofunction, (head + tail,))  # a member by construction
@@ -285,19 +282,20 @@ def sigma_to_pair(sigma: Endofunction, n: int, lam: int) -> ColoredForestPermuta
 def _pair_to_head(
     parent: Sequence[int], pi: Pairs, colors: Pairs, n: int, lam: int
 ) -> tuple[int, ...]:
-    """The first n+1 image values of a pair's member, after checking the pair:
-    a forest on [n+1], pi permuting its roots, colors in [1..lam] on pi's fixed points.
+    """The first n+1 image values of a pair's member, after checking that the
+    pair has sigma_to_pair's form: a forest on [n+1], pi permuting its roots,
+    colors in [1..lam] on pi's fixed points, each sorted by strictly rising vertex.
     One loop sends each vertex to its tau image and inverts the rewriting rules."""
     if len(parent) != n + 1:
         raise ValueError(f"forest must cover [{n + 1}]")
     if not is_forest(parent):  # also rejects a parent value outside [0..n+1]
         raise ValueError("parent map contains a cycle")
     perm = dict(pi)
-    roots = {v for v, p in enumerate(parent, start=1) if p == 0}
-    if perm.keys() != roots or len(perm) != len(pi) or set(perm.values()) != roots:
+    roots = [v for v, p in enumerate(parent, start=1) if p == 0]
+    if [v for v, _ in pi] != roots or set(perm.values()) != set(roots):
         raise ValueError("pi must permute exactly the roots of the forest")
     color = dict(colors)
-    if color.keys() != {v for v, w in pi if v == w}:
+    if [v for v, _ in colors] != [v for v, w in pi if v == w]:
         raise ValueError("colors must be assigned to exactly the fixed points")
     head = []
     for i, t in enumerate(parent, start=1):
@@ -328,17 +326,16 @@ def exhaustive_roundtrip(n: int, lam: int) -> dict[int, int]:
     injective, and the caller can compare the census against the
     closed-form counts.
     """
-    tail = _census_tail(n, lam)
     strata: dict[int, int] = {}
     for sigma in enumerate_m_star(n, lam):
         image = sigma.image
         try:
-            parent, pi, colors = sigma_to_pair(sigma, n, lam)
-            back = _pair_to_head(parent, pi, colors, n, lam) + tail
+            parent, pi, colors = sigma_to_pair(sigma, n, lam)  # proves the fixed tail
+            back = _pair_to_head(parent, pi, colors, n, lam)
         except ValueError as exc:
             raise RuntimeError(f"round trip failed at sigma={image}: {exc}") from exc
-        if back != image:
-            raise RuntimeError(f"round trip failed at sigma={image}: got {back}")
+        if back != image[: n + 1]:
+            raise RuntimeError(f"round trip failed at sigma={image}: got the head {back}")
         k = parent.count(0) - 1
         strata[k] = strata.get(k, 0) + 1
     return strata

@@ -46,10 +46,10 @@ rule for every family index, series order and enumeration size in the
 package: an int, not a bool, >= 0 and at most a cutoff where there is one,
 else a ValueError that names the index.  The series layer also shares the
 coercion `as_poly`, the running powers `powers`, the evaluation kernel
-`evaluate_at` behind substitution and series composition, the sum of
-products `dot` behind every truncated product, exp and inverse, and the term
-renderer `join_signed`; Polynomial.graded gives those kernels the parts by
-total degree.
+`evaluate_at` behind substitution, evaluate and series composition, the
+sum of products `dot` behind every truncated product, exp and inverse, and
+the term renderer `join_signed`; Polynomial.graded gives those kernels the
+parts by total degree.
 """
 
 from __future__ import annotations
@@ -404,16 +404,13 @@ class Polynomial:
         return evaluate_at(coeffs, value, coeffs[0])
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a point; every symbol must be bound."""
-        total = _F0
-        for mono, c in self.terms():
-            term = c
-            for s, e in mono:
-                if s not in bindings:
-                    raise ValueError(f"no binding for symbol {s!r}")
-                term *= _scalar(bindings[s]) ** e
-            total += term
-        return total
+        """Exact value at a point, substituted in name order; all symbols bound."""
+        p = self
+        for s in sorted(self.symbols()):
+            if s not in bindings:
+                raise ValueError(f"no binding for symbol {s!r}")
+            p = p.substitute(s, _scalar(bindings[s]))
+        return p.as_fraction()
 
     # ---- rendering ----
 
@@ -434,7 +431,6 @@ class Polynomial:
         return f"Polynomial({str(self)})"
 
 
-_F0 = Fraction(0)
 _ZERO = Polynomial._raw({}, 1)
 _ONE = Polynomial._raw({0: 1}, 1)
 

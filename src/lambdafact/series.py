@@ -166,8 +166,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries | PolyLike) -> TruncatedSeries:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return TruncatedSeries._raw(self.var, tuple(a * c for a in self.coeffs))
+            other = Polynomial.constant(other)
         if isinstance(other, Polynomial):
             if other.mentions(self.var):
                 raise ValueError(

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -77,18 +78,42 @@ def test_census_exceeds_matches_the_power():
                  id="census-n"),
     pytest.param(lambda: en.sigma_to_pair(en.Endofunction((1, 1)), 0, 10 ** 6),
                  r"expected a map on \[1000001\], got \[2\]", id="short-sigma"),
+    # 10**6 maps pass the map cutoff, but each has 10**6 + 1 entries.
+    pytest.param(lambda: next(en.enumerate_m_star(0, 10 ** 6)),
+                 "n=0, lam=1000000 exceed 200000000 entries", id="census-entries"),
 ])
 def test_an_oversized_request_raises_before_it_allocates(call, message):
     # The census size is decided without forming (n+lam)**(n+1), and the length
     # of a map is checked before the lam-long tail of fixed color vertices is built.
     tracemalloc.start()
     try:
+        start = time.perf_counter()
         with pytest.raises(ValueError, match=message):
             call()
+        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert elapsed < 0.1
     assert peak < 5 * 2 ** 20
+
+
+def test_the_entry_bound_binds_only_where_maps_are_long():
+    def starts(n, lam):
+        try:
+            return next(en.enumerate_m_star(n, lam)) is not None
+        except ValueError:
+            return False
+
+    # From n = 2 on, the map cutoff is the limit: the largest lam it admits runs.
+    for n in range(2, 7):  # from n = 7 on, 7**8 maps pass the cutoff at lam = 0
+        lam = 0
+        while not en.census_exceeds(n, lam + 1, en.MSTAR_CUTOFF):
+            lam += 1
+        assert starts(n, lam), (n, lam)
+    # Below, the entries stop n = 0 at lam = 14141 and n = 1 at lam = 583.
+    assert [starts(0, 14141), starts(0, 14142), starts(1, 583), starts(1, 584)] == [
+        True, False, True, False]
 
 
 def test_oracle_polynomials_counts():
@@ -505,7 +530,20 @@ MALFORMED_PAIRS = {
     "short forest": (((0,), ((1, 1),), ((1, 1),), 1, 1), "cover"),
     "parent above n+1": (((5, 0), ((2, 2),), ((2, 1),), 1, 1), r"parent value 5 "),
     "negative parent": (((-1, 0), ((2, 2),), ((2, 1),), 1, 1), r"parent value -1 "),
+    # Out of sigma_to_pair's form: each would map to the sigma of its sorted
+    # twin, (4, 1, 3, 4) and (2, 1, 4, 4), so the inverse would not be injective.
+    "vertex colored twice": (((0, 1), ((1, 1),), ((1, 1), (1, 2)), 1, 2), "fixed points"),
+    "unsorted pi": (((0, 0, 0), ((3, 3), (2, 1), (1, 2)), ((3, 1),), 2, 1), "permute"),
 }
+
+
+@pytest.mark.parametrize("case,sigma", [("vertex colored twice", (4, 1, 3, 4)),
+                                        ("unsorted pi", (2, 1, 4, 4))])
+def test_a_pair_out_of_form_has_a_twin_in_form(case, sigma):
+    (parent, pi, colors, n, lam), _ = MALFORMED_PAIRS[case]
+    twin = en.sigma_to_pair(en.Endofunction(sigma), n, lam)
+    assert twin.parent == parent and twin.pi == tuple(sorted(pi))
+    assert set(twin.colors) <= set(colors)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
@@ -540,7 +578,7 @@ def test_census_catches_an_inverse_kernel_that_shifts_a_color(monkeypatch, capsy
         return real(parent, pi, colors, n, lam)
 
     monkeypatch.setattr(en, "_pair_to_head", shifted)
-    with pytest.raises(RuntimeError, match="round trip failed"):
+    with pytest.raises(RuntimeError, match=r"round trip failed at sigma=\(.*\): got the head \("):
         en.exhaustive_roundtrip(2, 2)
     assert main(["bijection", "2", "2"]) == 1
     captured = capsys.readouterr()
@@ -566,7 +604,7 @@ def test_census_catches_a_forward_kernel_that_drops_a_root(monkeypatch, capsys):
     assert strata != census_formula(n, lam)
 
     monkeypatch.setattr(en, "sigma_to_pair", dropping)
-    with pytest.raises(RuntimeError, match="round trip failed"):
+    with pytest.raises(RuntimeError, match=r"round trip failed at sigma=\(.*\): pi must permute"):
         en.exhaustive_roundtrip(n, lam)
     assert main(["bijection", "2", "2"]) == 1
     captured = capsys.readouterr()

@@ -88,7 +88,7 @@ def test_evaluate():
 
 
 def test_evaluate_names_unbound_symbol():
-    with pytest.raises(ValueError, match="μ"):
+    with pytest.raises(ValueError, match="^no binding for symbol 'μ'$"):
         (lam * mu).evaluate({LAM: 1})
 
 
@@ -336,6 +336,31 @@ def test_boundary_values_are_fractions(p, a, b, c):
     assert type(const.as_fraction()) is Fraction
     assert const.as_fraction() == value
     assert type(Polynomial.zero().as_fraction()) is Fraction
+
+
+def fraction_sum_over_terms(p, bindings):
+    """evaluate's former route: each term's value as a Fraction, summed."""
+    total = Fraction(0)
+    for mono, c in p.terms():
+        term = Fraction(c)
+        for s, e in mono:
+            term *= bindings[s] ** e
+        total += term
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_polys, st.fixed_dictionaries({s: scalars for s in SYMS}))
+def test_evaluate_matches_a_fraction_sum_over_terms(p, bindings):
+    value = p.evaluate(bindings)
+    assert type(value) is Fraction
+    assert value == fraction_sum_over_terms(p, bindings)
+
+
+def test_evaluate_takes_no_polynomial_binding():
+    # substitute would take one; evaluate binds scalars only.
+    with pytest.raises(TypeError, match="must be an int or a Fraction, not Polynomial"):
+        (lam * mu).evaluate({LAM: mu, MU: 1})
 
 
 # ---- packed monomial keys ----
