@@ -227,6 +227,9 @@ def enumerate_m_star(n: int, lam: int) -> Iterator[Endofunction]:
 
 def _validate_m_star(sigma: Endofunction, n: int, lam: int) -> None:
     """Raise ValueError, naming the first violation, unless sigma is a member."""
+    if type(n) is not int or type(lam) is not int:  # before the cache, which cannot hash a list
+        check_index(n, "n")
+        check_index(lam, "lam")
     image = sigma.image
     if _fixed_tail(n, lam, len(image)) == image[n + 1:] and n + 1 not in image[: n + 1]:
         return
@@ -314,6 +317,9 @@ def _pair_to_head(
 
 def pair_to_sigma(pair: ColoredForestPermutation, n: int, lam: int) -> Endofunction:
     """Inverse of sigma_to_pair."""
+    if type(n) is not int or type(lam) is not int:  # before the cache, which cannot hash a list
+        check_index(n, "n")
+        check_index(lam, "lam")
     tail = _fixed_tail(n, lam)
     return Endofunction(_pair_to_head(pair.parent, pair.pi, pair.colors, n, lam) + tail)
 

@@ -1,10 +1,11 @@
 """The library boundary: every index-taking public entry point of sequences,
 series and enumeration, and Polynomial.graded, given a hostile index.
 
-Each index in turn is True, 2.0, -1, "3" and None, and one past its cap
-where there is a cap.  Every call runs cold, after each cache is cleared,
-and warm, after a valid call with the int the hostile value stands for, so a
-cache keyed on 1 or 2 cannot answer for True or 2.0.  The answer is a
+Each index in turn is True, 2.0, -1, "3" and None, one past its cap
+where there is a cap, and the unhashable [1] for an enumeration entry
+point.  Every call runs cold, after each cache is cleared, and warm, after
+a valid call with the int the hostile value stands for, so a cache keyed
+on 1 or 2 cannot answer for True or 2.0.  The answer is a
 ValueError, the IndexError that coefficient documents, or the 0 that
 binomial and stirling2 document for a negative index; never a bare
 TypeError and never a value.
@@ -20,7 +21,8 @@ from lambdafact.polynomial import Polynomial
 from lambdafact.symbols import LAM, T, X, lam
 
 HOSTILE = (True, 2.0, -1, "3", None)
-TWIN = {True: 1, 2.0: 2, "3": 3}  # the int a hostile value stands for, when cached
+# the int a hostile value stands for, when cached, keyed by repr: a list is unhashable
+TWIN = {"True": 1, "2.0": 2, "'3'": 3, "[1]": 1}
 SIGMA = en.Endofunction((1, 1, 3))  # a member of the family at n = lam = 1
 t = Polynomial.variable(T)
 ones = seq.ABEL_FAMILIES["ones"]
@@ -84,6 +86,9 @@ ENTRY_POINTS = {
                       {1: None, 2: None}),
 }
 INDEX_ERRORS = {"TruncatedSeries.coefficient", "TruncatedSeries.egf_coefficient"}
+# The enumeration entry points are also given an unhashable index, [1]; the
+# lru_cache entry points of sequences still raise a bare TypeError for one.
+LIST_INDEX = {name for name in ENTRY_POINTS if hasattr(en, name)}
 ZERO_AT_NEGATIVE = {"binomial", "stirling2"}
 
 
@@ -100,9 +105,10 @@ def test_every_hostile_index_is_rejected_cold_and_warm(name):
     fn(*valid)
     error = IndexError if name in INDEX_ERRORS else ValueError
     for i, over in indices.items():
-        for bad in HOSTILE + (() if over is None else (over,)):
+        extra = (() if over is None else (over,)) + (([1],) if name in LIST_INDEX else ())
+        for bad in HOSTILE + extra:
             args = valid[:i] + (bad,) + valid[i + 1:]
-            twin = valid[:i] + (TWIN.get(bad, valid[i]),) + valid[i + 1:]
+            twin = valid[:i] + (TWIN.get(repr(bad), valid[i]),) + valid[i + 1:]
             for when in ("cold", "warm"):
                 clear_caches()
                 if when == "warm":

@@ -1,14 +1,19 @@
 """Tests for umbral evaluation, the identity registry, and inverse relations."""
 
 import inspect
+import io
 import json
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from lambdafact.polynomial import Polynomial
 from lambdafact.sequences import derangement, factorial, lambda_factorial
 from lambdafact.series import TruncatedSeries
 from lambdafact.symbols import LAM, UMBRA, X
+from test_sequences import q_power_with_a_unit_term
 from test_series import low_terms
 
 lam, D = map(Polynomial.variable, (LAM, UMBRA))
@@ -255,6 +261,75 @@ def test_the_definition_route_of_q_runs_once_per_point_of_a_pass():
     assert (info.misses, info.hits + info.misses) == (66, 639)
 
 
+# ---- the cost golden: operation counts of one cold `verify all`, per id ----
+
+COSTS_GOLDEN = Path(__file__).with_name("golden_costs.json")
+
+# Run in a fresh interpreter, so every cache starts cold.  It wraps the
+# product and sum of Polynomial, dot and _product in every lambdafact module
+# that holds them, and prints, for each id in turn, the calls to each and
+# the term pairs that _product multiplied.
+COST_SCRIPT = """
+import json, sys
+from lambdafact import identities, polynomial
+from lambdafact.polynomial import Polynomial
+
+counts = dict.fromkeys(("__mul__", "__rmul__", "__add__", "__radd__", "dot", "_product",
+                        "term_pairs"), 0)
+
+
+def counted(name, real):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+    return wrapper
+
+
+def counted_rows(rows):
+    for row in rows:
+        counts["term_pairs"] += len(row[2])
+        yield row
+
+
+for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+    setattr(Polynomial, name, counted(name, getattr(Polynomial, name)))
+real = {"dot": polynomial.dot, "_product": polynomial._product}
+wrappers = {"dot": counted("dot", real["dot"]), "_product": counted(
+    "_product", lambda rows, den: real["_product"](counted_rows(rows), den))}
+for module in [m for name, m in sys.modules.items() if name.startswith("lambdafact")]:
+    for name, wrapper in wrappers.items():
+        if getattr(module, name, None) is real[name]:
+            setattr(module, name, wrapper)
+costs = {}
+for report in identities.verify_many():
+    cost = costs.setdefault(report.identity, dict.fromkeys(counts, 0))
+    for name in counts:
+        cost[name] += counts[name]
+        counts[name] = 0
+print(json.dumps(costs, indent=1))
+"""
+
+
+def cold_verify_all_costs(hash_seed):
+    """The output of COST_SCRIPT run under PYTHONHASHSEED=hash_seed, with the
+    package that this process imported."""
+    path = [str(Path(polynomial.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "PYTHONHASHSEED": str(hash_seed)}
+    run = subprocess.run([sys.executable, "-c", COST_SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_a_cold_verify_all_costs_what_is_pinned():
+    # The golden was written under PYTHONHASHSEED=0; this run takes seed 1,
+    # so it also shows that two processes count alike.
+    golden = json.loads(COSTS_GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == list(ids.catalogue_ids())
+    assert json.loads(cold_verify_all_costs(1)) == golden
+
+
 # The points() output of every identity at six override sets (n_max, m_max,
 # order), key order included; written from the registry before it became a
 # table, by dumping `CATALOGUE[i].points(*limits)` for every id.
@@ -301,13 +376,53 @@ def test_every_point_binds_to_its_check():
                 signature.bind(**point)
 
 
-# ---- mutation tests: a perturbed identity must be reported as a failure ----
+# ---- the mutation matrix: a mutant must fail verify, and its verdicts are pinned ----
+#
+# Each row installs one mutant of a check, a kernel or a family table, and
+# runs `lambdafact verify <id>` once for each of its ids, with its knobs.  The
+# verdicts, one p or f per point in order, are pinned in golden_mutants.json;
+# a row that runs every id pins the ids its mutant cannot fail as well.
+
+MUTANTS_GOLDEN = Path(__file__).with_name("golden_mutants.json")
+MUTANT_VERDICTS = json.loads(MUTANTS_GOLDEN.read_text(encoding="utf-8"))
+ALL_IDS = tuple(ids.catalogue_ids())
+
 
 def _top_unit(order):
     """A unit term at the highest retained order."""
     return TruncatedSeries(X, [0] * order + [1], order)
 
 
+def _plus(unit):
+    """A mutant maker: the real result plus unit(the last positional argument)."""
+    return lambda real: lambda *args, **kwargs: real(*args, **kwargs) + unit(args[-1])
+
+
+def _one(_):
+    return 1
+
+
+def _x_to_the(degree):
+    return Polynomial.variable(X) ** degree
+
+
+def _patch(owner, name, make):
+    """An install that replaces owner.name by make(owner.name)."""
+    return lambda monkeypatch, _: monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+
+
+def _patch_everywhere(real, make):
+    """An install that replaces real in every lambdafact module that holds it."""
+    def install(monkeypatch, _):
+        mutant = make(real)
+        for module in [m for name, m in sys.modules.items() if name.startswith("lambdafact")]:
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, mutant)
+
+    return install
+
+
+# A unit term added to the residual of one check.
 UNIT_TERMS = {
     # polynomial residual: a unit constant
     "1.0a": lambda params: Polynomial.one(),
@@ -315,88 +430,147 @@ UNIT_TERMS = {
     "3.2": lambda params: _top_unit(params["order"]),
     "3.4": lambda params: _top_unit(params["order"]),
     # total-degree residual: a unit monomial at the degree cap
-    "5.2": lambda params: Polynomial.variable(X) ** params["order"],
+    "5.2": lambda params: _x_to_the(params["order"]),
 }
 
 
-def _perturb(monkeypatch, identity_id, unit):
+def _perturb(monkeypatch, identity_id):
     entry = catalogue.CATALOGUE[identity_id]
 
     def check(**params):
-        return entry.check(**params) + unit(params)
+        return entry.check(**params) + UNIT_TERMS[identity_id](params)
 
-    monkeypatch.setitem(
-        catalogue.CATALOGUE, identity_id, entry._replace(check=check)
-    )
+    monkeypatch.setitem(catalogue.CATALOGUE, identity_id, entry._replace(check=check))
 
 
-def _assert_every_report_fails(identity_id, capsys, order=None):
-    reports = list(ids.verify_many([identity_id], order=order))
-    assert reports
-    for report in reports:
-        assert not report.verdict
-        assert not report.residual.is_zero
-        payload = report.to_json()
-        assert payload["verdict"] == "fail"
-        assert payload["residual"] != "0"
-    knob = [] if order is None else ["--order", str(order)]
-    assert main(["verify", identity_id, *knob]) == 1
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == len(reports)
-    assert all(json.loads(line)["verdict"] == "fail" for line in lines)
+def _one_degree_low(real):
+    return lambda p, q, syms, degree: low_terms(real(p, q, syms, degree), syms, degree - 1)
 
 
-@pytest.mark.parametrize("identity_id", sorted(UNIT_TERMS))
-def test_perturbed_identity_fails(identity_id, monkeypatch, capsys):
-    _perturb(monkeypatch, identity_id, UNIT_TERMS[identity_id])
-    _assert_every_report_fails(identity_id, capsys)
+# A right side built one order short: the residual keeps the smaller order of
+# its sides, so it comes out zero to order N-1 and its top coefficient is
+# never compared.  The report must fail it.
+SHORT_SIDES = {"thm1.2": "abel_rhs", "charlier-deriv": "exp_series", "gessel": "exp_series",
+               "3.2": "shifted_sum", "chz": "shifted_sum"}
 
 
-def test_unit_term_inside_truncating_multiply_is_not_hidden(monkeypatch, capsys):
-    real = catalogue.mul_truncated
+def _one_order_short(monkeypatch, identity_id):
+    real = getattr(catalogue, SHORT_SIDES[identity_id])
+    signature = inspect.signature(real)
 
-    def perturbed(p, q, syms, total_degree):
-        return real(p, q, syms, total_degree) + Polynomial.variable(X) ** total_degree
+    def one_order_short(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.arguments["order"] -= 1
+        return real(*bound.args, **bound.kwargs)
 
-    monkeypatch.setattr(catalogue, "mul_truncated", perturbed)
-    _assert_every_report_fails("5.2", capsys)
+    monkeypatch.setattr(catalogue, SHORT_SIDES[identity_id], one_order_short)
 
 
-def test_truncating_one_degree_too_low_is_caught(monkeypatch, capsys):
-    real = catalogue.mul_truncated
+def _carried_f_power(monkeypatch, _):
+    # f_0..f_2 are right; the carried (λ-1)^2 has a unit term added.
+    monkeypatch.setattr(sequences, "_LAMBDA_FACTORIALS", [Polynomial.one(), lam, lam ** 2 + 1])
+    monkeypatch.setattr(sequences, "_LAMBDA_POWER", [(lam - 1) ** 2 + 1])
 
-    def off_by_one(p, q, syms, total_degree):
-        return low_terms(real(p, q, syms, total_degree), syms, total_degree - 1)
 
-    monkeypatch.setattr(catalogue, "mul_truncated", off_by_one)
-    _assert_every_report_fails("5.2", capsys)
+def _rising_factorial_mutant(real):
+    # charlier compiled again with a unit term in (α)_2; (α)_0 and (α)_1 are right.
+    step = "rising = rising * (alpha + (k - 1))"
+    source = inspect.getsource(real)
+    assert source.count(step) == 1
+    namespace = dict(vars(sequences))
+    exec(source.replace(step, step + " + int(k == 2)"), namespace)
+    return namespace[real.__name__]
 
 
 TRANSFORM_IDS = ("3.4", "3.5", "3.6", "3.7", "3.7.1", "bell-transform", "3.8", "3.9")
+# The fifteen convolution rows of Theorem 1.1 and section 4, then the other
+# checks with one side a binomial sum: the row 3.1, the sweep of
+# stirling-difference and the diagonal sum of q-diag.
+CONVOLUTION_IDS = (
+    "1.0a", "riordan", "sunxu", "thm1.1", "2.3a", "4.1", "4.2", "cor-selfdual",
+    "4.3", "difference", "4.3a", "4.4", "4.5", "cor-n-factorial", "thm5.2",
+    "3.1", "stirling-difference", "q-diag",
+)
 
 
-def _unit_term_in_the_transform_kernel(monkeypatch):
-    real = catalogue.abel_sum
-
-    def perturbed(lam, shifted_derivative, order):
-        return real(lam, shifted_derivative, order) + _top_unit(order)
-
-    monkeypatch.setattr(catalogue, "abel_sum", perturbed)
+class Mutant(NamedTuple):
+    install: Callable  # (monkeypatch, identity_id) puts the mutant in place
+    ids: tuple[str, ...]
+    knobs: tuple[str, ...] = ()
+    cold: tuple = ()  # cached entry points cleared before the install and after the run
 
 
-@pytest.mark.parametrize("identity_id", TRANSFORM_IDS)
-def test_unit_term_in_the_transform_kernel_is_not_hidden(identity_id, monkeypatch, capsys):
-    _unit_term_in_the_transform_kernel(monkeypatch)
-    _assert_every_report_fails(identity_id, capsys)
-
-
-@pytest.mark.parametrize("identity_id", TRANSFORM_IDS)
-def test_unit_term_in_the_transform_kernel_is_not_hidden_at_order_2(
-    identity_id, monkeypatch, capsys
-):
+MUTANTS = {
+    "check+unit": Mutant(_perturb, tuple(UNIT_TERMS)),
+    "mul_truncated+x^N": Mutant(_patch(catalogue, "mul_truncated", _plus(_x_to_the)), ("5.2",)),
+    "mul_truncated-one-degree": Mutant(_patch(catalogue, "mul_truncated", _one_degree_low), ("5.2",)),
+    "abel_sum+unit": Mutant(_patch(catalogue, "abel_sum", _plus(_top_unit)), TRANSFORM_IDS),
     # At order 2 the last term of the sum is built at order 0.
-    _unit_term_in_the_transform_kernel(monkeypatch)
-    _assert_every_report_fails(identity_id, capsys, order=2)
+    "abel_sum+unit@order-2": Mutant(_patch(catalogue, "abel_sum", _plus(_top_unit)),
+                                    TRANSFORM_IDS, ("--order", "2")),
+    "side-one-order-short": Mutant(_one_order_short, tuple(SHORT_SIDES)),
+    "binomial_convolution+1": Mutant(_patch(catalogue, "binomial_convolution", _plus(_one)),
+                                     CONVOLUTION_IDS),
+    # evaluate_at serves Polynomial.substitute, substitute_series and compose.
+    "evaluate_at+1": Mutant(_patch_everywhere(polynomial.evaluate_at, _plus(_one)), ALL_IDS),
+    # powers gains a unit term in every power after the zeroth.
+    "powers+1": Mutant(_patch_everywhere(polynomial.powers, lambda real: lambda base: (
+        power + 1 if j else power for j, power in enumerate(real(base)))), ALL_IDS),
+    # dot serves every series product, exp and inverse, and the total-degree kernels.
+    "dot+1": Mutant(_patch_everywhere(polynomial.dot, _plus(_one)), ALL_IDS),
+    # shifted_sum serves abel_sum (the transform rows, thm1.2), 3.2, gessel and chz.
+    "shifted_sum+unit": Mutant(_patch_everywhere(series.shifted_sum, _plus(_top_unit)),
+                               ALL_IDS),
+    "carried-f-power+1": Mutant(_carried_f_power, ("1.0b", "1.0c", "1.0e"),
+                                cold=(sequences._lambda_factorial_recurrence,)),
+    # Q_{0,0} is right, so column 0 of the recurrence route goes wrong from row 1.
+    "carried-q-power+1": Mutant(lambda monkeypatch, _: q_power_with_a_unit_term(monkeypatch),
+                                ("5.1",), cold=(sequences._q_recurrence,)),
+    "rising-factorial+1": Mutant(_patch(catalogue, "charlier", _rising_factorial_mutant),
+                                 ("charlier-spec", "charlier-recurrence")),
+    "umbral_eval+1": Mutant(_patch(catalogue, "umbral_eval", _plus(_one)), ALL_IDS),
+    # q_poly reads the module's _q_definition at each call.
+    "_q_definition+1": Mutant(_patch(sequences, "_q_definition", _plus(_one)), ALL_IDS),
+    # derivative builds the bell_poly and hermite_poly tables.
+    "derivative+1": Mutant(_patch(Polynomial, "derivative", _plus(_one)), ALL_IDS,
+                           cold=(sequences.bell_poly, sequences.hermite_poly)),
+}
+
+
+def run_mutant(row, identity_id, monkeypatch):
+    """The exit status and records of `verify identity_id` under the row's mutant."""
+    mutant = MUTANTS[row]
+    for fn in mutant.cold:
+        fn.cache_clear()
+    try:
+        mutant.install(monkeypatch, identity_id)
+        with redirect_stdout(io.StringIO()) as out:
+            status = main(["verify", identity_id, *mutant.knobs])
+    finally:
+        for fn in mutant.cold:
+            fn.cache_clear()
+    return status, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize("row,identity_id",
+                         [(row, i) for row, mutant in MUTANTS.items() for i in mutant.ids])
+def test_a_mutant_fails_as_pinned(row, identity_id, monkeypatch):
+    status, records = run_mutant(row, identity_id, monkeypatch)
+    failed = [r for r in records if r["verdict"] == "fail"]
+    assert status == (1 if failed else 0)
+    assert all(r["residual"] != "0" for r in failed)
+    if row == "side-one-order-short":
+        assert all(r["residual"] == f"0 + O(x^{r['order']})" for r in failed)
+    verdicts = "".join(r["verdict"][0] for r in records)
+    assert verdicts == MUTANT_VERDICTS[row][identity_id]
+
+
+def test_every_id_is_failed_by_some_mutant_and_every_row_fails_one():
+    assert {row: tuple(v) for row, v in MUTANT_VERDICTS.items()} == {
+        row: mutant.ids for row, mutant in MUTANTS.items()}
+    assert all("f" in "".join(v.values()) for v in MUTANT_VERDICTS.values())
+    failed = {i for v in MUTANT_VERDICTS.values() for i, verdicts in v.items() if "f" in verdicts}
+    assert failed == set(ALL_IDS)
 
 
 # The checks whose sums over k go through shifted_sum, which builds term k
@@ -411,138 +585,6 @@ def test_shifted_sums_pass_at_the_lowest_orders(identity_id, order, capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert records
     assert all(r["verdict"] == "pass" and r["params"]["order"] == order for r in records)
-
-
-# A right side built one order short: the residual keeps the smaller order of
-# its sides, so it comes out zero to order N-1 and its top coefficient is
-# never compared.  The report must fail it.
-SHORT_SIDES = {"thm1.2": "abel_rhs", "charlier-deriv": "exp_series", "gessel": "exp_series",
-               "3.2": "shifted_sum", "chz": "shifted_sum"}
-
-
-@pytest.mark.parametrize("identity_id", sorted(SHORT_SIDES))
-def test_a_series_residual_short_of_its_order_fails(identity_id, monkeypatch, capsys):
-    real = getattr(catalogue, SHORT_SIDES[identity_id])
-    signature = inspect.signature(real)
-
-    def one_order_short(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.arguments["order"] -= 1
-        return real(*bound.args, **bound.kwargs)
-
-    monkeypatch.setattr(catalogue, SHORT_SIDES[identity_id], one_order_short)
-    reports = list(ids.verify_many([identity_id]))
-    assert reports
-    for report in reports:
-        assert report.residual.is_zero
-        assert report.residual.order == report.order - 1
-        assert not report.verdict
-        payload = report.to_json()
-        assert payload["verdict"] == "fail"
-        assert payload["residual"] == f"0 + O(x^{report.order})"
-    assert main(["verify", identity_id]) == 1
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == len(reports)
-    assert all(json.loads(line)["verdict"] == "fail" for line in lines)
-
-
-# The fifteen convolution rows of Theorem 1.1 and section 4, then the other
-# checks with one side a binomial sum: the row 3.1, the sweep of
-# stirling-difference and the diagonal sum of q-diag.
-CONVOLUTION_IDS = (
-    "1.0a", "riordan", "sunxu", "thm1.1", "2.3a", "4.1", "4.2", "cor-selfdual",
-    "4.3", "difference", "4.3a", "4.4", "4.5", "cor-n-factorial", "thm5.2",
-    "3.1", "stirling-difference", "q-diag",
-)
-
-
-@pytest.mark.parametrize("identity_id", CONVOLUTION_IDS)
-def test_unit_term_in_the_convolution_kernel_is_not_hidden(
-    identity_id, monkeypatch, capsys
-):
-    real = catalogue.binomial_convolution
-
-    def perturbed(n, term, lo=0):
-        return real(n, term, lo) + Polynomial.one()
-
-    monkeypatch.setattr(catalogue, "binomial_convolution", perturbed)
-    _assert_every_report_fails(identity_id, capsys)
-
-
-# The ids whose reports fail under a unit term in one shared kernel of the
-# polynomial or series layer, pinned from `lambdafact verify all`.
-KERNEL_MUTANT_FAILURES = {
-    # a unit term added to each result of evaluate_at, which serves
-    # Polynomial.substitute, substitute_series and TruncatedSeries.compose
-    "evaluate_at": (
-        "1.0a", "charlier-spec", "charlier-recurrence", "charlier-deriv", "3.4",
-        "3.5", "3.6", "3.7", "gessel", "chz", "bell-transform", "3.8", "3.9",
-        "4.2", "cor-selfdual", "4.3", "4.3a", "4.5", "remark-mu",
-        "cor-n-factorial", "5.3", "5.4",
-    ),
-    # a unit term added to every power after the zeroth from powers
-    "powers": (
-        "1.0a", "1.0b", "charlier-spec", "charlier-recurrence", "2.3", "3.2", "thm1.2",
-        "charlier-deriv", "3.4", "3.5", "3.6", "3.7", "3.7.1", "gessel", "chz",
-        "bell-transform", "3.8", "3.9", "4.2", "cor-selfdual", "4.3", "4.5",
-        "remark-mu", "cor-n-factorial", "q-explicit", "5.3", "5.4",
-    ),
-    # a unit term added to each result of dot, which serves every series
-    # product, exp and inverse (3.4) and the total-degree kernels (5.2)
-    "dot": (
-        "2.1", "2.2", "2.3", "3.2", "charlier-deriv", "3.4", "3.5", "3.6", "3.7",
-        "gessel", "bell-transform", "3.8", "3.9", "5.2",
-    ),
-    # a unit term at the top order of each result of shifted_sum, which serves
-    # abel_sum (the transform rows, thm1.2), 3.2, gessel and chz
-    "shifted_sum": (
-        "3.2", "thm1.2", "3.4", "3.5", "3.6", "3.7", "3.7.1", "gessel", "chz",
-        "bell-transform", "3.8", "3.9",
-    ),
-}
-
-
-def _evaluate_at_mutant(real):
-    return lambda coeffs, value, total: real(coeffs, value, total) + 1
-
-
-def _powers_mutant(real):
-    def mutant(base):
-        for j, power in enumerate(real(base)):
-            yield power + 1 if j else power
-
-    return mutant
-
-
-def _dot_mutant(real):
-    return lambda pairs: real(pairs) + 1
-
-
-def _shifted_sum_mutant(real):
-    return lambda term, order: real(term, order) + _top_unit(order)
-
-
-MAKE_MUTANT = {
-    "evaluate_at": _evaluate_at_mutant, "powers": _powers_mutant, "dot": _dot_mutant,
-    "shifted_sum": _shifted_sum_mutant,
-}
-
-
-@pytest.mark.parametrize("kernel", sorted(KERNEL_MUTANT_FAILURES))
-def test_unit_term_in_a_shared_polynomial_kernel_fails_verify_all(
-    kernel, monkeypatch, capsys
-):
-    real = getattr(polynomial if hasattr(polynomial, kernel) else series, kernel)
-    mutant = MAKE_MUTANT[kernel](real)
-    # Every module that imported the kernel holds its own binding.
-    for module in [m for name, m in sys.modules.items() if name.startswith("lambdafact")]:
-        if getattr(module, kernel, None) is real:
-            monkeypatch.setattr(module, kernel, mutant)
-    assert main(["verify", "all"]) == 1
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    failed = {r["id"] for r in records if r["verdict"] == "fail"}
-    got = tuple(i for i in ids.catalogue_ids() if i in failed)
-    assert got == KERNEL_MUTANT_FAILURES[kernel]
 
 
 def test_binomial_convolution_kernel():
